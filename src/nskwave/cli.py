@@ -10,7 +10,6 @@ import argparse
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -27,16 +26,6 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
 SUBCOMMANDS = ("riemann", "profile", "rarefaction", "interactions", "simulate", "verify")
-
-
-def worker_count() -> int:
-    """Worker cap from the NSKWAVE_THREADS environment variable (default 1)."""
-    raw = os.environ.get("NSKWAVE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"NSKWAVE_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
 
 
 def _fmt(value) -> str:
@@ -114,8 +103,7 @@ def _cmd_interactions(config: RunConfig, out_dir: Path, seed: int) -> int:
     pattern = config.build_pattern()
     composite = solver.build_composite(pattern, config.gas)
     times = np.linspace(0.0, config.scheme["t_end"], 9)
-    with ThreadPoolExecutor(max_workers=min(worker_count(), len(times))) as pool:
-        results = list(pool.map(lambda t: composite.interaction_norms(t), times))
+    results = [composite.interaction_norms(t) for t in times]
     keys = ["vSx_vR_L1", "vSx_vR_L2", "vRx_vSx_L1", "vRx_vSx_L2", "vRx_vS_L2",
             "Q1I_L2", "Q2_L2"]
     rows = [[t] + [rec[k] for k in keys] for t, rec in zip(times.tolist(), results)]

@@ -7,7 +7,11 @@ refinement level evaluates the integrand on one numpy array.
 """
 from __future__ import annotations
 
+import logging
+
 import numpy as np
+
+log = logging.getLogger(__name__)
 
 MAX_LEVELS = 60
 MAX_INTERVALS = 200_000
@@ -56,8 +60,11 @@ def adaptive_simpson(f, breakpoints, abs_tol=1e-10, rel_tol=1e-9):
         if np.all(done):
             return float(result)
         keep = ~done
-        if np.count_nonzero(keep) > MAX_INTERVALS:
+        n_open = int(np.count_nonzero(keep))
+        if n_open > MAX_INTERVALS:
             # safety valve: accept the refined estimate everywhere
+            log.warning("adaptive_simpson: %d intervals still open (cap %d); "
+                        "returning the unconverged estimate", n_open, MAX_INTERVALS)
             result += float(np.sum(s2[keep]))
             return float(result)
         # split every unaccepted interval into its two halves

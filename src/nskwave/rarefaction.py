@@ -62,7 +62,12 @@ class RarefactionWave:
 
         The map is a strictly monotone perturbation of the identity
         (1 + w0' tau >= 1), so a bracketed Newton iteration always
-        converges.
+        converges.  Each point is frozen at the first iterate whose
+        residual meets the tolerance, and only the live points iterate
+        on.  This is needed, not only cheaper: a converged point has a
+        last step of about 0, so the contraction guard below would throw
+        it to the middle of its bracket, from where it creeps back by
+        bisection while the rest of the array waits.
         """
         x = np.asarray(x, dtype=float)
         if not np.isfinite(tau) or tau < 0.0:
@@ -73,17 +78,25 @@ class RarefactionWave:
             x0 = x - self.w_m * tau
             return np.full_like(x0, self.w_m), x0
 
-        lo = x - self.w_m * tau - 1.0
-        hi = x - self.w_minus * tau + 1.0
-        x0 = x - self.center * tau
+        xs = x.ravel()
+        foot = np.empty_like(xs)
+        live = np.arange(xs.size)
+        lo = xs - self.w_m * tau - 1.0
+        hi = xs - self.w_minus * tau + 1.0
+        x0 = xs - self.center * tau
         dxold = hi - lo
-        tol = 1e-13 * np.maximum(1.0, np.abs(x) + np.abs(self.w_m) * tau)
+        tol = 1e-13 * np.maximum(1.0, np.abs(xs) + np.abs(self.w_m) * tau)
         for _ in range(120):
             T = np.tanh(x0)
             w0 = self.center + self.half_width * T
-            res = x0 + w0 * tau - x
-            if np.all(np.abs(res) <= tol):
+            res = x0 + w0 * tau - xs
+            done = np.abs(res) <= tol
+            foot[live[done]] = x0[done]
+            keep = ~done
+            if not keep.any():
                 break
+            live, xs, x0, T, res = live[keep], xs[keep], x0[keep], T[keep], res[keep]
+            lo, hi, dxold, tol = lo[keep], hi[keep], dxold[keep], tol[keep]
             hi = np.where(res > 0.0, x0, hi)
             lo = np.where(res > 0.0, lo, x0)
             slope = 1.0 + self.half_width * (1.0 - T * T) * tau
@@ -96,8 +109,9 @@ class RarefactionWave:
             x0 = new
         else:
             raise DomainError("characteristic foot-point iteration did not converge")
-        w = self.center + self.half_width * np.tanh(x0)
-        return w, x0
+        foot = foot.reshape(x.shape)
+        w = self.center + self.half_width * np.tanh(foot)
+        return w, foot
 
     # -- field evaluation --------------------------------------------------
 

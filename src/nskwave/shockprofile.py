@@ -128,19 +128,17 @@ class ShockProfile:
         n = len(xi)
         if n < 7:
             return 0.0
-        res_max = 0.0
         # interior five-point stencil on the (mildly) nonuniform grid is
         # avoided by sampling: the grid is uniform away from the raw
-        # integrator knots, so restrict to uniformly spaced runs
+        # integrator knots, so restrict to the centers i of uniformly spaced
+        # runs xi[i - 2 .. i + 2]; row j of the window holds h[j .. j + 3]
         h = np.diff(xi)
-        for i in range(2, n - 2):
-            hs = h[i - 2:i + 2]
-            if np.max(np.abs(hs - hs[0])) > 1e-9 * hs[0]:
-                continue
-            dq = (q[i - 2] - 8.0 * q[i - 1] + 8.0 * q[i + 1] - q[i + 2]) / (12.0 * hs[0])
-            r = float(profile_residual(v[i], q[i], dq, self.pattern, self.model))
-            res_max = max(res_max, abs(r))
-        return res_max
+        hs = np.lib.stride_tricks.sliding_window_view(h, 4)
+        uniform = np.max(np.abs(hs - hs[:, :1]), axis=1) <= 1e-9 * hs[:, 0]
+        i = np.flatnonzero(uniform) + 2
+        dq = (q[i - 2] - 8.0 * q[i - 1] + 8.0 * q[i + 1] - q[i + 2]) / (12.0 * h[i - 2])
+        r = profile_residual(v[i], q[i], dq, self.pattern, self.model)
+        return float(np.max(np.abs(r), initial=0.0))
 
 
 def solve_profile(pattern: WavePattern, model: GasModel,

@@ -417,7 +417,7 @@ def run(config) -> RunResult:
 
     if not snapshots or snapshots[-1].t != state.t:
         snapshots.append(make_snapshot())
-    summary = _summarize(records, scheme.t_end, a_min, a_max, v_min_global)
+    summary = _summarize(records, step_count, scheme.t_end, a_min, a_max, v_min_global)
     return RunResult(records=records, snapshots=snapshots, summary=summary,
                      final_state=state)
 
@@ -451,10 +451,10 @@ def _decay_ratios(t, X, Xdot, sup, eta, t_end) -> dict:
     }
 
 
-def _summarize(records, t_end, a_min, a_max, v_min_global) -> dict:
+def _summarize(records, steps, t_end, a_min, a_max, v_min_global) -> dict:
     first, last = records[0], records[-1]
     return {
-        "steps": len(records),
+        "steps": steps,
         **_decay_ratios([r.t for r in records], [r.X for r in records],
                         [r.Xdot for r in records],
                         (first.W1inf_phi + first.Linf_psi, last.W1inf_phi + last.Linf_psi),

@@ -205,14 +205,22 @@ def test_partial_output_flushed_on_abort(smoke_cfg, tmp_path, monkeypatch):
     assert len(partial.read_text().splitlines()) >= 2  # header plus records
 
 
-def test_worker_count(monkeypatch):
-    monkeypatch.delenv("NSKWAVE_THREADS", raising=False)
-    assert cli.worker_count() == 1
-    monkeypatch.setenv("NSKWAVE_THREADS", "4")
-    assert cli.worker_count() == 4
-    monkeypatch.setenv("NSKWAVE_THREADS", "zebra")
-    with pytest.raises(nw.ConfigError):
-        cli.worker_count()
+def test_simulate_reports_rk4_step_count(smoke_cfg, tmp_path, monkeypatch, capsys):
+    import nskwave.solver as solver_mod
+
+    cfg = parse_config(smoke_cfg)
+    real_step = solver_mod._step_core
+    counter = {"n": 0}
+
+    def counting_step(*args, **kwargs):
+        counter["n"] += 1
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "_step_core", counting_step)
+    assert cli.dispatch("simulate", cfg, out_dir=tmp_path / "steps") == 0
+    summary = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    records = (tmp_path / "steps" / "timeseries.csv").read_text().splitlines()[1:]
+    assert int(summary["steps"]) == counter["n"] > len(records)
 
 
 def test_float_roundtrip_formatting():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from nskwave import quadrature
 from nskwave.quadrature import adaptive_simpson, lp_norm
 
 
@@ -50,3 +51,19 @@ def test_lp_norm():
 def test_requires_two_breakpoints():
     with pytest.raises(ValueError):
         adaptive_simpson(lambda x: x, [1.0])
+
+
+def test_interval_cap_logs_a_warning(monkeypatch, caplog):
+    def f(x):
+        return np.exp(-x * x / 1e-4)
+
+    exact = np.sqrt(np.pi * 1e-4)
+    assert adaptive_simpson(f, [-1.0, 1.0], abs_tol=1e-14, rel_tol=1e-12) == pytest.approx(exact)
+    assert not caplog.records
+    monkeypatch.setattr(quadrature, "MAX_INTERVALS", 4)
+    with caplog.at_level("WARNING", logger="nskwave.quadrature"):
+        val = adaptive_simpson(f, [-1.0, 1.0], abs_tol=1e-14, rel_tol=1e-12)
+    assert np.isfinite(val)
+    (rec,) = caplog.records
+    assert rec.levelname == "WARNING"
+    assert "intervals still open (cap 4)" in rec.getMessage()

@@ -48,6 +48,28 @@ def test_burgers_interior_against_bisection(wave):
     assert abs(w[0] - w_oracle) < 1e-12
 
 
+@pytest.mark.parametrize("t", [1.0, 200.0])
+def test_burgers_frozen_points_keep_their_positions(wave, t):
+    """Points converge at different iterations (at t = 200 the fan interior
+    takes up to 11 and many need bisection); each must be returned at its
+    own position of a 2-D input that interleaves both far fields with it."""
+    tau = 1.0 + t
+    x = np.concatenate([
+        np.linspace(wave.w_minus * tau - 60.0, wave.w_minus * tau - 40.0, 6),
+        np.linspace(wave.w_m * tau + 40.0, wave.w_m * tau + 60.0, 6),
+        np.linspace(wave.center * tau - 16.0, wave.center * tau + 16.0, 36),
+    ])
+    x = np.random.default_rng(5).permutation(x).reshape(6, 8)
+    w, x0 = wave.burgers_state(tau, x)
+    assert w.shape == x0.shape == x.shape
+    oracle = np.vectorize(lambda xi: bisection_foot_point(wave, tau, xi))(x)
+    w_oracle = wave.center + wave.half_width * np.tanh(oracle)
+    assert np.max(np.abs(w - w_oracle)) < 1e-12
+    # the foot point is as accurate as the residual tolerance allows (slope >= 1)
+    tol = 1e-13 * np.maximum(1.0, np.abs(x) + np.abs(wave.w_m) * tau)
+    assert np.all(np.abs(x0 - oracle) <= 2.0 * tol)
+
+
 def test_burgers_rejects_bad_input(wave):
     with pytest.raises(nw.DomainError):
         wave.burgers_state(-1.0, np.array([0.0]))

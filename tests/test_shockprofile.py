@@ -1,8 +1,32 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import nskwave as nw
 from nskwave import thermo
+from nskwave.config import parse_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def self_residual_loop(profile):
+    """Point-by-point reference for ShockProfile.self_residual."""
+    xi, v, q = profile.xi, profile.v, profile.vp
+    n = len(xi)
+    if n < 7:
+        return 0.0
+    res_max = 0.0
+    h = np.diff(xi)
+    for i in range(2, n - 2):
+        hs = h[i - 2:i + 2]
+        if np.max(np.abs(hs - hs[0])) > 1e-9 * hs[0]:
+            continue
+        dq = (q[i - 2] - 8.0 * q[i - 1] + 8.0 * q[i + 1] - q[i + 2]) / (12.0 * hs[0])
+        r = float(nw.profile_residual(v[i], q[i], dq, profile.pattern, profile.model))
+        res_max = max(res_max, abs(r))
+    return res_max
 
 
 def test_residual_vanishes_at_end_states(pattern_std, model14):
@@ -16,6 +40,33 @@ def test_residual_vanishes_at_end_states(pattern_std, model14):
 
 def test_solved_profile_residual(profile_std):
     assert profile_std.self_residual() < 1e-8
+
+
+@pytest.mark.parametrize("name", ["standard", "smoke"])
+def test_self_residual_matches_pointwise_loop(name):
+    cfg = parse_config(CONFIGS / f"{name}.cfg")
+    prof = nw.solve_profile(cfg.build_pattern(), cfg.gas)
+    res = prof.self_residual()
+    assert res > 0.0
+    assert res == self_residual_loop(prof)
+
+
+def test_self_residual_nonuniform_and_short_tables(profile_std):
+    # shift every seventh knot: uniform five-point runs survive only between them
+    xi = profile_std.xi.copy()
+    xi[1:-1:7] += 0.3 * np.diff(xi)[0:-1:7]
+    jagged = dataclasses.replace(profile_std, xi=xi)
+    assert jagged.self_residual() > 0.0
+    assert jagged.self_residual() == self_residual_loop(jagged)
+    # fewer than seven knots, and no uniformly spaced run at all
+    short = dataclasses.replace(profile_std, xi=profile_std.xi[:6], v=profile_std.v[:6],
+                                vp=profile_std.vp[:6], vpp=profile_std.vpp[:6])
+    assert short.self_residual() == 0.0 == self_residual_loop(short)
+    k = np.arange(40)
+    geometric = dataclasses.replace(
+        profile_std, xi=np.cumsum(0.1 * 1.01 ** k), v=profile_std.v[:40],
+        vp=profile_std.vp[:40], vpp=profile_std.vpp[:40])
+    assert geometric.self_residual() == 0.0 == self_residual_loop(geometric)
 
 
 def test_profile_monotone_and_normalized(profile_std):
