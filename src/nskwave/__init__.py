@@ -23,7 +23,7 @@ from .shockprofile import (ShockProfile, eval_profile, profile_residual,
 from .solver import (Grid, Perturbation, RunResult, SchemeConfig, SimState,
                      Snapshot, build_composite, constraint_defect, initial_data,
                      parabolic_dt, response_summary, run, shift_rhs,
-                     spatial_rhs, step, weight)
+                     spatial_rhs, step)
 from .thermo import (GasModel, capillarity, characteristic_speeds,
                      internal_energy, lambda1_antiderivative, pressure,
                      relative_internal_energy, relative_pressure,

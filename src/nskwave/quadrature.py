@@ -78,11 +78,3 @@ def adaptive_simpson(f, breakpoints, abs_tol=1e-10, rel_tol=1e-9):
     result += float(np.sum(whole))
     return float(result)
 
-
-def lp_norm(f, breakpoints, p, abs_tol=1e-12, rel_tol=1e-9):
-    """L^p norm of ``f`` (finite p) by adaptive Simpson of |f|^p."""
-    if not p >= 1:
-        raise ValueError("p must be >= 1")
-    val = adaptive_simpson(lambda x: np.abs(f(x)) ** p, breakpoints,
-                           abs_tol=abs_tol, rel_tol=rel_tol)
-    return max(val, 0.0) ** (1.0 / p)

@@ -18,7 +18,9 @@ from .quadrature import adaptive_simpson
 from .riemann import WavePattern
 from .thermo import GasModel
 
-#: initial-profile coordinates beyond this are fully saturated in double precision
+#: initial-profile coordinates beyond this are fully saturated in double
+#: precision: tanh(x0) rounds to exactly +-1 once |x0| > 19.1, so the fan
+#: value there is exactly an end state (``eval`` at order 0 relies on this)
 X0_WINDOW = 25.0
 
 
@@ -173,7 +175,17 @@ class RarefactionWave:
         return out
 
     def eval(self, t, x, order: int = 1) -> dict:
-        """Fan fields at physical time t with x-derivatives up to ``order`` (0..4)."""
+        """Fan fields at physical time t with x-derivatives up to ``order`` (0..4).
+
+        At order 0 only the nodes inside ``support(t, X0_WINDOW)`` go
+        through the characteristic solve; the rest get the end states.
+        This is exact, not an approximation: left of the window the foot
+        point satisfies x0 = x - w0 tau <= x - w_minus tau < -X0_WINDOW,
+        right of it x0 >= x - w_m tau > X0_WINDOW, so tanh(x0) is exactly
+        -1 or +1 and ``_stack_from_x0`` would snap the node to
+        (v_minus, u_minus) or (v_m, u_m) anyway.  Derivatives in the far
+        field are tiny but not zero, so orders 1-4 evaluate every node.
+        """
         if not 0 <= order <= 4:
             raise DomainError(f"unsupported derivative order {order}")
         if t < 0.0:
@@ -187,8 +199,23 @@ class RarefactionWave:
                 out["v" + name] = zeros
                 out["u" + name] = zeros
             return out
-        _, x0 = self.burgers_state(tau, x)
-        return self._stack_from_x0(tau, x0, order)
+        if order > 0:
+            _, x0 = self.burgers_state(tau, x)
+            return self._stack_from_x0(tau, x0, order)
+        # checked here: the window would send inf and nan to an end state
+        if not np.all(np.isfinite(x)):
+            raise DomainError("position must be finite")
+        lo, hi = self.support(t, pad=X0_WINDOW)
+        left = x < lo
+        inside = ~left & (x <= hi)
+        v = np.where(left, self.v_minus, self.v_m)
+        u = np.where(left, self.u_minus, self.u_m)
+        if inside.any():
+            _, x0 = self.burgers_state(tau, x[inside])
+            fan = self._stack_from_x0(tau, x0, 0)
+            v[inside] = fan["v"]
+            u[inside] = fan["u"]
+        return {"v": v, "u": u}
 
     # -- norms --------------------------------------------------------------
 

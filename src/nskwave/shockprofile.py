@@ -27,10 +27,17 @@ TAIL_CUT = 1e-12
 
 
 def _rankine_hugoniot_gap(v, pattern: WavePattern, model: GasModel):
-    """sigma^2 (v - v_m) + p(v) - p(v_m); vanishes at both end volumes."""
+    """sigma^2 (v - v_m) + p(v) - p(v_m); vanishes at both end volumes.
+
+    The pressure is evaluated with ``np.power``, the ufunc that
+    ``thermo.pressure`` uses, but without its validation: the callers own
+    the volume check.  A scalar ``v`` goes through the same ufunc loop as
+    an array, so the RK45 right-hand side and the tabulated stack agree
+    to the bit (plain ``**`` on a float may differ by one ulp).
+    """
     v_m = pattern.mid.v
-    return (pattern.sigma ** 2 * (v - v_m)
-            + thermo.pressure(v, model) - thermo.pressure(v_m, model))
+    g = model.gamma
+    return pattern.sigma ** 2 * (v - v_m) + np.power(v, -g) - np.power(v_m, -g)
 
 
 def profile_residual(v, vp, vpp, pattern: WavePattern, model: GasModel):
@@ -40,8 +47,8 @@ def profile_residual(v, vp, vpp, pattern: WavePattern, model: GasModel):
     integrating from the left far field with vanishing derivatives.
     """
     v = np.asarray(v, dtype=float)
-    if np.any(v <= thermo.VOLUME_FLOOR):
-        raise DomainError("volume must be positive")
+    if not np.all((v > thermo.VOLUME_FLOOR) & (v < np.inf)):
+        raise DomainError("volume must be finite and positive")
     a, b = model.alpha, model.beta
     return (_rankine_hugoniot_gap(v, pattern, model)
             + pattern.sigma * v ** (-a - 1.0) * vp
@@ -172,7 +179,11 @@ def solve_profile(pattern: WavePattern, model: GasModel,
                   + np.log((v_p - v_m) / TAIL_CUT) / abs(nu_slow)) + 100.0
 
     def rhs(_, y):
-        return [y[1], float(_accel(y[0], y[1], pattern, model))]
+        # scalar check: thermo's array validation would cost more than the closure
+        v, q = float(y[0]), float(y[1])
+        if not thermo.VOLUME_FLOOR < v < np.inf:
+            raise DomainError(f"profile solve left the volume domain (v = {v!r})")
+        return [q, float(_accel(v, q, pattern, model))]
 
     def ev_mid(_, y):
         return y[0] - 0.5 * (v_m + v_p)

@@ -245,11 +245,6 @@ def shift_rhs(state: SimState, grid: Grid, composite: CompositeWave) -> float:
     return _shift_rate(state.t, state.X, state.u, grid, composite)
 
 
-def weight(x, t, X, composite: CompositeWave):
-    """Entropy weight a(t, x) of the shifted shock."""
-    return composite.weight(t, x, X)
-
-
 # -- time stepping -------------------------------------------------------------
 
 

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from nskwave import quadrature
-from nskwave.quadrature import adaptive_simpson, lp_norm
+from nskwave.quadrature import adaptive_simpson
 
 
 def test_polynomial_exact():
@@ -39,13 +39,6 @@ def test_zero_integrand():
 def test_sign_change_terminates():
     val = adaptive_simpson(np.sin, [0.0, 2.0 * np.pi], abs_tol=1e-13, rel_tol=1e-10)
     assert val == pytest.approx(0.0, abs=1e-10)
-
-
-def test_lp_norm():
-    val = lp_norm(lambda x: np.exp(-np.abs(x)), [-40.0, 0.0, 40.0], 2)
-    assert val == pytest.approx(1.0, rel=1e-9)
-    with pytest.raises(ValueError):
-        lp_norm(lambda x: x, [0.0, 1.0], 0.5)
 
 
 def test_requires_two_breakpoints():

@@ -3,7 +3,7 @@ import pytest
 
 import nskwave as nw
 from nskwave import thermo
-from nskwave.rarefaction import RarefactionWave
+from nskwave.rarefaction import X0_WINDOW, RarefactionWave
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +85,63 @@ def test_eval_far_field(wave):
     assert abs(st["u"][0] - wave.u_minus) < 1e-10
 
 
+def unwindowed_stack(wave, t, x, order):
+    """Reference for RarefactionWave.eval: the characteristic solve on every node."""
+    return wave._stack_from_x0(1.0 + t, wave.burgers_state(1.0 + t, x)[1], order)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 200.0])
+def test_eval_window_matches_unwindowed_stack(wave, t, monkeypatch):
+    """Order 0 solves only the nodes inside support(t, X0_WINDOW) and snaps
+    the rest to the end states; tanh saturates exactly out there, so the
+    result must equal the all-node solve to the bit, on a shuffled 2-D
+    array with nodes exactly at both window ends."""
+    lo, hi = wave.support(t, pad=X0_WINDOW)
+    x = np.concatenate([
+        np.linspace(lo - 80.0, lo, 16),
+        np.linspace(hi, hi + 80.0, 16),
+        np.linspace(lo, hi, 61),
+        [np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), 0.5 * (lo + hi)],
+    ])
+    x = np.random.default_rng(11).permutation(x).reshape(8, 12)
+    solved = []
+    burgers_state = wave.burgers_state
+
+    def spy(tau, xs):
+        solved.append(np.array(xs))
+        return burgers_state(tau, xs)
+
+    monkeypatch.setattr(wave, "burgers_state", spy)
+    st = wave.eval(t, x, order=0)
+    (inner,) = solved
+    assert inner.size == np.count_nonzero((x >= lo) & (x <= hi))
+    monkeypatch.undo()
+    ref = unwindowed_stack(wave, t, x, 0)
+    assert set(st) == {"v", "u"}
+    for key in ("v", "u"):
+        assert st[key].shape == x.shape
+        assert np.array_equal(st[key], ref[key])
+    for order in (1, 2, 3, 4):
+        st = wave.eval(t, x, order=order)
+        ref = unwindowed_stack(wave, t, x, order)
+        assert set(st) == set(ref)
+        assert all(np.array_equal(st[key], ref[key]) for key in ref)
+
+
+def test_eval_window_scalar_and_bad_positions(wave):
+    t = 1.0
+    lo, hi = wave.support(t, pad=X0_WINDOW)
+    for x in (lo - 1.0, lo, 0.5 * (lo + hi), hi, hi + 1.0):
+        st = wave.eval(t, x, order=0)
+        ref = unwindowed_stack(wave, t, x, 0)
+        for key in ("v", "u"):
+            assert np.shape(st[key]) == ()
+            assert st[key] == ref[key]
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(nw.DomainError):
+            wave.eval(t, np.array([0.0, bad]), order=0)
+
+
 def test_eval_rejects_bad_order(wave):
     with pytest.raises(nw.DomainError):
         wave.eval(0.0, np.array([0.0]), order=5)
@@ -156,6 +213,10 @@ def test_degenerate_fan(model14, right_state):
     st = wave.eval(3.0, np.linspace(-10, 10, 50), order=2)
     assert np.all(st["v"] == pat.mid.v) and np.all(st["u"] == pat.mid.u)
     assert np.all(st["vx"] == 0.0) and np.all(st["uxx"] == 0.0)
+    for x in (np.linspace(-500, 500, 50).reshape(5, 10), 2.0):
+        st = wave.eval(3.0, x, order=0)
+        assert set(st) == {"v", "u"} and st["v"].shape == np.shape(x)
+        assert np.all(st["v"] == pat.mid.v) and np.all(st["u"] == pat.mid.u)
     assert wave.derivative_norms(1.0, 2) == {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0}
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import nskwave as nw
-from nskwave import thermo
+from nskwave import shockprofile, thermo
 from nskwave.config import parse_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -29,13 +29,73 @@ def self_residual_loop(profile):
     return res_max
 
 
+def validated_gap(v, pattern, model):
+    """The Rankine-Hugoniot gap with the pressure through thermo.pressure,
+    which validates its argument as an array on every call."""
+    v_m = pattern.mid.v
+    return (pattern.sigma ** 2 * (v - v_m)
+            + thermo.pressure(v, model) - thermo.pressure(v_m, model))
+
+
+def solve_profile_validated(pattern, model, monkeypatch):
+    """solve_profile with the right-hand side fed numpy scalars and the
+    validated gap: the reference for the scalar right-hand side."""
+    solve_ivp = shockprofile.solve_ivp
+
+    def reference_ivp(fun, *args, **kwargs):
+        def rhs(_, y):
+            return [y[1], float(shockprofile._accel(y[0], y[1], pattern, model))]
+        return solve_ivp(rhs, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(shockprofile, "_rankine_hugoniot_gap", validated_gap)
+        m.setattr(shockprofile, "solve_ivp", reference_ivp)
+        return nw.solve_profile(pattern, model)
+
+
+@pytest.mark.parametrize("name", ["standard", "smoke"])
+def test_profile_table_matches_validated_rhs(name, monkeypatch):
+    cfg = parse_config(CONFIGS / f"{name}.cfg")
+    pattern = cfg.build_pattern()
+    prof = nw.solve_profile(pattern, cfg.gas)
+    ref = solve_profile_validated(pattern, cfg.gas, monkeypatch)
+    for key in ("xi", "v", "vp", "vpp"):
+        assert np.array_equal(getattr(prof, key), getattr(ref, key)), key
+    assert prof.tail_rate == ref.tail_rate
+    xi = np.linspace(prof.xi_lo - 1.0, prof.xi_hi + 1.0, 2001)
+    st, st_ref = nw.eval_profile(prof, xi), nw.eval_profile(ref, xi)
+    assert all(np.array_equal(st[key], st_ref[key]) for key in st_ref)
+
+
+def test_profile_rhs_rejects_volumes_outside_the_domain(pattern_std, model14, monkeypatch):
+    captured = []
+
+    class Captured(Exception):
+        pass
+
+    def capture(fun, *args, **kwargs):
+        captured.append(fun)
+        raise Captured
+
+    monkeypatch.setattr(shockprofile, "solve_ivp", capture)
+    with pytest.raises(Captured):
+        nw.solve_profile(pattern_std, model14)
+    (rhs,) = captured
+    v_m = pattern_std.mid.v
+    assert rhs(0.0, np.array([v_m, 0.0]))[1] == pytest.approx(0.0, abs=1e-15)
+    for v in (0.0, np.nan, np.inf, -1.0, 0.5 * thermo.VOLUME_FLOOR):
+        with pytest.raises(nw.DomainError):
+            rhs(0.0, np.array([v, 1e-3]))
+
+
 def test_residual_vanishes_at_end_states(pattern_std, model14):
     v_m, v_p = pattern_std.mid.v, pattern_std.right.v
     assert nw.profile_residual(v_m, 0.0, 0.0, pattern_std, model14) == pytest.approx(0.0, abs=1e-15)
     # Rankine-Hugoniot forces the right end to cancel as well
     assert nw.profile_residual(v_p, 0.0, 0.0, pattern_std, model14) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(nw.DomainError):
-        nw.profile_residual(-1.0, 0.0, 0.0, pattern_std, model14)
+    for v in (-1.0, np.nan, np.inf, 0.5 * thermo.VOLUME_FLOOR, np.array([1.0, np.nan])):
+        with pytest.raises(nw.DomainError):
+            nw.profile_residual(v, 0.0, 0.0, pattern_std, model14)
 
 
 def test_solved_profile_residual(profile_std):
