@@ -10,8 +10,9 @@ functionals and inequalities that govern the composite wave's stability.
 from .composite import CompositeWave
 from .config import RunConfig, parse_config
 from .diagnostics import (CSV_COLUMNS, DiagnosticsRecord, collect_record,
-                          good_terms, hardy_legendre_gap, perturbation_norms,
-                          relative_entropy_density, weighted_relative_entropy)
+                          constraint_defect, good_terms, hardy_legendre_gap,
+                          perturbation_norms, relative_entropy_density,
+                          weighted_relative_entropy)
 from .errors import (CflError, ConfigError, DomainError, MonotonicityError,
                      PatternError, ProfileError, SolverError, VacuumError)
 from .rarefaction import RarefactionWave
@@ -21,12 +22,11 @@ from .riemann import (EndState, WavePattern, pattern_from_intermediate,
 from .shockprofile import (ShockProfile, eval_profile, profile_residual,
                            solve_profile)
 from .solver import (Grid, Perturbation, RunResult, SchemeConfig, SimState,
-                     Snapshot, build_composite, constraint_defect, initial_data,
-                     parabolic_dt, response_summary, run, shift_rhs,
-                     spatial_rhs, step)
+                     Snapshot, build_composite, initial_data, parabolic_dt,
+                     response_summary, run, spatial_rhs, step)
 from .thermo import (GasModel, capillarity, characteristic_speeds,
                      internal_energy, lambda1_antiderivative, pressure,
                      relative_internal_energy, relative_pressure,
-                     relative_quantity, riemann_invariant_z1, viscosity)
+                     riemann_invariant_z1, viscosity)
 
 __version__ = "0.1.0"

@@ -68,8 +68,7 @@ def _cmd_riemann(config: RunConfig, out_dir: Path, seed: int) -> int:
         ("v_m", pattern.mid.v), ("u_m", pattern.mid.u),
         ("v_plus", pattern.right.v), ("u_plus", pattern.right.u),
         ("sigma", pattern.sigma), ("delta_R", pattern.delta_R),
-        ("delta_S", pattern.delta_S), ("delta_R_alt", pattern.delta_R_alt),
-        ("delta_S_alt", pattern.delta_S_alt), ("sigma_m", pattern.sigma_m),
+        ("delta_S", pattern.delta_S), ("sigma_m", pattern.sigma_m),
         ("alpha_m", pattern.alpha_m), ("M", pattern.M), ("C1", pattern.C1),
     ]
     for key, val in pairs:
@@ -199,8 +198,10 @@ def _suite_weight_bounds(config, rng):
     pattern = config.build_pattern()
     composite = solver.build_composite(pattern, config.gas)
     x = rng.uniform(-50.0, 50.0, size=2000)
-    a = composite.weight(2.0, x, 0.3)
+    bar = composite.eval_bar(2.0, x, 0.3)
+    a = bar["a"]
     assert np.all(a >= 1.0 - 1e-14) and np.all(a <= 2.0 + 1e-14), "weight left [1, 2]"
+    assert np.all(bar["a_x"] >= 0.0), "weight is not monotone"
 
 
 def _suite_hardy_legendre(config, rng):

@@ -1,11 +1,12 @@
 """Shifted superposition of the smooth fan and the traveling shock.
 
-Assembles the composite background fields, the weight function of the
-shift dynamics, the forcing terms the superposition leaves in the
-momentum and auxiliary equations, and the wave-interaction norms.  All
-x-derivatives of the forcing terms are expanded analytically into the
-derivative stacks of the two waves: the forcings are small differences of
-large terms, which numerical differentiation would destroy.
+Assembles the composite background (its fields, the weight function of
+the shift dynamics and the two wave stacks), the forcing terms the
+superposition leaves in the momentum and auxiliary equations, and the
+wave-interaction norms.  All x-derivatives of the forcing terms are
+expanded analytically into the derivative stacks of the two waves: the
+forcings are small differences of large terms, which numerical
+differentiation would destroy.
 """
 from __future__ import annotations
 
@@ -50,6 +51,26 @@ def _capillary_grad_x(st, model):
             + 0.5 * b * (b + 6.0) * vx ** 3 * v ** (-b - 7.0))
 
 
+def superpose(pattern: WavePattern, rs, ss, keys=()):
+    """Composite stack of the fan stack ``rs`` and the shock stack ``ss``: v
+    and u are the shock plus the fan's offset from the intermediate state,
+    each derivative in ``keys`` the sum of both."""
+    # grouping the fan offset first keeps the superposition exact where
+    # either wave sits at the intermediate state
+    mid = pattern.mid
+    bar = {"v": ss["v"] + (rs["v"] - mid.v), "u": ss["u"] + (rs["u"] - mid.u)}
+    if np.any(bar["v"] <= 0.0):
+        raise VacuumError("composite vacuum: superposed volume is not positive")
+    bar.update((k, rs[k] + ss[k]) for k in keys)
+    return bar
+
+
+def entropy_weight(pattern: WavePattern, uS):
+    """Monotone weight 1 + (u_m - uS)/sqrt(delta_S) of the shifted entropy,
+    from the shock velocity uS."""
+    return 1.0 + (pattern.mid.u - uS) / np.sqrt(pattern.delta_S)
+
+
 class CompositeWave:
     """Fan plus shifted shock, glued through the intermediate state."""
 
@@ -78,45 +99,31 @@ class CompositeWave:
         """(fan stack, shock stack) with derivatives up to ``order``."""
         return self.rarefaction.eval(t, x, order=order), self._shock_stack(t, x, X)
 
-    # -- composite fields ----------------------------------------------------
+    # -- composite background ------------------------------------------------
 
     def eval_bar(self, t, x, X) -> dict:
-        """Composite fields vbar, ubar, wbar with first derivatives and vbar_xx."""
+        """The shifted composite background at one time.
+
+        Fields vbar, ubar, wbar with first derivatives and vbar_xx; the
+        weight ``a`` of the shifted entropy with its slope ``a_x``; and the
+        fan (order 2) and shock stacks they come from, under ``fan`` and
+        ``shock``.
+        """
         rs, ss = self.part_stacks(t, x, X, order=2)
-        v_m, u_m = self.pattern.mid.v, self.pattern.mid.u
+        bar = superpose(self.pattern, rs, ss, ("vx", "ux", "vxx"))
         b = self.model.beta
-        # grouping the fan offset first keeps the superposition exact where
-        # either wave sits at the intermediate state
-        vbar = ss["v"] + (rs["v"] - v_m)
-        if np.any(vbar <= 0.0):
-            raise VacuumError("composite vacuum: superposed volume is not positive")
-        ubar = ss["u"] + (rs["u"] - u_m)
-        vbar_x = rs["vx"] + ss["vx"]
-        ubar_x = rs["ux"] + ss["ux"]
-        vbar_xx = rs["vxx"] + ss["vxx"]
+        vbar, vbar_x = bar["v"], bar["vx"]
         gcap = vbar ** (-0.5 * (b + 5.0))
-        wbar = -vbar_x * gcap
-        wbar_x = -vbar_xx * gcap + 0.5 * (b + 5.0) * vbar_x ** 2 * vbar ** (-0.5 * (b + 7.0))
-        return {"v": vbar, "u": ubar, "w": wbar,
-                "vx": vbar_x, "ux": ubar_x, "wx": wbar_x, "vxx": vbar_xx}
-
-    # -- weight of the shifted entropy ----------------------------------------
-
-    def weight(self, t, x, X):
-        """Monotone weight 1 + (u_m - uS)/sqrt(delta_S); identically 1 without a shock."""
-        x = np.asarray(x, dtype=float)
-        if not self.pattern.has_shock:
-            return np.ones_like(x)
-        ss = self._shock_stack(t, x, X)
-        return 1.0 + (self.pattern.mid.u - ss["u"]) / np.sqrt(self.pattern.delta_S)
-
-    def weight_x(self, t, x, X):
-        """x-derivative of the weight: sigma vS_x / sqrt(delta_S) > 0."""
-        x = np.asarray(x, dtype=float)
-        if not self.pattern.has_shock:
-            return np.zeros_like(x)
-        ss = self._shock_stack(t, x, X)
-        return -ss["ux"] / np.sqrt(self.pattern.delta_S)
+        bar["w"] = -vbar_x * gcap
+        bar["wx"] = -bar["vxx"] * gcap + 0.5 * (b + 5.0) * vbar_x ** 2 * vbar ** (-0.5 * (b + 7.0))
+        if self.pattern.has_shock:
+            bar["a"] = entropy_weight(self.pattern, ss["u"])
+            # sigma vS_x / sqrt(delta_S) > 0
+            bar["a_x"] = -ss["ux"] / np.sqrt(self.pattern.delta_S)
+        else:
+            bar["a"], bar["a_x"] = np.ones_like(vbar), np.zeros_like(vbar)
+        bar["fan"], bar["shock"] = rs, ss
+        return bar
 
     # -- forcing terms ----------------------------------------------------------
 
@@ -140,13 +147,7 @@ class CompositeWave:
         if not self.pattern.has_shock:
             return zeros, fan
         ss = self._shock_stack(t, x, X)
-        v_m, u_m = self.pattern.mid.v, self.pattern.mid.u
-        bar = {"v": ss["v"] + (rs["v"] - v_m), "u": ss["u"] + (rs["u"] - u_m),
-               "vx": rs["vx"] + ss["vx"], "ux": rs["ux"] + ss["ux"],
-               "vxx": rs["vxx"] + ss["vxx"], "uxx": rs["uxx"] + ss["uxx"],
-               "vxxx": rs["vxxx"] + ss["vxxx"]}
-        if np.any(bar["v"] <= 0.0):
-            raise VacuumError("composite vacuum: superposed volume is not positive")
+        bar = superpose(self.pattern, rs, ss, ("vx", "ux", "vxx", "uxx", "vxxx"))
 
         def group(term):
             return term(bar, m) - term(rs, m) - term(ss, m)
@@ -164,10 +165,8 @@ class CompositeWave:
             return np.zeros_like(x)
         rs, ss = self.part_stacks(t, x, X, order=2)
         b = self.model.beta
-        vbar = ss["v"] + (rs["v"] - self.pattern.mid.v)
-        if np.any(vbar <= 0.0):
-            raise VacuumError("composite vacuum: superposed volume is not positive")
-        vbar_x = rs["vx"] + ss["vx"]
+        bar = superpose(self.pattern, rs, ss, ("vx",))
+        vbar, vbar_x = bar["v"], bar["vx"]
         g_s = ss["v"] ** (-0.5 * (b + 5.0))
         g_b = vbar ** (-0.5 * (b + 5.0))
         gp_s = -0.5 * (b + 5.0) * ss["v"] ** (-0.5 * (b + 7.0))

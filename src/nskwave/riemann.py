@@ -37,12 +37,7 @@ class EndState:
 
 @dataclass(frozen=True)
 class WavePattern:
-    """Resolved composite pattern with shift-gain constants.
-
-    delta_R_alt and delta_S_alt are the volume/velocity-based companions of
-    the canonical strengths; they are diagnostics only and never enter
-    formulas.
-    """
+    """Resolved composite pattern with shift-gain constants."""
 
     left: EndState
     mid: EndState
@@ -50,8 +45,6 @@ class WavePattern:
     sigma: float
     delta_R: float
     delta_S: float
-    delta_R_alt: float
-    delta_S_alt: float
     sigma_m: float
     alpha_m: float
     M: float
@@ -152,7 +145,6 @@ def _build_pattern(left: EndState, mid: EndState, right: EndState,
     return WavePattern(
         left=left, mid=mid, right=right, sigma=sigma,
         delta_R=delta_R, delta_S=delta_S,
-        delta_R_alt=abs(mid.v - left.v), delta_S_alt=abs(right.u - mid.u),
         sigma_m=sigma_m, alpha_m=alpha_m, M=M, C1=float(C1))
 
 

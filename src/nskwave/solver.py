@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import thermo
-from .composite import CompositeWave
-from .diagnostics import DiagnosticsRecord, collect_record, relative_entropy_density
+from .composite import CompositeWave, entropy_weight, superpose
+from .diagnostics import (DiagnosticsRecord, collect_record, discrete_gradient_w,
+                          relative_entropy_density)
 from .errors import CflError, ConfigError, SolverError, VacuumError
 from .fd import first_derivative
 from .rarefaction import RarefactionWave
@@ -29,6 +30,13 @@ from .shockprofile import solve_profile
 from .thermo import GasModel
 
 log = logging.getLogger(__name__)
+
+#: smallest volume the spatial operator and the step bound accept
+VACUUM_FLOOR = 1e-6
+#: constraint defect above which a run logs a warning (once)
+CONSTRAINT_CEILING = 1e-4
+#: largest perturbation amplitude initial_data accepts
+AMPLITUDE_CAP = 0.1
 
 
 @dataclass
@@ -80,9 +88,6 @@ class SchemeConfig:
     output_stride: int = 50
     perturbation: Perturbation = field(default_factory=Perturbation)
     shift_enabled: bool = True
-    vacuum_floor: float = 1e-6
-    constraint_ceiling: float = 1e-4
-    amplitude_cap: float = 0.1
 
     def __post_init__(self):
         if not 0.0 < self.cfl_parabolic <= 0.5:
@@ -124,29 +129,12 @@ class RunResult:
     final_state: SimState
 
 
-def discrete_gradient_w(v, dx, model: GasModel):
-    """Auxiliary variable from the discrete volume gradient."""
-    return -v ** (-0.5 * (model.beta + 5.0)) * first_derivative(v, dx)
-
-
-def constraint_defect(state: SimState, grid: Grid, model: GasModel) -> float:
-    """Sup-norm mismatch between evolved w and the discrete gradient definition.
-
-    On interior nodes the scheme evolves the exact time derivative of the
-    definition, so the mismatch there is Runge-Kutta time error; at the two
-    pinned boundary nodes w stays fixed while the one-sided gradient follows
-    v, which adds the boundary truncation once the solution reaches them.
-    """
-    return float(np.max(np.abs(state.w - discrete_gradient_w(state.v, grid.dx, model))))
-
-
-def initial_data(grid: Grid, composite: CompositeWave, perturbation: Perturbation,
-                 amplitude_cap: float = 0.1) -> SimState:
+def initial_data(grid: Grid, composite: CompositeWave, perturbation: Perturbation) -> SimState:
     """Composite wave at t = 0 plus optional bumps, with w set
     constraint-consistently from the discrete gradient of the perturbed volume."""
-    if abs(perturbation.amplitude) > amplitude_cap:
+    if abs(perturbation.amplitude) > AMPLITUDE_CAP:
         raise ConfigError(
-            f"perturbation amplitude {perturbation.amplitude} exceeds cap {amplitude_cap}")
+            f"perturbation amplitude {perturbation.amplitude} exceeds cap {AMPLITUDE_CAP}")
     bar = composite.eval_bar(0.0, grid.x, 0.0)
     bump = perturbation.profile(grid.x)
     v0 = bar["v"] + (bump if perturbation.field in ("v", "both") else 0.0)
@@ -160,9 +148,9 @@ def initial_data(grid: Grid, composite: CompositeWave, perturbation: Perturbatio
 # -- spatial operator ---------------------------------------------------------
 
 
-def _rhs_arrays(v, u, w, dx, model: GasModel, vacuum_floor: float):
-    if np.min(v) < vacuum_floor:
-        raise VacuumError(f"volume fell below the vacuum floor {vacuum_floor}")
+def _rhs_arrays(v, u, w, dx, model: GasModel):
+    if np.min(v) < VACUUM_FLOOR:
+        raise VacuumError(f"volume fell below the vacuum floor {VACUUM_FLOOR}")
     g, a, b = model.gamma, model.alpha, model.beta
     h = 0.5 / dx
     p = v ** (-g)
@@ -186,18 +174,16 @@ def _rhs_arrays(v, u, w, dx, model: GasModel, vacuum_floor: float):
     return vt, ut, wt
 
 
-def spatial_rhs(state: SimState, grid: Grid, model: GasModel,
-                vacuum_floor: float = 1e-6):
+def spatial_rhs(state: SimState, grid: Grid, model: GasModel):
     """Semidiscrete tendencies (v_t, u_t, w_t); boundary nodes are pinned."""
-    return _rhs_arrays(state.v, state.u, state.w, grid.dx, model, vacuum_floor)
+    return _rhs_arrays(state.v, state.u, state.w, grid.dx, model)
 
 
-def parabolic_dt(state: SimState, grid: Grid, model: GasModel,
-                 cfl: float, vacuum_floor: float = 1e-6) -> float:
+def parabolic_dt(state: SimState, grid: Grid, model: GasModel, cfl: float) -> float:
     """Stable step from the parabolic bound, with an advective guard for
     very coarse grids."""
-    if np.min(state.v) < vacuum_floor:
-        raise VacuumError(f"volume fell below the vacuum floor {vacuum_floor}")
+    if np.min(state.v) < VACUUM_FLOOR:
+        raise VacuumError(f"volume fell below the vacuum floor {VACUUM_FLOOR}")
     g = model.gamma
     nu = float(max(np.max(state.v ** (-model.alpha - 1.0)),
                    np.max(state.v ** (-0.5 * (model.beta + 5.0)))))
@@ -209,40 +195,34 @@ def parabolic_dt(state: SimState, grid: Grid, model: GasModel,
 
 
 def _shift_rate(t, X, u, grid: Grid, composite: CompositeWave, rar_cache=None):
+    """Instantaneous shift rate of the shock location.
+
+    Weighted projection of the velocity perturbation onto the shock
+    gradient; identically zero for u = ubar and zero for degenerate shock
+    strength.  ``rar_cache`` maps a time to the fan's order-0 stack there, so
+    the Runge-Kutta stages and records at one time share one fan evaluation.
+    """
     pattern = composite.pattern
     if pattern.delta_S < DEGENERATE_STRENGTH or composite.profile is None:
         return 0.0
     if rar_cache is not None and t in rar_cache:
-        uR = rar_cache[t]
+        fan = rar_cache[t]
     else:
-        uR = composite.rarefaction.eval(t, grid.x, order=0)["u"]
+        fan = composite.rarefaction.eval(t, grid.x, order=0)
         if rar_cache is not None:
             if len(rar_cache) > 8:
                 rar_cache.clear()
-            rar_cache[t] = uR
+            rar_cache[t] = fan
     prof = composite.profile
     xi = grid.x - pattern.sigma * t - X
     vS, vSx = prof.volume(xi)
     uS = prof.u_m - pattern.sigma * (vS - prof.v_m)
     uSx = -pattern.sigma * vSx
-    a = 1.0 + (pattern.mid.u - uS) / np.sqrt(pattern.delta_S)
-    psi = u - (uS + (uR - pattern.mid.u))
+    a = entropy_weight(pattern, uS)
+    psi = u - superpose(pattern, fan, {"v": vS, "u": uS})["u"]
     factor = uSx + thermo.dpressure(vS, composite.model) * vSx / pattern.sigma
     integral = float(np.trapezoid(a * psi * factor, dx=grid.dx))
     return -pattern.M / pattern.delta_S * integral
-
-
-def shift_rhs(state: SimState, grid: Grid, composite: CompositeWave) -> float:
-    """Instantaneous shift rate of the shock location.
-
-    Weighted projection of the velocity perturbation onto the shock
-    gradient; identically zero for u = ubar and disabled (with a warning)
-    for degenerate shock strength.
-    """
-    if composite.pattern.delta_S < DEGENERATE_STRENGTH:
-        log.warning("shift disabled: degenerate shock strength")
-        return 0.0
-    return _shift_rate(state.t, state.X, state.u, grid, composite)
 
 
 # -- time stepping -------------------------------------------------------------
@@ -265,7 +245,7 @@ def _step_core(state: SimState, grid: Grid, composite: CompositeWave,
     shift_on = scheme.shift_enabled and composite.pattern.delta_S >= DEGENERATE_STRENGTH
 
     def f(tt, v, u, w, X):
-        vt, ut, wt = _rhs_arrays(v, u, w, grid.dx, model, scheme.vacuum_floor)
+        vt, ut, wt = _rhs_arrays(v, u, w, grid.dx, model)
         xdot = _shift_rate(tt, X, u, grid, composite, rar_cache) if shift_on else 0.0
         return vt, ut, wt, xdot, _boundary_flux(u)
 
@@ -347,7 +327,10 @@ def run(config) -> RunResult:
     scheme = config.make_scheme()
     _check_domain(grid, composite, scheme.t_end)
 
-    state = initial_data(grid, composite, scheme.perturbation, scheme.amplitude_cap)
+    if pattern.delta_S < DEGENERATE_STRENGTH:
+        log.warning("shift disabled: degenerate shock strength")
+
+    state = initial_data(grid, composite, scheme.perturbation)
     dx = grid.dx
     mass0 = float(np.sum(state.v[1:-1]) * dx)
     flux_int = 0.0
@@ -360,58 +343,58 @@ def run(config) -> RunResult:
 
     # d/dt [dx * sum(v_interior)] telescopes to _boundary_flux(u), so the
     # Runge-Kutta-accumulated flux integral reproduces the mass change exactly
-    def make_record():
+    def record():
+        """Append the record of the current state; returns its background,
+        the one evaluation of the waves at this time."""
+        nonlocal a_min, a_max, ceiling_hit
+        bar = composite.eval_bar(state.t, grid.x, state.X)
         mass = float(np.sum(state.v[1:-1]) * dx)
         defect = abs(mass - mass0 - flux_int) / (abs(mass0) + 1.0)
-        return collect_record(grid, state, composite, mass_defect=defect)
+        # the last Runge-Kutta stage cached the fan at this time
+        xdot = _shift_rate(state.t, state.X, state.u, grid, composite, rar_cache)
+        rec = collect_record(grid, state, bar, pattern, model, xdot, mass_defect=defect)
+        records.append(rec)
+        a_min = min(a_min, float(np.min(bar["a"])))
+        a_max = max(a_max, float(np.max(bar["a"])))
+        if rec.constraint_defect > CONSTRAINT_CEILING and not ceiling_hit:
+            ceiling_hit = True
+            log.warning("constraint defect %.3e exceeded the ceiling %.1e at t = %.3g",
+                        rec.constraint_defect, CONSTRAINT_CEILING, state.t)
+        return bar
 
-    def make_snapshot():
-        bar = composite.eval_bar(state.t, grid.x, state.X)
-        a = composite.weight(state.t, grid.x, state.X)
-        return Snapshot(t=state.t, x=grid.x.copy(), v=state.v.copy(), u=state.u.copy(),
-                        w=state.w.copy(), vbar=np.asarray(bar["v"]),
-                        ubar=np.asarray(bar["u"]), wbar=np.asarray(bar["w"]),
-                        a=np.asarray(a))
-
-    records.append(make_record())
-    snapshots.append(make_snapshot())
-    a0 = snapshots[0].a
-    a_min, a_max = min(a_min, float(np.min(a0))), max(a_max, float(np.max(a0)))
+    def snapshot(bar):
+        snapshots.append(Snapshot(t=state.t, x=grid.x.copy(), v=state.v.copy(),
+                                  u=state.u.copy(), w=state.w.copy(),
+                                  vbar=np.asarray(bar["v"]), ubar=np.asarray(bar["u"]),
+                                  wbar=np.asarray(bar["w"]), a=np.asarray(bar["a"])))
 
     step_count = 0
     ceiling_hit = False
+    snapshot(record())
     try:
         while state.t < scheme.t_end - 1e-12:
-            dt = min(parabolic_dt(state, grid, model, scheme.cfl_parabolic,
-                                  scheme.vacuum_floor),
+            dt = min(parabolic_dt(state, grid, model, scheme.cfl_parabolic),
                      scheme.t_end - state.t)
             state, flux_inc = _step_core(state, grid, composite, model, scheme,
                                          dt, rar_cache)
             flux_int += flux_inc
             step_count += 1
             v_min_global = min(v_min_global, float(np.min(state.v)))
-            if step_count % scheme.output_stride == 0 or state.t >= scheme.t_end - 1e-12:
-                rec = make_record()
-                records.append(rec)
-                a_now = composite.weight(state.t, grid.x, state.X)
-                a_min = min(a_min, float(np.min(a_now)))
-                a_max = max(a_max, float(np.max(a_now)))
-                if rec.constraint_defect > scheme.constraint_ceiling and not ceiling_hit:
-                    ceiling_hit = True
-                    log.warning("constraint defect %.3e exceeded the ceiling %.1e at t = %.3g",
-                                rec.constraint_defect, scheme.constraint_ceiling, state.t)
+            # the last step always records, and its background is the final snapshot's
+            if state.t >= scheme.t_end - 1e-12:
+                snapshot(record())
+            elif step_count % scheme.output_stride == 0:
+                record()
     except Exception as exc:
         # attach whatever was collected so callers can flush partial output
         try:
-            snapshots.append(make_snapshot())
+            snapshot(composite.eval_bar(state.t, grid.x, state.X))
         except Exception:
             pass
         exc.partial = RunResult(records=records, snapshots=snapshots,
                                 summary={}, final_state=state)
         raise
 
-    if not snapshots or snapshots[-1].t != state.t:
-        snapshots.append(make_snapshot())
     summary = _summarize(records, step_count, scheme.t_end, a_min, a_max, v_min_global)
     return RunResult(records=records, snapshots=snapshots, summary=summary,
                      final_state=state)

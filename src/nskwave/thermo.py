@@ -101,17 +101,3 @@ def relative_internal_energy(v, vbar, model: GasModel):
     vbar = _volume(vbar)
     return internal_energy(v, model) - internal_energy(vbar, model) + pressure(vbar, model) * (v - vbar)
 
-
-_RELATIVE = {
-    "pressure": relative_pressure,
-    "internal_energy": relative_internal_energy,
-}
-
-
-def relative_quantity(name: str, v, vbar, model: GasModel):
-    """Relative value of a named convex state function ("pressure" or "internal_energy")."""
-    try:
-        fn = _RELATIVE[name]
-    except KeyError:
-        raise DomainError(f"unknown state function {name!r}; expected one of {sorted(_RELATIVE)}")
-    return fn(v, vbar, model)

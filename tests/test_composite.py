@@ -144,12 +144,13 @@ def test_weight_bounds_and_slope(composite_std, pattern_std):
     rng = np.random.default_rng(9)
     x = rng.uniform(-60, 60, 10_000)
     t, X = 2.0, 0.4
-    a = composite_std.weight(t, x, X)
+    bar = composite_std.eval_bar(t, x, X)
+    a = bar["a"]
     assert np.all(a >= 1.0) and np.all(a <= 2.0)
     # far upstream of the shock the weight is exactly one
-    left = composite_std.weight(t, np.array([pattern_std.sigma * t + X - 1e4]), X)
+    left = composite_std.eval_bar(t, np.array([pattern_std.sigma * t + X - 1e4]), X)["a"]
     assert left[0] == 1.0
-    ax = composite_std.weight_x(t, x, X)
+    ax = bar["a_x"]
     _, ss = composite_std.part_stacks(t, x, X, order=1)
     np.testing.assert_allclose(
         ax, pattern_std.sigma * ss["vx"] / np.sqrt(pattern_std.delta_S), atol=1e-12)

@@ -118,5 +118,3 @@ def test_c1_positive_across_admissible_strengths(model14, right_state):
 def test_strength_diagnostics(pattern_std):
     assert pattern_std.delta_R == pytest.approx(0.1, rel=1e-12)
     assert pattern_std.delta_S == pytest.approx(0.1, rel=1e-12)
-    assert pattern_std.delta_R_alt == pytest.approx(abs(pattern_std.mid.v - pattern_std.left.v))
-    assert pattern_std.delta_S_alt == pytest.approx(abs(pattern_std.right.u - pattern_std.mid.u))

@@ -1,11 +1,27 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import nskwave as nw
-from nskwave import thermo
+from nskwave import solver, thermo
+from nskwave.composite import CompositeWave
 from nskwave.rarefaction import RarefactionWave
-from nskwave.solver import _boundary_flux, _check_domain, discrete_gradient_w
+from nskwave.solver import _boundary_flux, _check_domain, _shift_rate, discrete_gradient_w
 from tests.conftest import make_pattern
+
+SMOKE_CFG = Path(__file__).resolve().parents[1] / "configs" / "smoke.cfg"
+
+
+def shift_rate(state, grid, composite):
+    return _shift_rate(state.t, state.X, state.u, grid, composite)
+
+
+def smoke_every_step(shift=True):
+    """configs/smoke.cfg with a record after every step."""
+    cfg = nw.parse_config(SMOKE_CFG)
+    cfg.scheme.update(output_stride=1, shift=shift)
+    return cfg
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +78,7 @@ def test_initial_data_amplitude_cap(composite_std):
     grid = nw.Grid(-40.0, 40.0, 257)
     pert = nw.Perturbation(kind="gaussian", amplitude=0.5, center=0.0, width=4.0)
     with pytest.raises(nw.ConfigError):
-        nw.initial_data(grid, composite_std, pert, amplitude_cap=0.1)
+        nw.initial_data(grid, composite_std, pert)
 
 
 def test_constant_state_is_equilibrium(model14):
@@ -203,14 +219,14 @@ def test_shift_rate_properties(composite_std, model14):
     grid = nw.Grid(-60.0, 60.0, 513)
     state = nw.initial_data(grid, composite_std, nw.Perturbation())
     # u identical to the composite velocity: no shift
-    assert nw.shift_rhs(state, grid, composite_std) == 0.0
+    assert shift_rate(state, grid, composite_std) == 0.0
     bar_u = state.u.copy()
     bump = 1e-3 * np.exp(-grid.x ** 2 / 18.0)
     state.u = bar_u + bump
-    r1 = nw.shift_rhs(state, grid, composite_std)
+    r1 = shift_rate(state, grid, composite_std)
     assert r1 != 0.0
     state.u = bar_u + 2.0 * bump
-    r2 = nw.shift_rhs(state, grid, composite_std)
+    r2 = shift_rate(state, grid, composite_std)
     assert r2 == pytest.approx(2.0 * r1, rel=1e-13)
     # rate is controlled by the perturbation magnitude
     assert abs(r1) <= 100.0 * np.max(np.abs(bump))
@@ -222,7 +238,59 @@ def test_shift_disabled_for_degenerate_shock(model14, right_state):
     grid = nw.Grid(-40.0, 40.0, 257)
     state = nw.initial_data(grid, comp, nw.Perturbation(kind="gaussian", amplitude=1e-3,
                                                         center=0.0, width=3.0, field="u"))
-    assert nw.shift_rhs(state, grid, comp) == 0.0
+    assert shift_rate(state, grid, comp) == 0.0
+
+
+def test_degenerate_shock_warns_once_per_run(caplog):
+    cfg = nw.parse_config(SMOKE_CFG)
+    cfg.states.update(v_m=1.0)  # no shock: the intermediate state is the right state
+    cfg.scheme.update(output_stride=1)
+    with caplog.at_level("WARNING", logger="nskwave.solver"):
+        result = nw.run(cfg)
+    assert len(result.records) > 2
+    assert [r.getMessage() for r in caplog.records] == [
+        "shift disabled: degenerate shock strength"]
+    assert all(r.Xdot == 0.0 for r in result.records)
+
+
+def test_run_evaluates_one_background_per_record(monkeypatch):
+    calls = []
+    real = CompositeWave.eval_bar
+
+    def counting(self, t, x, X):
+        calls.append((t, X, np.size(x)))
+        return real(self, t, x, X)
+
+    monkeypatch.setattr(CompositeWave, "eval_bar", counting)
+    cfg = smoke_every_step()
+    result = nw.run(cfg)
+    n = cfg.grid["n"]
+    # _check_domain evaluates the two boundary nodes at t = 0 and t_end,
+    # initial_data the grid at t = 0; every later call is one record's
+    assert [c[2] for c in calls[:2]] == [2, 2] and calls[2] == (0.0, 0.0, n)
+    assert calls[3:] == [(r.t, r.X, n) for r in result.records]
+    assert len(result.records) == result.summary["steps"] + 1
+
+
+@pytest.mark.parametrize("shift", [True, False])
+def test_record_xdot_is_the_uncached_shift_rate(monkeypatch, shift):
+    seen = []
+    real = solver.collect_record
+
+    def capture(grid, state, bar, pattern, model, xdot, **kwargs):
+        seen.append((state.t, state.X, state.u.copy(), xdot))
+        return real(grid, state, bar, pattern, model, xdot, **kwargs)
+
+    monkeypatch.setattr(solver, "collect_record", capture)
+    cfg = smoke_every_step(shift)
+    result = nw.run(cfg)
+    grid = cfg.make_grid()
+    composite = nw.build_composite(cfg.build_pattern(), cfg.gas)
+    assert len(seen) == len(result.records) > 2
+    for rec, (t, X, u, xdot) in zip(result.records, seen):
+        assert (rec.t, rec.X) == (t, X)
+        assert rec.Xdot == xdot == _shift_rate(t, X, u, grid, composite)
+    assert any(rec.Xdot != 0.0 for rec in result.records)
 
 
 def test_step_preserves_boundaries_and_mass(tw_setup, model14):
