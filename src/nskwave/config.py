@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .riemann import (EndState, WavePattern, pattern_from_intermediate,
                       solve_intermediate_state)
 from .solver import Grid, Perturbation, SchemeConfig
@@ -78,27 +78,32 @@ class RunConfig:
         return solve_intermediate_state(left, right, self.gas, strength_cap=cap)
 
     def make_grid(self) -> Grid:
-        return Grid(x_lo=self.grid["x_lo"], x_hi=self.grid["x_hi"], n=self.grid["n"])
+        return Grid(**self.grid)
 
     def make_scheme(self) -> SchemeConfig:
-        p = self.perturbation
-        return SchemeConfig(
-            t_end=self.scheme["t_end"], cfl_parabolic=self.scheme["cfl"],
-            output_stride=self.scheme["output_stride"],
-            shift_enabled=self.scheme["shift"],
-            perturbation=Perturbation(kind=p["kind"], amplitude=p["amplitude"],
-                                      center=p["center"], width=p["width"],
-                                      field=p["field"]))
+        return _scheme(**self.scheme, perturbation=Perturbation(**self.perturbation))
 
     @property
     def formats(self):
         return [f.strip() for f in self.output["formats"].split(",") if f.strip()]
 
 
+def _scheme(t_end, cfl, output_stride, shift, perturbation=Perturbation()) -> SchemeConfig:
+    return SchemeConfig(t_end=t_end, cfl_parabolic=cfl, output_stride=output_stride,
+                        perturbation=perturbation, shift_enabled=shift)
+
+
+#: section -> constructor whose __post_init__ holds the section's rules
+_BUILDERS = {"gas": GasModel, "grid": Grid, "scheme": _scheme, "perturbation": Perturbation}
+
+
 def _validate(values: dict, errors: list):
-    gas = values["gas"]
-    if gas["gamma"] is not _MISSING and not gas["gamma"] > 1.0:
-        errors.append("gas.gamma must exceed 1")
+    for section, build in _BUILDERS.items():
+        if _MISSING not in values[section].values():
+            try:
+                build(**values[section])
+            except (ConfigError, DomainError) as exc:
+                errors.append(f"{section}: {exc}")
     st = values["states"]
     if st["v_plus"] is not _MISSING and not st["v_plus"] > 0.0:
         errors.append("states.v_plus must be positive")
@@ -110,25 +115,6 @@ def _validate(values: dict, errors: list):
         errors.append("states: one of (v_minus, u_minus) or v_m is required")
     if has_left and st["v_minus"] is None:
         errors.append("states.v_minus is required when u_minus is given")
-    gr = values["grid"]
-    if gr["x_lo"] is not _MISSING and gr["x_hi"] is not _MISSING and not gr["x_lo"] < gr["x_hi"]:
-        errors.append("grid requires x_lo < x_hi")
-    if gr["n"] is not _MISSING and gr["n"] < 16:
-        errors.append("grid.n must be at least 16")
-    sc = values["scheme"]
-    if not 0.0 < sc["cfl"] <= 0.5:
-        errors.append("scheme.cfl must lie in (0, 0.5]")
-    if sc["t_end"] is not _MISSING and not sc["t_end"] > 0.0:
-        errors.append("scheme.t_end must be positive")
-    if sc["output_stride"] < 1:
-        errors.append("scheme.output_stride must be at least 1")
-    pe = values["perturbation"]
-    if pe["kind"] not in ("none", "gaussian"):
-        errors.append("perturbation.kind must be 'none' or 'gaussian'")
-    if pe["field"] not in ("v", "u", "both"):
-        errors.append("perturbation.field must be 'v', 'u' or 'both'")
-    if not pe["width"] > 0.0:
-        errors.append("perturbation.width must be positive")
     for fmt in values["output"]["formats"].split(","):
         if fmt.strip() not in ("csv", "ndjson"):
             errors.append(f"output.formats: unknown format {fmt.strip()!r}")
@@ -184,8 +170,6 @@ def parse_config(path) -> RunConfig:
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
 
-    gas = GasModel(gamma=values["gas"]["gamma"], alpha=values["gas"]["alpha"],
-                   beta=values["gas"]["beta"])
-    return RunConfig(gas=gas, states=values["states"], grid=values["grid"],
+    return RunConfig(gas=GasModel(**values["gas"]), states=values["states"], grid=values["grid"],
                      scheme=values["scheme"], perturbation=values["perturbation"],
                      output=values["output"])

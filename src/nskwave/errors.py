@@ -31,3 +31,11 @@ class CflError(ValueError):
 
 class SolverError(RuntimeError):
     """Time integration produced a non-finite state."""
+
+
+def check(exc_type, rules):
+    """Raise one ``exc_type`` naming every failed rule of ``rules``, pairs of
+    (holds, message), so the caller sees all violations at once."""
+    failed = [message for holds, message in rules if not holds]
+    if failed:
+        raise exc_type("; ".join(failed))

@@ -22,10 +22,9 @@ from . import thermo
 from .composite import CompositeWave, entropy_weight, superpose
 from .diagnostics import (DiagnosticsRecord, collect_record, discrete_gradient_w,
                           relative_entropy_density)
-from .errors import CflError, ConfigError, SolverError, VacuumError
+from .errors import CflError, ConfigError, SolverError, VacuumError, check
 from .fd import first_derivative
 from .rarefaction import RarefactionWave
-from .riemann import DEGENERATE_STRENGTH
 from .shockprofile import solve_profile
 from .thermo import GasModel
 
@@ -48,10 +47,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if not self.x_lo < self.x_hi:
-            raise ConfigError("grid requires x_lo < x_hi")
-        if self.n < 16:
-            raise ConfigError("grid requires at least 16 nodes")
+        check(ConfigError, [(self.x_lo < self.x_hi, "x_lo < x_hi is required"),
+                            (self.n >= 16, "n must be at least 16")])
         self.x = np.linspace(self.x_lo, self.x_hi, self.n)
 
     @property
@@ -68,12 +65,10 @@ class Perturbation:
     field: str = "both"
 
     def __post_init__(self):
-        if self.kind not in ("none", "gaussian"):
-            raise ConfigError(f"unknown perturbation kind {self.kind!r}")
-        if self.field not in ("v", "u", "both"):
-            raise ConfigError(f"unknown perturbation field {self.field!r}")
-        if self.kind == "gaussian" and not self.width > 0.0:
-            raise ConfigError("perturbation width must be positive")
+        check(ConfigError, [
+            (self.kind in ("none", "gaussian"), f"kind {self.kind!r} is not 'none' or 'gaussian'"),
+            (self.field in ("v", "u", "both"), f"field {self.field!r} is not 'v', 'u' or 'both'"),
+            (self.width > 0.0, "width must be positive")])
 
     def profile(self, x):
         if self.kind == "none" or self.amplitude == 0.0:
@@ -90,12 +85,9 @@ class SchemeConfig:
     shift_enabled: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.cfl_parabolic <= 0.5:
-            raise ConfigError("cfl_parabolic must lie in (0, 0.5]")
-        if not self.t_end > 0.0:
-            raise ConfigError("t_end must be positive")
-        if self.output_stride < 1:
-            raise ConfigError("output_stride must be at least 1")
+        check(ConfigError, [(0.0 < self.cfl_parabolic <= 0.5, "cfl must lie in (0, 0.5]"),
+                            (self.t_end > 0.0, "t_end must be positive"),
+                            (self.output_stride >= 1, "output_stride must be at least 1")])
 
 
 @dataclass
@@ -105,7 +97,8 @@ class SimState:
     w: np.ndarray
     t: float = 0.0
     X: float = 0.0
-    last_Xdot: float = 0.0
+    #: the fan's stack at t on the grid, or None to evaluate it on demand
+    fan: dict | None = None
 
 
 @dataclass
@@ -142,7 +135,8 @@ def initial_data(grid: Grid, composite: CompositeWave, perturbation: Perturbatio
     if np.any(v0 <= 0.0):
         raise ConfigError("perturbed initial volume is not positive")
     w0 = discrete_gradient_w(v0, grid.dx, composite.model)
-    return SimState(v=np.asarray(v0, float), u=np.asarray(u0, float), w=w0, t=0.0, X=0.0)
+    return SimState(v=np.asarray(v0, float), u=np.asarray(u0, float), w=w0, t=0.0, X=0.0,
+                    fan=bar["fan"])
 
 
 # -- spatial operator ---------------------------------------------------------
@@ -179,14 +173,20 @@ def spatial_rhs(state: SimState, grid: Grid, model: GasModel):
     return _rhs_arrays(state.v, state.u, state.w, grid.dx, model)
 
 
+def _parabolic_coefficient(v, model: GasModel) -> float:
+    """Largest diffusion coefficient nu of the viscous and capillary terms,
+    which sets the parabolic step bound dt <= cfl dx^2 / nu."""
+    return float(max(np.max(v ** (-model.alpha - 1.0)),
+                     np.max(v ** (-0.5 * (model.beta + 5.0)))))
+
+
 def parabolic_dt(state: SimState, grid: Grid, model: GasModel, cfl: float) -> float:
     """Stable step from the parabolic bound, with an advective guard for
     very coarse grids."""
     if np.min(state.v) < VACUUM_FLOOR:
         raise VacuumError(f"volume fell below the vacuum floor {VACUUM_FLOOR}")
     g = model.gamma
-    nu = float(max(np.max(state.v ** (-model.alpha - 1.0)),
-                   np.max(state.v ** (-0.5 * (model.beta + 5.0)))))
+    nu = _parabolic_coefficient(state.v, model)
     lam = float(np.sqrt(g) * np.min(state.v) ** (-0.5 * (g + 1.0)))
     return cfl * min(grid.dx ** 2 / nu, 2.0 * grid.dx / lam)
 
@@ -194,25 +194,19 @@ def parabolic_dt(state: SimState, grid: Grid, model: GasModel, cfl: float) -> fl
 # -- shift dynamics ----------------------------------------------------------
 
 
-def _shift_rate(t, X, u, grid: Grid, composite: CompositeWave, rar_cache=None):
+def _shift_rate(t, X, u, grid: Grid, composite: CompositeWave, fan=None):
     """Instantaneous shift rate of the shock location.
 
     Weighted projection of the velocity perturbation onto the shock
     gradient; identically zero for u = ubar and zero for degenerate shock
-    strength.  ``rar_cache`` maps a time to the fan's order-0 stack there, so
-    the Runge-Kutta stages and records at one time share one fan evaluation.
+    strength.  ``fan`` is the fan's stack at t on the grid (its v and u are
+    used); it is evaluated here when not given.
     """
     pattern = composite.pattern
-    if pattern.delta_S < DEGENERATE_STRENGTH or composite.profile is None:
+    if not pattern.has_shock:
         return 0.0
-    if rar_cache is not None and t in rar_cache:
-        fan = rar_cache[t]
-    else:
+    if fan is None:
         fan = composite.rarefaction.eval(t, grid.x, order=0)
-        if rar_cache is not None:
-            if len(rar_cache) > 8:
-                rar_cache.clear()
-            rar_cache[t] = fan
     prof = composite.profile
     xi = grid.x - pattern.sigma * t - X
     vS, vSx = prof.volume(xi)
@@ -233,29 +227,37 @@ def _boundary_flux(u):
 
 
 def _step_core(state: SimState, grid: Grid, composite: CompositeWave,
-               model: GasModel, scheme: SchemeConfig, dt: float, rar_cache=None):
-    """One RK4 step; returns (new state, boundary-flux integral increment)."""
-    nu = float(max(np.max(state.v ** (-model.alpha - 1.0)),
-                   np.max(state.v ** (-0.5 * (model.beta + 5.0)))))
+               model: GasModel, scheme: SchemeConfig, dt: float):
+    """One RK4 step; returns (new state, boundary-flux integral increment).
+
+    With the shift on, the fan is evaluated once per distinct stage time:
+    k1 takes ``state.fan``, k2 and k3 share the stack at t + dt/2, and the
+    stack at t + dt drives k4 and becomes the new state's ``fan``.
+    """
+    nu = _parabolic_coefficient(state.v, model)
     if dt > scheme.cfl_parabolic * grid.dx ** 2 / nu * (1.0 + 1e-9):
         raise CflError(
             f"dt = {dt:.3e} violates the parabolic bound "
             f"{scheme.cfl_parabolic * grid.dx ** 2 / nu:.3e}")
 
-    shift_on = scheme.shift_enabled and composite.pattern.delta_S >= DEGENERATE_STRENGTH
+    shift_on = scheme.shift_enabled and composite.pattern.has_shock
+    t, v, u, w, X = state.t, state.v, state.u, state.w, state.X
+    fan_half = fan_end = None
+    if shift_on:
+        fan_half = composite.rarefaction.eval(t + 0.5 * dt, grid.x, order=0)
+        fan_end = composite.rarefaction.eval(t + dt, grid.x, order=0)
 
-    def f(tt, v, u, w, X):
+    def f(tt, fan, v, u, w, X):
         vt, ut, wt = _rhs_arrays(v, u, w, grid.dx, model)
-        xdot = _shift_rate(tt, X, u, grid, composite, rar_cache) if shift_on else 0.0
+        xdot = _shift_rate(tt, X, u, grid, composite, fan) if shift_on else 0.0
         return vt, ut, wt, xdot, _boundary_flux(u)
 
-    t, v, u, w, X = state.t, state.v, state.u, state.w, state.X
-    k1 = f(t, v, u, w, X)
-    k2 = f(t + 0.5 * dt, v + 0.5 * dt * k1[0], u + 0.5 * dt * k1[1],
+    k1 = f(t, state.fan, v, u, w, X)
+    k2 = f(t + 0.5 * dt, fan_half, v + 0.5 * dt * k1[0], u + 0.5 * dt * k1[1],
            w + 0.5 * dt * k1[2], X + 0.5 * dt * k1[3])
-    k3 = f(t + 0.5 * dt, v + 0.5 * dt * k2[0], u + 0.5 * dt * k2[1],
+    k3 = f(t + 0.5 * dt, fan_half, v + 0.5 * dt * k2[0], u + 0.5 * dt * k2[1],
            w + 0.5 * dt * k2[2], X + 0.5 * dt * k2[3])
-    k4 = f(t + dt, v + dt * k3[0], u + dt * k3[1], w + dt * k3[2], X + dt * k3[3])
+    k4 = f(t + dt, fan_end, v + dt * k3[0], u + dt * k3[1], w + dt * k3[2], X + dt * k3[3])
 
     sixth = dt / 6.0
     v_new = v + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
@@ -267,8 +269,7 @@ def _step_core(state: SimState, grid: Grid, composite: CompositeWave,
     for arr in (v_new, u_new, w_new):
         if not np.all(np.isfinite(arr)):
             raise SolverError(f"non-finite field at t = {t + dt:.6g}; aborting")
-    new = SimState(v=v_new, u=u_new, w=w_new, t=t + dt, X=float(X_new),
-                   last_Xdot=float(k1[3]))
+    new = SimState(v=v_new, u=u_new, w=w_new, t=t + dt, X=float(X_new), fan=fan_end)
     return new, float(flux_inc)
 
 
@@ -327,14 +328,14 @@ def run(config) -> RunResult:
     scheme = config.make_scheme()
     _check_domain(grid, composite, scheme.t_end)
 
-    if pattern.delta_S < DEGENERATE_STRENGTH:
+    if not pattern.has_shock:
         log.warning("shift disabled: degenerate shock strength")
 
     state = initial_data(grid, composite, scheme.perturbation)
     dx = grid.dx
     mass0 = float(np.sum(state.v[1:-1]) * dx)
     flux_int = 0.0
-    rar_cache: dict = {}
+    shift_on = scheme.shift_enabled and pattern.has_shock
 
     records: list[DiagnosticsRecord] = []
     snapshots: list[Snapshot] = []
@@ -350,8 +351,9 @@ def run(config) -> RunResult:
         bar = composite.eval_bar(state.t, grid.x, state.X)
         mass = float(np.sum(state.v[1:-1]) * dx)
         defect = abs(mass - mass0 - flux_int) / (abs(mass0) + 1.0)
-        # the last Runge-Kutta stage cached the fan at this time
-        xdot = _shift_rate(state.t, state.X, state.u, grid, composite, rar_cache)
+        # the rate the stages integrate, from this record's own fan
+        xdot = (_shift_rate(state.t, state.X, state.u, grid, composite, bar["fan"])
+                if shift_on else 0.0)
         rec = collect_record(grid, state, bar, pattern, model, xdot, mass_defect=defect)
         records.append(rec)
         a_min = min(a_min, float(np.min(bar["a"])))
@@ -375,8 +377,7 @@ def run(config) -> RunResult:
         while state.t < scheme.t_end - 1e-12:
             dt = min(parabolic_dt(state, grid, model, scheme.cfl_parabolic),
                      scheme.t_end - state.t)
-            state, flux_inc = _step_core(state, grid, composite, model, scheme,
-                                         dt, rar_cache)
+            state, flux_inc = _step_core(state, grid, composite, model, scheme, dt)
             flux_int += flux_inc
             step_count += 1
             v_min_global = min(v_min_global, float(np.min(state.v)))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check
 
 VOLUME_FLOOR = 1e-12
 
@@ -25,11 +25,9 @@ class GasModel:
     beta: float = 0.0
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise DomainError(f"gamma must exceed 1, got {self.gamma}")
-        for name in ("gamma", "alpha", "beta"):
-            if not np.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+        check(DomainError, [(self.gamma > 1.0, f"gamma must exceed 1, got {self.gamma}")]
+              + [(np.isfinite(getattr(self, name)), f"{name} must be finite")
+                 for name in ("gamma", "alpha", "beta")])
 
 
 def _volume(v):

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -289,8 +290,44 @@ def test_record_xdot_is_the_uncached_shift_rate(monkeypatch, shift):
     assert len(seen) == len(result.records) > 2
     for rec, (t, X, u, xdot) in zip(result.records, seen):
         assert (rec.t, rec.X) == (t, X)
-        assert rec.Xdot == xdot == _shift_rate(t, X, u, grid, composite)
-    assert any(rec.Xdot != 0.0 for rec in result.records)
+        # with the shift off the records report the rate that was integrated
+        expected = _shift_rate(t, X, u, grid, composite) if shift else 0.0
+        assert rec.Xdot == xdot == expected
+    assert any(rec.Xdot != 0.0 for rec in result.records) == shift
+
+
+@pytest.mark.parametrize("shift, per_step", [(True, 2), (False, 0)])
+def test_run_evaluates_the_fan_once_per_new_stage_time(monkeypatch, shift, per_step):
+    """k1 reuses the fan the previous step ended on, k2 and k3 share the one
+    at t + dt/2, and records read their background's fan."""
+    order0 = []
+    real = RarefactionWave.eval
+
+    def counting(self, t, x, order=1):
+        if order == 0:
+            order0.append(t)
+        return real(self, t, x, order)
+
+    monkeypatch.setattr(RarefactionWave, "eval", counting)
+    result = nw.run(smoke_every_step(shift))
+    assert result.summary["steps"] > 2
+    assert len(order0) == per_step * result.summary["steps"]
+
+
+def test_step_from_a_state_without_its_fan():
+    cfg = nw.parse_config(SMOKE_CFG)
+    grid, scheme = cfg.make_grid(), cfg.make_scheme()
+    composite = nw.build_composite(cfg.build_pattern(), cfg.gas)
+    state = nw.initial_data(grid, composite, scheme.perturbation)
+    dt = nw.parabolic_dt(state, grid, cfg.gas, scheme.cfl_parabolic)
+    given, flux_given = solver._step_core(state, grid, composite, cfg.gas, scheme, dt)
+    bare = dataclasses.replace(state, fan=None)
+    new, flux = solver._step_core(bare, grid, composite, cfg.gas, scheme, dt)
+    assert flux == flux_given and (new.t, new.X) == (given.t, given.X) and new.X != 0.0
+    for name in ("v", "u", "w"):
+        assert np.array_equal(getattr(new, name), getattr(given, name))
+    assert new.fan.keys() == given.fan.keys()
+    assert all(np.array_equal(new.fan[k], given.fan[k]) for k in new.fan)
 
 
 def test_step_preserves_boundaries_and_mass(tw_setup, model14):
