@@ -8,7 +8,7 @@ functionals and inequalities that govern the composite wave's stability.
 """
 
 from .composite import CompositeWave
-from .config import RunConfig, parse_config
+from .config import Output, RunConfig, States, parse_config
 from .diagnostics import (CSV_COLUMNS, DiagnosticsRecord, collect_record,
                           constraint_defect, good_terms, hardy_legendre_gap,
                           perturbation_norms, relative_entropy_density,

@@ -89,9 +89,8 @@ def _cmd_profile(config: RunConfig, out_dir: Path, seed: int) -> int:
 def _cmd_rarefaction(config: RunConfig, out_dir: Path, seed: int) -> int:
     pattern = config.build_pattern()
     wave = RarefactionWave(pattern, config.gas)
-    grid = config.make_grid()
-    t = config.scheme["t_end"]
-    st = wave.eval(t, grid.x, order=4)
+    grid = config.grid
+    st = wave.eval(config.scheme.t_end, grid.x, order=4)
     header = ["x", "v", "u", "vx", "ux", "vxx", "uxx", "vxxx", "uxxx", "vxxxx", "uxxxx"]
     rows = zip(grid.x.tolist(), *(np.asarray(st[k]).tolist() for k in header[1:]))
     write_csv(out_dir / "rarefaction.csv", header, rows)
@@ -101,7 +100,7 @@ def _cmd_rarefaction(config: RunConfig, out_dir: Path, seed: int) -> int:
 def _cmd_interactions(config: RunConfig, out_dir: Path, seed: int) -> int:
     pattern = config.build_pattern()
     composite = solver.build_composite(pattern, config.gas)
-    times = np.linspace(0.0, config.scheme["t_end"], 9)
+    times = np.linspace(0.0, config.scheme.t_end, 9)
     results = [composite.interaction_norms(t) for t in times]
     keys = ["vSx_vR_L1", "vSx_vR_L2", "vRx_vSx_L1", "vRx_vSx_L2", "vRx_vS_L2",
             "Q1I_L2", "Q2_L2"]
@@ -158,7 +157,7 @@ def _suite_pattern_roundtrip(config, rng):
     pattern = config.build_pattern()
     from .riemann import solve_intermediate_state
     re_solved = solve_intermediate_state(pattern.left, pattern.right, model,
-                                         strength_cap=config.states["strength_cap"])
+                                         strength_cap=config.states.strength_cap)
     assert abs(re_solved.mid.v - pattern.mid.v) < 1e-9, "intermediate state did not round-trip"
 
 
@@ -267,7 +266,7 @@ def dispatch(subcommand: str, config: RunConfig, out_dir=None, seed: int = 0) ->
     if subcommand not in _HANDLERS:
         print(f"unknown subcommand {subcommand!r}", file=sys.stderr)
         return EXIT_VALIDATION
-    out = Path(out_dir) if out_dir is not None else Path(config.output["dir"])
+    out = Path(out_dir) if out_dir is not None else Path(config.output.dir)
     try:
         return _HANDLERS[subcommand](config, out, seed)
     except (ConfigError, PatternError, DomainError) as exc:

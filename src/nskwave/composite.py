@@ -87,7 +87,7 @@ class CompositeWave:
 
     def _shock_stack(self, t, x, X):
         zeros = np.zeros_like(np.asarray(x, dtype=float))
-        if not self.pattern.has_shock or self.profile is None:
+        if not self.pattern.has_shock:
             const = dict.fromkeys(("vx", "vxx", "vxxx", "ux", "uxx", "w", "wx"), zeros)
             const["v"] = np.full_like(zeros, self.pattern.mid.v)
             const["u"] = np.full_like(zeros, self.pattern.mid.u)
@@ -177,15 +177,15 @@ class CompositeWave:
 
     # -- wave-interaction norms ----------------------------------------------
 
-    def _breakpoints(self, t, X):
+    def _breakpoints(self, t):
         pts = []
         tau = 1.0 + t
         r = self.rarefaction
         if not r.degenerate:
             lo, hi = r.support(t)
             pts += [lo, r.w_minus * tau, r.center * tau, r.w_m * tau, hi]
-        if self.pattern.has_shock and self.profile is not None:
-            c = self.pattern.sigma * t + X
+        if self.pattern.has_shock:
+            c = self.pattern.sigma * t
             pts += [c + self.profile.xi_lo, c + 0.5 * self.profile.xi_lo,
                     c, c + 0.5 * self.profile.xi_hi, c + self.profile.xi_hi]
         if not pts:
@@ -212,19 +212,19 @@ class CompositeWave:
             out.append(aR)
         return np.unique(np.asarray(out))
 
-    def interaction_norms(self, t, X=0.0, xdot: float = 1.0) -> dict:
-        """Norms of the wave-overlap products and of the forcing terms.
+    def interaction_norms(self, t) -> dict:
+        """Norms of the wave-overlap products and of the forcing terms at
+        time ``t``, with the shock unshifted (X = 0).
 
-        The auxiliary-forcing norm is evaluated at shift rate ``xdot``
-        (the forcing is linear in it, so 1.0 gives the per-unit-rate
-        norm).
+        The auxiliary forcing is linear in the shift rate; its norm is
+        given per unit rate.
         """
         v_m = self.pattern.mid.v
         keys = ("vSx_vR_L1", "vSx_vR_L2", "vRx_vSx_L1", "vRx_vSx_L2",
                 "vRx_vS_L2", "Q1I_L2", "Q2_L2")
         if not (self.pattern.has_shock and self.pattern.has_rarefaction):
             return dict.fromkeys(keys, 0.0)
-        breaks = self._breakpoints(t, X)
+        breaks = self._breakpoints(t)
 
         def prod(fn, p):
             val = adaptive_simpson(lambda x: np.abs(fn(x)) ** p, breaks,
@@ -232,7 +232,7 @@ class CompositeWave:
             return max(val, 0.0) ** (1.0 / p)
 
         def overlap(x, which):
-            rs, ss = self.part_stacks(t, x, X, order=1)
+            rs, ss = self.part_stacks(t, x, 0.0, order=1)
             if which == "sx_r":
                 return ss["vx"] * (rs["v"] - v_m)
             if which == "rx_sx":
@@ -245,7 +245,7 @@ class CompositeWave:
             "vRx_vSx_L1": prod(lambda x: overlap(x, "rx_sx"), 1),
             "vRx_vSx_L2": prod(lambda x: overlap(x, "rx_sx"), 2),
             "vRx_vS_L2": prod(lambda x: overlap(x, "rx_s"), 2),
-            "Q1I_L2": prod(lambda x: self.momentum_defect(t, x, X)[0], 2),
-            "Q2_L2": prod(lambda x: self.aux_defect(t, x, X, xdot), 2),
+            "Q1I_L2": prod(lambda x: self.momentum_defect(t, x, 0.0)[0], 2),
+            "Q2_L2": prod(lambda x: self.aux_defect(t, x, 0.0, 1.0), 2),
         }
         return out

@@ -1,43 +1,82 @@
 """Strict run configuration: flat sectioned key = value files.
 
-The format is a TOML-compatible subset (bracketed sections, one key =
-value per line, # comments).  Parsing is strict: unknown sections or
-keys are rejected with their line number, and validation reports every
-violated constraint at once, not just the first.
+The format is INI-like: bracketed sections, one key = value per line and
+# comments.  Values are read as true/false, integers, floats or quoted
+strings, and a bare word is read as a string.  Each section is a
+dataclass whose fields are the section's keys, with their types and
+defaults; its ``__post_init__`` holds the section's rules.  Parsing is
+strict: unknown sections or keys are rejected with their line number, and
+validation reports every violated constraint at once, not just the first.
 """
 from __future__ import annotations
 
+import dataclasses
 import re
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, DomainError
-from .riemann import (EndState, WavePattern, pattern_from_intermediate,
-                      solve_intermediate_state)
+from .errors import ConfigError, DomainError, check
+from .riemann import (DEFAULT_STRENGTH_CAP, EndState, WavePattern,
+                      pattern_from_intermediate, solve_intermediate_state)
 from .solver import Grid, Perturbation, SchemeConfig
 from .thermo import GasModel
 
-_MISSING = object()
+FORMATS = ("csv", "ndjson")
 
-#: section -> key -> (python type, default or _MISSING for required)
-SCHEMA = {
-    "gas": {"gamma": (float, _MISSING), "alpha": (float, 0.0), "beta": (float, 0.0)},
-    "states": {
-        "v_plus": (float, _MISSING), "u_plus": (float, _MISSING),
-        "v_minus": (float, None), "u_minus": (float, None), "v_m": (float, None),
-        "strength_cap": (float, 0.25),
-    },
-    "grid": {"x_lo": (float, _MISSING), "x_hi": (float, _MISSING), "n": (int, _MISSING)},
-    "scheme": {
-        "cfl": (float, 0.4), "t_end": (float, _MISSING),
-        "output_stride": (int, 50), "shift": (bool, True),
-    },
-    "perturbation": {
-        "kind": (str, "none"), "amplitude": (float, 0.0), "center": (float, 0.0),
-        "width": (float, 1.0), "field": (str, "both"),
-    },
-    "output": {"dir": (str, "out"), "formats": (str, "csv")},
-}
+
+@dataclass(frozen=True)
+class States:
+    """The right far-field state, and either the left state, to be resolved
+    into a pattern, or the intermediate volume ``v_m`` (with an optional
+    ``v_minus`` on the expansion curve), to construct one."""
+
+    v_plus: float
+    u_plus: float
+    v_minus: float | None = None
+    u_minus: float | None = None
+    v_m: float | None = None
+    strength_cap: float = DEFAULT_STRENGTH_CAP
+
+    def __post_init__(self):
+        has_left, has_vm = self.u_minus is not None, self.v_m is not None
+        check(ConfigError, [
+            (self.v_plus > 0.0, "v_plus must be positive"),
+            (not (has_left and has_vm), "give either (v_minus, u_minus) or v_m, not both"),
+            (has_left or has_vm, "one of (v_minus, u_minus) or v_m is required"),
+            (not has_left or self.v_minus is not None,
+             "v_minus is required when u_minus is given")])
+
+
+@dataclass(frozen=True)
+class Output:
+    """Where ``simulate`` writes, and in which formats."""
+
+    dir: str = "out"
+    #: comma list of FORMATS
+    formats: str = "csv"
+
+    def __post_init__(self):
+        check(ConfigError, [(fmt.strip() in FORMATS, f"unknown format {fmt.strip()!r}")
+                            for fmt in self.formats.split(",")])
+
+
+#: section -> the dataclass whose fields are its keys
+SECTIONS = {"gas": GasModel, "states": States, "grid": Grid, "scheme": SchemeConfig,
+            "perturbation": Perturbation, "output": Output}
+
+
+def _key_types(cls) -> dict:
+    """key -> python type of each field of ``cls``, with Optional unwrapped."""
+    hints = typing.get_type_hints(cls)
+    types = {}
+    for f in dataclasses.fields(cls):
+        args = [a for a in typing.get_args(hints[f.name]) if a is not type(None)]
+        types[f.name] = args[0] if args else hints[f.name]
+    return types
+
+
+_KEY_TYPES = {section: _key_types(cls) for section, cls in SECTIONS.items()}
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
@@ -60,70 +99,33 @@ def _parse_value(raw: str):
 
 @dataclass
 class RunConfig:
+    """A parsed configuration: the built object of each section."""
+
     gas: GasModel
-    states: dict
-    grid: dict
-    scheme: dict
-    perturbation: dict
-    output: dict
+    states: States
+    grid: Grid
+    scheme: SchemeConfig
+    perturbation: Perturbation
+    output: Output
 
     def build_pattern(self) -> WavePattern:
         s = self.states
-        right = EndState(v=s["v_plus"], u=s["u_plus"])
-        cap = s["strength_cap"]
-        if s["v_m"] is not None:
-            return pattern_from_intermediate(s["v_m"], right, self.gas,
-                                             v_minus=s["v_minus"], strength_cap=cap)
-        left = EndState(v=s["v_minus"], u=s["u_minus"])
-        return solve_intermediate_state(left, right, self.gas, strength_cap=cap)
-
-    def make_grid(self) -> Grid:
-        return Grid(**self.grid)
-
-    def make_scheme(self) -> SchemeConfig:
-        return _scheme(**self.scheme, perturbation=Perturbation(**self.perturbation))
+        right = EndState(v=s.v_plus, u=s.u_plus)
+        if s.v_m is not None:
+            return pattern_from_intermediate(s.v_m, right, self.gas,
+                                             v_minus=s.v_minus, strength_cap=s.strength_cap)
+        left = EndState(v=s.v_minus, u=s.u_minus)
+        return solve_intermediate_state(left, right, self.gas, strength_cap=s.strength_cap)
 
     @property
     def formats(self):
-        return [f.strip() for f in self.output["formats"].split(",") if f.strip()]
-
-
-def _scheme(t_end, cfl, output_stride, shift, perturbation=Perturbation()) -> SchemeConfig:
-    return SchemeConfig(t_end=t_end, cfl_parabolic=cfl, output_stride=output_stride,
-                        perturbation=perturbation, shift_enabled=shift)
-
-
-#: section -> constructor whose __post_init__ holds the section's rules
-_BUILDERS = {"gas": GasModel, "grid": Grid, "scheme": _scheme, "perturbation": Perturbation}
-
-
-def _validate(values: dict, errors: list):
-    for section, build in _BUILDERS.items():
-        if _MISSING not in values[section].values():
-            try:
-                build(**values[section])
-            except (ConfigError, DomainError) as exc:
-                errors.append(f"{section}: {exc}")
-    st = values["states"]
-    if st["v_plus"] is not _MISSING and not st["v_plus"] > 0.0:
-        errors.append("states.v_plus must be positive")
-    has_left = st["u_minus"] is not None
-    has_vm = st["v_m"] is not None
-    if has_left and has_vm:
-        errors.append("states: give either (v_minus, u_minus) or v_m, not both")
-    if not has_left and not has_vm:
-        errors.append("states: one of (v_minus, u_minus) or v_m is required")
-    if has_left and st["v_minus"] is None:
-        errors.append("states.v_minus is required when u_minus is given")
-    for fmt in values["output"]["formats"].split(","):
-        if fmt.strip() not in ("csv", "ndjson"):
-            errors.append(f"output.formats: unknown format {fmt.strip()!r}")
+        return [f.strip() for f in self.output.formats.split(",") if f.strip()]
 
 
 def parse_config(path) -> RunConfig:
     """Read, type-check and validate a configuration file."""
     text = Path(path).read_text()
-    values = {sec: {k: spec[1] for k, spec in keys.items()} for sec, keys in SCHEMA.items()}
+    values: dict[str, dict] = {section: {} for section in SECTIONS}
     errors: list[str] = []
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -135,7 +137,7 @@ def parse_config(path) -> RunConfig:
                 errors.append(f"line {lineno}: malformed section header {line!r}")
                 continue
             section = line[1:-1].strip()
-            if section not in SCHEMA:
+            if section not in SECTIONS:
                 errors.append(f"line {lineno}: unknown section [{section}]")
                 section = None
             continue
@@ -147,10 +149,10 @@ def parse_config(path) -> RunConfig:
             continue
         key, _, rawval = line.partition("=")
         key = key.strip()
-        if key not in SCHEMA[section]:
+        if key not in _KEY_TYPES[section]:
             errors.append(f"line {lineno}: unknown key {key!r} in section [{section}]")
             continue
-        want, _default = SCHEMA[section][key]
+        want = _KEY_TYPES[section][key]
         val = _parse_value(rawval)
         if want is float and isinstance(val, (int, float)) and not isinstance(val, bool):
             val = float(val)
@@ -162,14 +164,18 @@ def parse_config(path) -> RunConfig:
             continue
         values[section][key] = val
 
-    for sec, keys in SCHEMA.items():
-        for key, (_, default) in keys.items():
-            if default is _MISSING and values[sec][key] is _MISSING:
-                errors.append(f"missing required key {sec}.{key}")
-    _validate(values, errors)
+    built = {}
+    for section, cls in SECTIONS.items():
+        missing = [f.name for f in dataclasses.fields(cls)
+                   if f.default is dataclasses.MISSING
+                   and f.default_factory is dataclasses.MISSING
+                   and f.name not in values[section]]
+        errors += [f"missing required key {section}.{key}" for key in missing]
+        if not missing:
+            try:
+                built[section] = cls(**values[section])
+            except (ConfigError, DomainError) as exc:
+                errors.append(f"{section}: {exc}")
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
-
-    return RunConfig(gas=GasModel(**values["gas"]), states=values["states"], grid=values["grid"],
-                     scheme=values["scheme"], perturbation=values["perturbation"],
-                     output=values["output"])
+    return RunConfig(**built)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import thermo
 from .errors import DomainError, PatternError
@@ -106,15 +107,6 @@ def shock_curve(v: float, right: EndState, model: GasModel):
     return _hugoniot(v, right, model)
 
 
-def _hugoniot_u_prime(v: float, right: EndState, model: GasModel) -> float:
-    """d/dv of the Hugoniot velocity, used by the Newton polish."""
-    vp = right.v
-    h = (thermo.pressure(v, model) - thermo.pressure(vp, model)) / (vp - v)
-    hp = (thermo.dpressure(v, model) * (vp - v) + thermo.pressure(v, model) - thermo.pressure(vp, model)) / (vp - v) ** 2
-    sigma = np.sqrt(h)
-    return float(hp / (2.0 * sigma) * (vp - v) - sigma)
-
-
 def _build_pattern(left: EndState, mid: EndState, right: EndState,
                    model: GasModel, strength_cap: float) -> WavePattern:
     g = model.gamma
@@ -175,9 +167,9 @@ def solve_intermediate_state(left: EndState, right: EndState, model: GasModel,
                              strength_cap: float = DEFAULT_STRENGTH_CAP) -> WavePattern:
     """Find the unique intermediate state joining ``left`` and ``right``.
 
-    Root of g(v) := z1(v, hugoniot_u(v)) - z1(left) in (0, v_plus];
-    bisection brackets the root, a Newton polish with the analytic
-    derivative finishes it off.
+    Root of g(v) := z1(v, hugoniot_u(v)) - z1(left) in (0, v_plus]: the
+    bracket's left end is halved until g > 0, and Brent's method solves
+    on the bracket.
     """
     z1_left = float(thermo.riemann_invariant_z1(left.v, left.u, model))
     vp = right.v
@@ -194,41 +186,14 @@ def solve_intermediate_state(left: EndState, right: EndState, model: GasModel,
     elif g_hi > 0.0:
         raise PatternError("pattern not R1-S2: left state lies below the wave curve of the right state")
     else:
-        lo, hi = 0.999 * vp, vp
+        lo = 0.999 * vp
         g_lo = g(lo)
         while g_lo <= 0.0:
             lo *= 0.5
             if lo < 1e-6 * vp:
                 raise PatternError("pattern not R1-S2: no bracketing root above vacuum")
             g_lo = g(lo)
-        g_hi_b = g(hi)
-        for _ in range(100):
-            midv = 0.5 * (lo + hi)
-            g_mid = g(midv)
-            if g_mid > 0.0:
-                lo, g_lo = midv, g_mid
-            else:
-                hi, g_hi_b = midv, g_mid
-            if hi - lo < 1e-6 * vp:
-                break
-        v_root = 0.5 * (lo + hi)
-        for _ in range(60):
-            gv = g(v_root)
-            if abs(gv) < 1e-13 * scale:
-                break
-            dg = _hugoniot_u_prime(v_root, right, model) + float(
-                thermo.characteristic_speeds(v_root, model)[0])
-            step = gv / dg
-            v_new = v_root - step
-            if not (lo <= v_new <= hi):
-                v_new = 0.5 * (lo + hi)
-            if gv > 0.0:
-                lo = v_root
-            else:
-                hi = v_root
-            v_root = v_new
-            if abs(step) < 1e-14 * vp:
-                break
+        v_root = brentq(g, lo, vp, xtol=1e-15 * vp, rtol=4.0 * np.finfo(float).eps)
         if abs(g(v_root)) > 1e-11 * scale:
             raise PatternError("intermediate-state solve did not converge")
 

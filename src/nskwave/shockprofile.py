@@ -24,6 +24,11 @@ from .thermo import GasModel
 
 #: both table ends reach their far-field value to this tolerance
 TAIL_CUT = 1e-12
+#: relative and absolute tolerances of the RK45 shooting
+RTOL = 1e-11
+ATOL = 1e-13
+#: largest self-check residual solve_profile accepts
+RESIDUAL_TOL = 1e-8
 
 
 def _rankine_hugoniot_gap(v, pattern: WavePattern, model: GasModel):
@@ -148,10 +153,7 @@ class ShockProfile:
         return float(np.max(np.abs(r), initial=0.0))
 
 
-def solve_profile(pattern: WavePattern, model: GasModel,
-                  rtol: float = 1e-11, atol: float = 1e-13,
-                  residual_tol: float = 1e-8,
-                  max_spacing: float | None = None) -> ShockProfile:
+def solve_profile(pattern: WavePattern, model: GasModel) -> ShockProfile:
     """Compute the traveling-wave table for the fast shock of ``pattern``."""
     delta_S = pattern.delta_S
     if delta_S < DEGENERATE_STRENGTH:
@@ -174,7 +176,7 @@ def solve_profile(pattern: WavePattern, model: GasModel,
     y0 = np.array([v_m + d0, d0 * lam_plus])
     # stop while the slope is still far above the integrator noise floor,
     # then close the last stretch with the linearized node flow
-    gap_stop = max(TAIL_CUT, 1000.0 * atol)
+    gap_stop = max(TAIL_CUT, 1000.0 * ATOL)
     span = 3.0 * (np.log((v_p - v_m) / d0) / lam_plus
                   + np.log((v_p - v_m) / TAIL_CUT) / abs(nu_slow)) + 100.0
 
@@ -199,7 +201,7 @@ def solve_profile(pattern: WavePattern, model: GasModel,
     ev_turn.terminal = True
     ev_turn.direction = -1.0
 
-    sol = solve_ivp(rhs, (0.0, span), y0, method="RK45", rtol=rtol, atol=atol,
+    sol = solve_ivp(rhs, (0.0, span), y0, method="RK45", rtol=RTOL, atol=ATOL,
                     events=(ev_mid, ev_arrive, ev_turn), dense_output=True)
     if sol.t_events[2].size:
         raise MonotonicityError("monotonicity violated: profile slope crossed zero before arrival")
@@ -210,7 +212,7 @@ def solve_profile(pattern: WavePattern, model: GasModel,
     xi_mid = float(sol.t_events[0][0])
     xi_end = float(sol.t_events[1][0])
 
-    h = max_spacing if max_spacing is not None else min(0.1, 0.01 / delta_S)
+    h = min(0.1, 0.01 / delta_S)
     knots = sol.t[(sol.t > 0.0) & (sol.t < xi_end)]
     base = np.concatenate([[0.0], knots, [xi_end]])
     pieces = [np.array([0.0])]
@@ -264,8 +266,8 @@ def solve_profile(pattern: WavePattern, model: GasModel,
     if abs(v[0] - v_m) > 1e-10 or abs(v[-1] - v_p) > 1e-10:
         raise ProfileError("profile tails did not reach the far-field states")
     res = prof.self_residual()
-    if res > residual_tol:
-        raise ProfileError(f"profile residual {res:.3g} exceeds tolerance {residual_tol:.3g}")
+    if res > RESIDUAL_TOL:
+        raise ProfileError(f"profile residual {res:.3g} exceeds tolerance {RESIDUAL_TOL:.3g}")
     return prof
 
 

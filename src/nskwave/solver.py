@@ -14,7 +14,7 @@ extra scalar ODE re-evaluated at every stage.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,13 +79,12 @@ class Perturbation:
 @dataclass(frozen=True)
 class SchemeConfig:
     t_end: float
-    cfl_parabolic: float = 0.4
+    cfl: float = 0.4
     output_stride: int = 50
-    perturbation: Perturbation = field(default_factory=Perturbation)
-    shift_enabled: bool = True
+    shift: bool = True
 
     def __post_init__(self):
-        check(ConfigError, [(0.0 < self.cfl_parabolic <= 0.5, "cfl must lie in (0, 0.5]"),
+        check(ConfigError, [(0.0 < self.cfl <= 0.5, "cfl must lie in (0, 0.5]"),
                             (self.t_end > 0.0, "t_end must be positive"),
                             (self.output_stride >= 1, "output_stride must be at least 1")])
 
@@ -235,12 +234,12 @@ def _step_core(state: SimState, grid: Grid, composite: CompositeWave,
     stack at t + dt drives k4 and becomes the new state's ``fan``.
     """
     nu = _parabolic_coefficient(state.v, model)
-    if dt > scheme.cfl_parabolic * grid.dx ** 2 / nu * (1.0 + 1e-9):
+    if dt > scheme.cfl * grid.dx ** 2 / nu * (1.0 + 1e-9):
         raise CflError(
             f"dt = {dt:.3e} violates the parabolic bound "
-            f"{scheme.cfl_parabolic * grid.dx ** 2 / nu:.3e}")
+            f"{scheme.cfl * grid.dx ** 2 / nu:.3e}")
 
-    shift_on = scheme.shift_enabled and composite.pattern.has_shock
+    shift_on = scheme.shift and composite.pattern.has_shock
     t, v, u, w, X = state.t, state.v, state.u, state.w, state.X
     fan_half = fan_end = None
     if shift_on:
@@ -321,21 +320,19 @@ def run(config) -> RunResult:
     accumulated boundary flux, which cancels the composite-wave
     contribution exactly.
     """
-    model = config.gas
+    model, grid, scheme = config.gas, config.grid, config.scheme
     pattern = config.build_pattern()
     composite = build_composite(pattern, model)
-    grid = config.make_grid()
-    scheme = config.make_scheme()
     _check_domain(grid, composite, scheme.t_end)
 
     if not pattern.has_shock:
         log.warning("shift disabled: degenerate shock strength")
 
-    state = initial_data(grid, composite, scheme.perturbation)
+    state = initial_data(grid, composite, config.perturbation)
     dx = grid.dx
     mass0 = float(np.sum(state.v[1:-1]) * dx)
     flux_int = 0.0
-    shift_on = scheme.shift_enabled and pattern.has_shock
+    shift_on = scheme.shift and pattern.has_shock
 
     records: list[DiagnosticsRecord] = []
     snapshots: list[Snapshot] = []
@@ -375,7 +372,7 @@ def run(config) -> RunResult:
     snapshot(record())
     try:
         while state.t < scheme.t_end - 1e-12:
-            dt = min(parabolic_dt(state, grid, model, scheme.cfl_parabolic),
+            dt = min(parabolic_dt(state, grid, model, scheme.cfl),
                      scheme.t_end - state.t)
             state, flux_inc = _step_core(state, grid, composite, model, scheme, dt)
             flux_int += flux_inc

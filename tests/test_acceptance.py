@@ -245,7 +245,7 @@ def test_criterion_6_scheme_verification(model14, right_state):
     comp = nw.CompositeWave(RarefactionWave(pat, model14), prof, pat, model14)
     grid = nw.Grid(-50.0, 50.0, 301)
     pert = nw.Perturbation(kind="gaussian", amplitude=5e-3, center=0.0, width=6.0)
-    scheme = nw.SchemeConfig(t_end=1.0, cfl_parabolic=0.5)
+    scheme = nw.SchemeConfig(t_end=1.0, cfl=0.5)
     state0 = nw.initial_data(grid, comp, pert)
     dt0 = nw.parabolic_dt(state0, grid, model14, 0.45)
     T = 64.0 * dt0
@@ -273,7 +273,7 @@ def test_criterion_6_scheme_verification(model14, right_state):
     lo, hi = xi_l - 4.0, xi_r + 4.0 + pat.sigma * T
     n = int(round((hi - lo) / 0.01)) + 1
     grid = nw.Grid(lo, hi, n)
-    scheme = nw.SchemeConfig(t_end=T, cfl_parabolic=0.5, shift_enabled=False)
+    scheme = nw.SchemeConfig(t_end=T, cfl=0.5, shift=False)
     state = nw.initial_data(grid, comp, nw.Perturbation())
     mass0 = float(np.sum(state.v[1:-1]) * grid.dx)
     flux_int = 0.0
@@ -324,14 +324,14 @@ def stability_run(model14):
     def config(kind):
         return RunConfig(
             gas=model14,
-            states={"v_plus": 1.0, "u_plus": 0.0, "v_m": 0.95,
-                    "v_minus": 0.911242942729919, "u_minus": None, "strength_cap": 0.25},
-            grid={"x_lo": c["x_lo"], "x_hi": c["x_hi"], "n": c["n"]},
-            scheme={"cfl": c["cfl"], "t_end": c["t_end"], "output_stride": c["stride"],
-                    "shift": True},
-            perturbation={"kind": kind, "amplitude": c["amplitude"],
-                          "center": c["center"], "width": c["width"], "field": "both"},
-            output={"dir": "out", "formats": "csv"},
+            states=nw.States(v_plus=1.0, u_plus=0.0, v_m=0.95,
+                             v_minus=0.911242942729919, strength_cap=0.25),
+            grid=nw.Grid(x_lo=c["x_lo"], x_hi=c["x_hi"], n=c["n"]),
+            scheme=nw.SchemeConfig(cfl=c["cfl"], t_end=c["t_end"],
+                                   output_stride=c["stride"], shift=True),
+            perturbation=nw.Perturbation(kind=kind, amplitude=c["amplitude"],
+                                         center=c["center"], width=c["width"], field="both"),
+            output=nw.Output(dir="out", formats="csv"),
         )
 
     perturbed_config = config("gaussian")

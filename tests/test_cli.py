@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import nskwave as nw
@@ -47,10 +49,42 @@ def smoke_cfg(tmp_path):
 def test_parse_defaults_and_values(smoke_cfg):
     cfg = parse_config(smoke_cfg)
     assert cfg.gas.gamma == 1.4 and cfg.gas.alpha == 0.0
-    assert cfg.states["v_m"] == 0.9
-    assert cfg.scheme["shift"] is True  # default filled
-    assert cfg.perturbation["kind"] == "gaussian"
+    assert cfg.states.v_m == 0.9
+    assert cfg.scheme.shift is True  # default filled
+    assert cfg.perturbation.kind == "gaussian"
     assert cfg.formats == ["csv"]
+
+
+def test_parse_required_keys_only_gives_the_section_defaults(tmp_path):
+    path = tmp_path / "minimal.cfg"
+    path.write_text("[gas]\ngamma = 1.4\n[states]\nv_plus = 1.0\nu_plus = 0.0\nv_m = 0.9\n"
+                    "[grid]\nx_lo = -240.0\nx_hi = 170.0\nn = 512\n[scheme]\nt_end = 1.0\n")
+    cfg = parse_config(path)
+    assert cfg.gas == nw.GasModel(gamma=1.4)
+    assert cfg.states == nw.States(v_plus=1.0, u_plus=0.0, v_m=0.9)
+    assert cfg.grid == nw.Grid(x_lo=-240.0, x_hi=170.0, n=512)
+    assert cfg.scheme == nw.SchemeConfig(t_end=1.0)
+    assert cfg.perturbation == nw.Perturbation()
+    assert cfg.output == nw.Output()
+
+
+def test_replaced_section_reruns_its_rules(smoke_cfg):
+    cfg = parse_config(smoke_cfg)
+    with pytest.raises(nw.ConfigError, match=r"cfl must lie in \(0, 0.5\]"):
+        dataclasses.replace(cfg.scheme, cfl=0.7)
+    with pytest.raises(nw.ConfigError, match="not both"):
+        dataclasses.replace(cfg.states, u_minus=0.1)
+
+
+def test_parse_states_and_output_rules(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text(SMOKE.replace("v_plus = 1.0", "v_plus = -1.0")
+                    .replace("formats = csv", "formats = csv,xml"))
+    with pytest.raises(nw.ConfigError) as err:
+        parse_config(path)
+    msg = str(err.value)
+    assert "states: v_plus must be positive" in msg
+    assert "output: unknown format 'xml'" in msg
 
 
 def test_parse_rejects_bad_gamma(tmp_path):

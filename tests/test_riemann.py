@@ -52,6 +52,19 @@ def test_intermediate_state_degenerate_cases(model14, right_state):
     assert pat.delta_R < 1e-10
 
 
+def test_intermediate_state_roundtrip_sweep(model14, right_state):
+    """Forward patterns over the admissible shock range, resolved back from
+    their end states: the intermediate volume to a few ulps."""
+    errors = []
+    for v_m in np.linspace(0.76, 0.999, 40):
+        for frac in (0.01, 0.05, 0.1):
+            pat = nw.pattern_from_intermediate(v_m, right_state, model14,
+                                               v_minus=v_m * (1.0 - frac))
+            back = nw.solve_intermediate_state(pat.left, pat.right, model14)
+            errors.append(abs(back.mid.v - pat.mid.v))
+    assert max(errors) <= 1e-14
+
+
 def test_intermediate_state_roundtrip(model14, right_state):
     u_m, _ = nw.shock_curve(0.9, right_state, model14)
     mid = nw.EndState(0.9, u_m)

@@ -21,7 +21,7 @@ def shift_rate(state, grid, composite):
 def smoke_every_step(shift=True):
     """configs/smoke.cfg with a record after every step."""
     cfg = nw.parse_config(SMOKE_CFG)
-    cfg.scheme.update(output_stride=1, shift=shift)
+    cfg.scheme = dataclasses.replace(cfg.scheme, output_stride=1, shift=shift)
     return cfg
 
 
@@ -46,7 +46,7 @@ def test_grid_validation():
 
 def test_scheme_validation():
     with pytest.raises(nw.ConfigError):
-        nw.SchemeConfig(t_end=1.0, cfl_parabolic=0.7)
+        nw.SchemeConfig(t_end=1.0, cfl=0.7)
     with pytest.raises(nw.ConfigError):
         nw.SchemeConfig(t_end=-1.0)
     with pytest.raises(nw.ConfigError):
@@ -209,7 +209,7 @@ def test_energy_rate_is_viscous_dissipation():
 def test_parabolic_dt_and_cfl_guard(composite_std, model14):
     grid = nw.Grid(-40.0, 40.0, 257)
     state = nw.initial_data(grid, composite_std, nw.Perturbation())
-    scheme = nw.SchemeConfig(t_end=1.0, cfl_parabolic=0.4)
+    scheme = nw.SchemeConfig(t_end=1.0, cfl=0.4)
     dt = nw.parabolic_dt(state, grid, model14, 0.4)
     assert dt > 0.0
     with pytest.raises(nw.CflError):
@@ -244,8 +244,9 @@ def test_shift_disabled_for_degenerate_shock(model14, right_state):
 
 def test_degenerate_shock_warns_once_per_run(caplog):
     cfg = nw.parse_config(SMOKE_CFG)
-    cfg.states.update(v_m=1.0)  # no shock: the intermediate state is the right state
-    cfg.scheme.update(output_stride=1)
+    # no shock: the intermediate state is the right state
+    cfg.states = dataclasses.replace(cfg.states, v_m=1.0)
+    cfg.scheme = dataclasses.replace(cfg.scheme, output_stride=1)
     with caplog.at_level("WARNING", logger="nskwave.solver"):
         result = nw.run(cfg)
     assert len(result.records) > 2
@@ -265,7 +266,7 @@ def test_run_evaluates_one_background_per_record(monkeypatch):
     monkeypatch.setattr(CompositeWave, "eval_bar", counting)
     cfg = smoke_every_step()
     result = nw.run(cfg)
-    n = cfg.grid["n"]
+    n = cfg.grid.n
     # _check_domain evaluates the two boundary nodes at t = 0 and t_end,
     # initial_data the grid at t = 0; every later call is one record's
     assert [c[2] for c in calls[:2]] == [2, 2] and calls[2] == (0.0, 0.0, n)
@@ -285,7 +286,7 @@ def test_record_xdot_is_the_uncached_shift_rate(monkeypatch, shift):
     monkeypatch.setattr(solver, "collect_record", capture)
     cfg = smoke_every_step(shift)
     result = nw.run(cfg)
-    grid = cfg.make_grid()
+    grid = cfg.grid
     composite = nw.build_composite(cfg.build_pattern(), cfg.gas)
     assert len(seen) == len(result.records) > 2
     for rec, (t, X, u, xdot) in zip(result.records, seen):
@@ -316,10 +317,10 @@ def test_run_evaluates_the_fan_once_per_new_stage_time(monkeypatch, shift, per_s
 
 def test_step_from_a_state_without_its_fan():
     cfg = nw.parse_config(SMOKE_CFG)
-    grid, scheme = cfg.make_grid(), cfg.make_scheme()
+    grid, scheme = cfg.grid, cfg.scheme
     composite = nw.build_composite(cfg.build_pattern(), cfg.gas)
-    state = nw.initial_data(grid, composite, scheme.perturbation)
-    dt = nw.parabolic_dt(state, grid, cfg.gas, scheme.cfl_parabolic)
+    state = nw.initial_data(grid, composite, cfg.perturbation)
+    dt = nw.parabolic_dt(state, grid, cfg.gas, scheme.cfl)
     given, flux_given = solver._step_core(state, grid, composite, cfg.gas, scheme, dt)
     bare = dataclasses.replace(state, fan=None)
     new, flux = solver._step_core(bare, grid, composite, cfg.gas, scheme, dt)
@@ -333,7 +334,7 @@ def test_step_from_a_state_without_its_fan():
 def test_step_preserves_boundaries_and_mass(tw_setup, model14):
     pat, prof, comp = tw_setup
     grid = nw.Grid(-90.0, 50.0, 1401)
-    scheme = nw.SchemeConfig(t_end=1.0, cfl_parabolic=0.5, shift_enabled=False)
+    scheme = nw.SchemeConfig(t_end=1.0, cfl=0.5, shift=False)
     state = nw.initial_data(grid, comp, nw.Perturbation())
     ends = (state.v[0], state.v[-1], state.u[0], state.u[-1], state.w[0], state.w[-1])
     mass0 = np.sum(state.v[1:-1]) * grid.dx
@@ -354,7 +355,7 @@ def test_traveling_wave_preserved(tw_setup, model14):
     pat, prof, comp = tw_setup
     T = 0.25
     grid = nw.Grid(-75.0, 40.0 + pat.sigma * T, 2301)
-    scheme = nw.SchemeConfig(t_end=T, cfl_parabolic=0.5, shift_enabled=True)
+    scheme = nw.SchemeConfig(t_end=T, cfl=0.5, shift=True)
     state = nw.initial_data(grid, comp, nw.Perturbation())
     while state.t < T - 1e-12:
         dt = min(nw.parabolic_dt(state, grid, model14, 0.5), T - state.t)
@@ -368,7 +369,7 @@ def test_traveling_wave_preserved(tw_setup, model14):
 def test_temporal_self_convergence(composite_std, model14):
     grid = nw.Grid(-50.0, 50.0, 301)
     pert = nw.Perturbation(kind="gaussian", amplitude=5e-3, center=0.0, width=6.0)
-    scheme = nw.SchemeConfig(t_end=1.0, cfl_parabolic=0.5)
+    scheme = nw.SchemeConfig(t_end=1.0, cfl=0.5)
     base = nw.initial_data(grid, composite_std, pert)
     dt0 = nw.parabolic_dt(base, grid, model14, 0.45)
     T = 64.0 * dt0
@@ -390,7 +391,7 @@ def test_temporal_self_convergence(composite_std, model14):
 def test_determinism(composite_std, model14):
     grid = nw.Grid(-50.0, 50.0, 257)
     pert = nw.Perturbation(kind="gaussian", amplitude=1e-3, center=0.0, width=5.0)
-    scheme = nw.SchemeConfig(t_end=0.05, cfl_parabolic=0.4)
+    scheme = nw.SchemeConfig(t_end=0.05, cfl=0.4)
 
     def run_once():
         state = nw.initial_data(grid, composite_std, pert)
@@ -419,16 +420,14 @@ def test_pure_shock_stability_run(model14):
     machinery must contract the perturbation: the shift rate dies off, the
     weighted entropy decreases, and the constraint stays at the scheme's
     interpolation level."""
-    from nskwave.config import RunConfig
-    cfg = RunConfig(
+    cfg = nw.RunConfig(
         gas=model14,
-        states={"v_plus": 1.0, "u_plus": 0.0, "v_m": 0.9, "v_minus": None,
-                "u_minus": None, "strength_cap": 0.25},
-        grid={"x_lo": -205.0, "x_hi": 285.0, "n": 2560},
-        scheme={"cfl": 0.5, "t_end": 100.0, "output_stride": 60, "shift": True},
-        perturbation={"kind": "gaussian", "amplitude": 1e-3, "center": 0.0,
-                      "width": 10.0, "field": "both"},
-        output={"dir": "out", "formats": "csv"},
+        states=nw.States(v_plus=1.0, u_plus=0.0, v_m=0.9, strength_cap=0.25),
+        grid=nw.Grid(x_lo=-205.0, x_hi=285.0, n=2560),
+        scheme=nw.SchemeConfig(cfl=0.5, t_end=100.0, output_stride=60, shift=True),
+        perturbation=nw.Perturbation(kind="gaussian", amplitude=1e-3, center=0.0,
+                                     width=10.0, field="both"),
+        output=nw.Output(dir="out", formats="csv"),
     )
     s = nw.run(cfg).summary
     assert s["sup_ratio"] < 1.0
