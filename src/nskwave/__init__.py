@@ -11,7 +11,7 @@ from .composite import CompositeWave
 from .config import Output, RunConfig, States, parse_config
 from .diagnostics import (CSV_COLUMNS, DiagnosticsRecord, collect_record,
                           constraint_defect, good_terms, hardy_legendre_gap,
-                          perturbation_norms, relative_entropy_density,
+                          mass_defect, perturbation_norms, relative_entropy_density,
                           weighted_relative_entropy)
 from .errors import (CflError, ConfigError, DomainError, MonotonicityError,
                      PatternError, ProfileError, SolverError, VacuumError)

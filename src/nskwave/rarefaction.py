@@ -227,8 +227,6 @@ class RarefactionWave:
     def _magnitude_on_x0(self, tau, x0, order, field):
         st = self._stack_from_x0(tau, x0, order)
         key = ["x", "xx", "xxx", "xxxx"][order - 1]
-        if field == "v":
-            return np.abs(st["v" + key])
         if field == "u":
             return np.abs(st["u" + key])
         return np.hypot(st["v" + key], st["u" + key])
@@ -237,13 +235,13 @@ class RarefactionWave:
         """L^p norms of the x-derivative stack at time t.
 
         ``p`` may be a finite exponent >= 1 or ``np.inf``.  ``field``
-        selects the v-component, the u-component, or the euclidean pair
-        magnitude.  Finite-p integrals run in foot-point coordinates with
+        selects the u-component or the euclidean magnitude of the (v, u)
+        pair.  Finite-p integrals run in foot-point coordinates with
         the exact jacobian 1 + w0' tau, which keeps the integration window
         fixed for all times; the discarded tails are below 1e-20 by the
         tanh envelope.
         """
-        if field not in ("v", "u", "pair"):
+        if field not in ("u", "pair"):
             raise DomainError(f"unknown field {field!r}")
         if t < 0.0:
             raise DomainError("time must be nonnegative")

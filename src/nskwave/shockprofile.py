@@ -104,8 +104,6 @@ class ShockProfile:
     v_m: float
     v_plus: float
     u_m: float
-    u_plus: float
-    delta_S: float
     tail_rate: float
     growth_rate: float
     model: GasModel
@@ -257,8 +255,7 @@ def solve_profile(pattern: WavePattern, model: GasModel) -> ShockProfile:
         tail_rate = float(abs(nu_slow))
 
     prof = ShockProfile(xi=xi, v=v, vp=q, vpp=vpp, sigma=sigma,
-                        v_m=v_m, v_plus=v_p, u_m=pattern.mid.u, u_plus=pattern.right.u,
-                        delta_S=delta_S, tail_rate=tail_rate,
+                        v_m=v_m, v_plus=v_p, u_m=pattern.mid.u, tail_rate=tail_rate,
                         growth_rate=float(lam_plus), model=model, pattern=pattern)
 
     if abs(float(prof._spline(0.0)) - 0.5 * (v_m + v_p)) > 1e-10:

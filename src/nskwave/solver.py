@@ -8,20 +8,22 @@ coefficients, the w-equation is the exact time derivative of the discrete
 definition w = -g(v) D0 v on interior nodes, and the capillary momentum
 term is its adjoint, so the pressure and capillary terms cancel in the
 semi-discrete energy balance.  Time is classical four-stage Runge-Kutta
-under a parabolic CFL bound, and the shock shift is integrated as one
-extra scalar ODE re-evaluated at every stage.
+under a parabolic CFL bound; the shock shift, re-evaluated at every stage,
+and the boundary-flux integral of the mass audit ride along as two extra
+scalars.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import thermo
 from .composite import CompositeWave, entropy_weight, superpose
 from .diagnostics import (DiagnosticsRecord, collect_record, discrete_gradient_w,
-                          relative_entropy_density)
+                          mass_defect, relative_entropy_density)
 from .errors import CflError, ConfigError, SolverError, VacuumError, check
 from .fd import first_derivative
 from .rarefaction import RarefactionWave
@@ -34,11 +36,11 @@ log = logging.getLogger(__name__)
 VACUUM_FLOOR = 1e-6
 #: constraint defect above which a run logs a warning (once)
 CONSTRAINT_CEILING = 1e-4
-#: largest perturbation amplitude initial_data accepts
+#: largest perturbation amplitude a Perturbation accepts
 AMPLITUDE_CAP = 0.1
 
 
-@dataclass
+@dataclass(frozen=True)
 class Grid:
     """Uniform node-centered grid on [x_lo, x_hi]."""
 
@@ -49,7 +51,10 @@ class Grid:
     def __post_init__(self):
         check(ConfigError, [(self.x_lo < self.x_hi, "x_lo < x_hi is required"),
                             (self.n >= 16, "n must be at least 16")])
-        self.x = np.linspace(self.x_lo, self.x_hi, self.n)
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        return np.linspace(self.x_lo, self.x_hi, self.n)
 
     @property
     def dx(self) -> float:
@@ -68,7 +73,9 @@ class Perturbation:
         check(ConfigError, [
             (self.kind in ("none", "gaussian"), f"kind {self.kind!r} is not 'none' or 'gaussian'"),
             (self.field in ("v", "u", "both"), f"field {self.field!r} is not 'v', 'u' or 'both'"),
-            (self.width > 0.0, "width must be positive")])
+            (self.width > 0.0, "width must be positive"),
+            (abs(self.amplitude) <= AMPLITUDE_CAP,
+             f"amplitude {self.amplitude} exceeds the cap {AMPLITUDE_CAP}")])
 
     def profile(self, x):
         if self.kind == "none" or self.amplitude == 0.0:
@@ -96,6 +103,8 @@ class SimState:
     w: np.ndarray
     t: float = 0.0
     X: float = 0.0
+    #: integral of the boundary flux since t = 0, the mass that left the interior
+    flux: float = 0.0
     #: the fan's stack at t on the grid, or None to evaluate it on demand
     fan: dict | None = None
 
@@ -124,9 +133,6 @@ class RunResult:
 def initial_data(grid: Grid, composite: CompositeWave, perturbation: Perturbation) -> SimState:
     """Composite wave at t = 0 plus optional bumps, with w set
     constraint-consistently from the discrete gradient of the perturbed volume."""
-    if abs(perturbation.amplitude) > AMPLITUDE_CAP:
-        raise ConfigError(
-            f"perturbation amplitude {perturbation.amplitude} exceeds cap {AMPLITUDE_CAP}")
     bar = composite.eval_bar(0.0, grid.x, 0.0)
     bump = perturbation.profile(grid.x)
     v0 = bar["v"] + (bump if perturbation.field in ("v", "both") else 0.0)
@@ -142,6 +148,7 @@ def initial_data(grid: Grid, composite: CompositeWave, perturbation: Perturbatio
 
 
 def _rhs_arrays(v, u, w, dx, model: GasModel):
+    """Semidiscrete tendencies (v_t, u_t, w_t); boundary nodes are pinned."""
     if np.min(v) < VACUUM_FLOOR:
         raise VacuumError(f"volume fell below the vacuum floor {VACUUM_FLOOR}")
     g, a, b = model.gamma, model.alpha, model.beta
@@ -167,9 +174,7 @@ def _rhs_arrays(v, u, w, dx, model: GasModel):
     return vt, ut, wt
 
 
-def spatial_rhs(state: SimState, grid: Grid, model: GasModel):
-    """Semidiscrete tendencies (v_t, u_t, w_t); boundary nodes are pinned."""
-    return _rhs_arrays(state.v, state.u, state.w, grid.dx, model)
+spatial_rhs = _rhs_arrays
 
 
 def _parabolic_coefficient(v, model: GasModel) -> float:
@@ -222,12 +227,14 @@ def _shift_rate(t, X, u, grid: Grid, composite: CompositeWave, fan=None):
 
 
 def _boundary_flux(u):
+    """d/dt [dx * sum(v[1:-1])], to which the interior v_t telescopes."""
     return 0.5 * (u[-1] + u[-2] - u[0] - u[1])
 
 
 def _step_core(state: SimState, grid: Grid, composite: CompositeWave,
-               model: GasModel, scheme: SchemeConfig, dt: float):
-    """One RK4 step; returns (new state, boundary-flux integral increment).
+               model: GasModel, scheme: SchemeConfig, dt: float) -> SimState:
+    """Advance (v, u, w, X) and the boundary-flux integral by one classical
+    Runge-Kutta step; returns the new state.
 
     With the shift on, the fan is evaluated once per distinct stage time:
     k1 takes ``state.fan``, k2 and k3 share the stack at t + dt/2, and the
@@ -263,20 +270,16 @@ def _step_core(state: SimState, grid: Grid, composite: CompositeWave,
     u_new = u + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
     w_new = w + sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
     X_new = X + sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-    flux_inc = sixth * (k1[4] + 2.0 * k2[4] + 2.0 * k3[4] + k4[4])
+    flux = state.flux + sixth * (k1[4] + 2.0 * k2[4] + 2.0 * k3[4] + k4[4])
 
     for arr in (v_new, u_new, w_new):
         if not np.all(np.isfinite(arr)):
             raise SolverError(f"non-finite field at t = {t + dt:.6g}; aborting")
-    new = SimState(v=v_new, u=u_new, w=w_new, t=t + dt, X=float(X_new), fan=fan_end)
-    return new, float(flux_inc)
+    return SimState(v=v_new, u=u_new, w=w_new, t=t + dt, X=float(X_new), flux=float(flux),
+                    fan=fan_end)
 
 
-def step(state: SimState, grid: Grid, composite: CompositeWave,
-         model: GasModel, scheme: SchemeConfig, dt: float) -> SimState:
-    """Advance (v, u, w, X) by one classical Runge-Kutta step."""
-    new, _ = _step_core(state, grid, composite, model, scheme, dt)
-    return new
+step = _step_core
 
 
 # -- full runs ------------------------------------------------------------------
@@ -315,10 +318,8 @@ def _check_domain(grid: Grid, composite: CompositeWave, t_end: float):
 def run(config) -> RunResult:
     """Integrate a full configuration and collect the diagnostic ledger.
 
-    ``config`` is a RunConfig (see nskwave.config); the mass audit
-    compares the discrete volume content against the Runge-Kutta
-    accumulated boundary flux, which cancels the composite-wave
-    contribution exactly.
+    ``config`` is a RunConfig (see nskwave.config); each record's mass
+    audit is ``diagnostics.mass_defect`` against the initial state.
     """
     model, grid, scheme = config.gas, config.grid, config.scheme
     pattern = config.build_pattern()
@@ -328,10 +329,7 @@ def run(config) -> RunResult:
     if not pattern.has_shock:
         log.warning("shift disabled: degenerate shock strength")
 
-    state = initial_data(grid, composite, config.perturbation)
-    dx = grid.dx
-    mass0 = float(np.sum(state.v[1:-1]) * dx)
-    flux_int = 0.0
+    state = start = initial_data(grid, composite, config.perturbation)
     shift_on = scheme.shift and pattern.has_shock
 
     records: list[DiagnosticsRecord] = []
@@ -339,19 +337,16 @@ def run(config) -> RunResult:
     a_min, a_max = np.inf, -np.inf
     v_min_global = float(np.min(state.v))
 
-    # d/dt [dx * sum(v_interior)] telescopes to _boundary_flux(u), so the
-    # Runge-Kutta-accumulated flux integral reproduces the mass change exactly
     def record():
         """Append the record of the current state; returns its background,
         the one evaluation of the waves at this time."""
         nonlocal a_min, a_max, ceiling_hit
         bar = composite.eval_bar(state.t, grid.x, state.X)
-        mass = float(np.sum(state.v[1:-1]) * dx)
-        defect = abs(mass - mass0 - flux_int) / (abs(mass0) + 1.0)
         # the rate the stages integrate, from this record's own fan
         xdot = (_shift_rate(state.t, state.X, state.u, grid, composite, bar["fan"])
                 if shift_on else 0.0)
-        rec = collect_record(grid, state, bar, pattern, model, xdot, mass_defect=defect)
+        rec = collect_record(grid, state, bar, pattern, model, xdot,
+                             mass_defect=mass_defect(state, start, grid))
         records.append(rec)
         a_min = min(a_min, float(np.min(bar["a"])))
         a_max = max(a_max, float(np.max(bar["a"])))
@@ -374,8 +369,7 @@ def run(config) -> RunResult:
         while state.t < scheme.t_end - 1e-12:
             dt = min(parabolic_dt(state, grid, model, scheme.cfl),
                      scheme.t_end - state.t)
-            state, flux_inc = _step_core(state, grid, composite, model, scheme, dt)
-            flux_int += flux_inc
+            state = _step_core(state, grid, composite, model, scheme, dt)
             step_count += 1
             v_min_global = min(v_min_global, float(np.min(state.v)))
             # the last step always records, and its background is the final snapshot's

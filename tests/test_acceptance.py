@@ -162,6 +162,7 @@ def test_criterion_3_profile_suite(profile_sweep):
 # -- 4: wave-interaction decay --------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_4_interaction_decay(model14):
     started = time.time()
     failures = []
@@ -222,6 +223,7 @@ def test_criterion_5_hardy_legendre():
 # -- 6: scheme verification -----------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_6_scheme_verification(model14, right_state):
     started = time.time()
     failures = []
@@ -232,7 +234,7 @@ def test_criterion_6_scheme_verification(model14, right_state):
     for n in (401, 801, 1601):
         grid = nw.Grid(-30.0, 30.0, n)
         (v, u, w), exact = manufactured_fields(grid.x, 1.4, 0.0, 0.0)
-        got = nw.spatial_rhs(nw.SimState(v=v, u=u, w=w), grid, model14)
+        got = nw.spatial_rhs(v, u, w, grid.dx, model14)
         errors.append(max(np.max(np.abs(g1[5:-5] - e1[5:-5]))
                           for g1, e1 in zip(got, exact)))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
@@ -274,14 +276,10 @@ def test_criterion_6_scheme_verification(model14, right_state):
     n = int(round((hi - lo) / 0.01)) + 1
     grid = nw.Grid(lo, hi, n)
     scheme = nw.SchemeConfig(t_end=T, cfl=0.5, shift=False)
-    state = nw.initial_data(grid, comp, nw.Perturbation())
-    mass0 = float(np.sum(state.v[1:-1]) * grid.dx)
-    flux_int = 0.0
-    from nskwave.solver import _step_core
+    state = start = nw.initial_data(grid, comp, nw.Perturbation())
     while state.t < T - 1e-12:
         dt = min(nw.parabolic_dt(state, grid, model14, 0.5), T - state.t)
-        state, finc = _step_core(state, grid, comp, model14, scheme, dt)
-        flux_int += finc
+        state = nw.step(state, grid, comp, model14, scheme, dt)
     exact = nw.eval_profile(prof, grid.x - pat.sigma * state.t)
     drift = float(np.max(np.abs(state.v - exact["v"])))
     if drift >= 1e-5:
@@ -290,8 +288,7 @@ def test_criterion_6_scheme_verification(model14, right_state):
         failures.append("shift moved with the shift disabled")
 
     # (iv) discrete mass audit
-    mass = float(np.sum(state.v[1:-1]) * grid.dx)
-    audit = abs(mass - mass0 - flux_int) / (abs(mass0) + 1.0)
+    audit = nw.mass_defect(state, start, grid)
     if audit >= 1e-6:
         failures.append(f"mass audit {audit:.2e} above 1e-6")
 
@@ -351,6 +348,7 @@ def _check7(summary, letter, name, ok_fn, detail_fn):
     report(f"7{letter}", name, failures, started, detail_fn(summary))
 
 
+@pytest.mark.slow
 def test_criterion_7a_sup_norm_halved(stability_run):
     # the response to the perturbation, perturbed run minus unperturbed twin;
     # the raw distance to the ansatz measures how far the smoothed fan is from
@@ -361,6 +359,7 @@ def test_criterion_7a_sup_norm_halved(stability_run):
                       f"(ratio {s['sup_ratio']:.2f}, need <= 0.5)")
 
 
+@pytest.mark.slow
 def test_criterion_7b_shift_rate_halved(stability_run):
     _check7(stability_run.response, "b", "shift rate halved",
             lambda s: s["xdot_quarter_ratio"] <= 0.5,
@@ -368,6 +367,7 @@ def test_criterion_7b_shift_rate_halved(stability_run):
                       f"{s['xdot_mean_last_quarter']:.2e} (ratio {s['xdot_quarter_ratio']:.2f})")
 
 
+@pytest.mark.slow
 def test_criterion_7c_shift_sublinear(stability_run):
     _check7(stability_run.response, "c", "shift sublinear",
             lambda s: s["x_sublinearity_ratio"] <= 0.5,
@@ -375,6 +375,7 @@ def test_criterion_7c_shift_sublinear(stability_run):
                       f"(ratio {s['x_sublinearity_ratio']:.2f})")
 
 
+@pytest.mark.slow
 def test_criterion_7d_weighted_entropy_bounded(stability_run):
     _check7(stability_run.response, "d", "weighted entropy bounded",
             lambda s: s["eta_ratio"] <= 1.1,
@@ -382,18 +383,21 @@ def test_criterion_7d_weighted_entropy_bounded(stability_run):
                       f"(ratio {s['eta_ratio']:.2f}, need <= 1.1)")
 
 
+@pytest.mark.slow
 def test_criterion_7e_weight_bounds(stability_run):
     _check7(stability_run.summary, "e", "weight in [1, 2]",
             lambda s: 1.0 - 1e-12 <= s["a_min"] and s["a_max"] <= 2.0 + 1e-12,
             lambda s: f"a in [{s['a_min']:.3f}, {s['a_max']:.3f}]")
 
 
+@pytest.mark.slow
 def test_criterion_7f_constraint_defect(stability_run):
     _check7(stability_run.summary, "f", "constraint defect below 1e-4",
             lambda s: s["constraint_max"] < 1e-4,
             lambda s: f"max defect {s['constraint_max']:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_7_mass_audit_and_positivity(stability_run):
     # supporting invariants of the same run: exact discrete mass bookkeeping
     # and volume positivity are expected to hold regardless of the ansatz floor

@@ -198,7 +198,7 @@ def test_interpolant_derivative_close_to_differences(profile_std):
 
 def test_tail_is_log_linear(profile_std):
     gap = profile_std.v_plus - profile_std.v
-    sel = (gap > 1e-9) & (gap < 0.01 * profile_std.delta_S) & (profile_std.xi > 0)
+    sel = (gap > 1e-9) & (gap < 0.01 * profile_std.pattern.delta_S) & (profile_std.xi > 0)
     xi, lg = profile_std.xi[sel], np.log(gap[sel])
     slope, intercept = np.polyfit(xi, lg, 1)
     resid = lg - (slope * xi + intercept)
