@@ -20,6 +20,15 @@ from .riemann import WavePattern
 from .shockprofile import ShockProfile, eval_profile
 from .thermo import GasModel
 
+#: (integrand, p) of each interaction norm ||integrand||_Lp
+NORMS = (("vSx_vR", 1), ("vSx_vR", 2), ("vRx_vSx", 1), ("vRx_vSx", 2),
+         ("vRx_vS", 2), ("Q1I", 2), ("Q2", 2))
+#: relative accuracy of the interaction norms
+NORM_REL_TOL = 1e-8
+#: interaction norms below this are indistinguishable from exact zero
+#: (criterion 4)
+NORM_FLOOR = 1e-18
+
 
 def _pressure_flux_x(st, model):
     """(p(v))_x from a derivative stack."""
@@ -63,6 +72,36 @@ def superpose(pattern: WavePattern, rs, ss, keys=()):
         raise VacuumError("composite vacuum: superposed volume is not positive")
     bar.update((k, rs[k] + ss[k]) for k in keys)
     return bar
+
+
+def _interaction_forcing(pattern: WavePattern, rs, ss, model):
+    """Interaction part of the momentum forcing from the fan stack ``rs``
+    (order 3) and the shock stack ``ss``: each flux of the superposition
+    minus the fluxes of the two waves."""
+    bar = superpose(pattern, rs, ss, ("vx", "ux", "vxx", "uxx", "vxxx"))
+
+    def group(term):
+        return term(bar, model) - term(rs, model) - term(ss, model)
+
+    return (group(_pressure_flux_x)
+            - group(_viscous_flux_x)
+            - group(_capillary_main_x)
+            + group(_capillary_grad_x))
+
+
+def _aux_forcing_per_rate(pattern: WavePattern, rs, ss, model):
+    """Auxiliary-equation forcing per unit shift rate from the fan stack
+    ``rs`` (order 2) and the shock stack ``ss``."""
+    b = model.beta
+    bar = superpose(pattern, rs, ss, ("vx",))
+    vbar, vbar_x = bar["v"], bar["vx"]
+    g_s = ss["v"] ** (-0.5 * (b + 5.0))
+    g_b = vbar ** (-0.5 * (b + 5.0))
+    gp_s = -0.5 * (b + 5.0) * ss["v"] ** (-0.5 * (b + 7.0))
+    gp_b = -0.5 * (b + 5.0) * vbar ** (-0.5 * (b + 7.0))
+    bracket_x = (ss["vxx"] * (g_s - g_b)
+                 + ss["vx"] * (gp_s * ss["vx"] - gp_b * vbar_x))
+    return -bracket_x
 
 
 def entropy_weight(pattern: WavePattern, uS):
@@ -147,16 +186,7 @@ class CompositeWave:
         if not self.pattern.has_shock:
             return zeros, fan
         ss = self._shock_stack(t, x, X)
-        bar = superpose(self.pattern, rs, ss, ("vx", "ux", "vxx", "uxx", "vxxx"))
-
-        def group(term):
-            return term(bar, m) - term(rs, m) - term(ss, m)
-
-        interaction = (group(_pressure_flux_x)
-                       - group(_viscous_flux_x)
-                       - group(_capillary_main_x)
-                       + group(_capillary_grad_x))
-        return interaction, fan
+        return _interaction_forcing(self.pattern, rs, ss, m), fan
 
     def aux_defect(self, t, x, X, Xdot):
         """Forcing left in the auxiliary-variable equation; linear in Xdot."""
@@ -164,16 +194,7 @@ class CompositeWave:
         if not (self.pattern.has_shock and self.pattern.has_rarefaction):
             return np.zeros_like(x)
         rs, ss = self.part_stacks(t, x, X, order=2)
-        b = self.model.beta
-        bar = superpose(self.pattern, rs, ss, ("vx",))
-        vbar, vbar_x = bar["v"], bar["vx"]
-        g_s = ss["v"] ** (-0.5 * (b + 5.0))
-        g_b = vbar ** (-0.5 * (b + 5.0))
-        gp_s = -0.5 * (b + 5.0) * ss["v"] ** (-0.5 * (b + 7.0))
-        gp_b = -0.5 * (b + 5.0) * vbar ** (-0.5 * (b + 7.0))
-        bracket_x = (ss["vxx"] * (g_s - g_b)
-                     + ss["vx"] * (gp_s * ss["vx"] - gp_b * vbar_x))
-        return -Xdot * bracket_x
+        return Xdot * _aux_forcing_per_rate(self.pattern, rs, ss, self.model)
 
     # -- wave-interaction norms ----------------------------------------------
 
@@ -217,35 +238,27 @@ class CompositeWave:
         time ``t``, with the shock unshifted (X = 0).
 
         The auxiliary forcing is linear in the shift rate; its norm is
-        given per unit rate.
+        given per unit rate.  All seven come from one adaptive quadrature
+        whose integrand evaluates the fan and the shock stack once per
+        point, to ``NORM_REL_TOL`` of each integral or, for an integral
+        below the square of ``NORM_FLOOR``, of that square.
         """
-        v_m = self.pattern.mid.v
-        keys = ("vSx_vR_L1", "vSx_vR_L2", "vRx_vSx_L1", "vRx_vSx_L2",
-                "vRx_vS_L2", "Q1I_L2", "Q2_L2")
+        keys = [f"{name}_L{p}" for name, p in NORMS]
         if not (self.pattern.has_shock and self.pattern.has_rarefaction):
             return dict.fromkeys(keys, 0.0)
-        breaks = self._breakpoints(t)
+        pattern, model, v_m = self.pattern, self.model, self.pattern.mid.v
 
-        def prod(fn, p):
-            val = adaptive_simpson(lambda x: np.abs(fn(x)) ** p, breaks,
-                                   abs_tol=1e-300, rel_tol=1e-8)
-            return max(val, 0.0) ** (1.0 / p)
+        def integrand(x):
+            rs, ss = self.part_stacks(t, x, 0.0, order=3)
+            terms = {"vSx_vR": ss["vx"] * (rs["v"] - v_m),
+                     "vRx_vSx": rs["vx"] * ss["vx"],
+                     "vRx_vS": rs["vx"] * (ss["v"] - v_m),
+                     "Q1I": _interaction_forcing(pattern, rs, ss, model),
+                     "Q2": _aux_forcing_per_rate(pattern, rs, ss, model)}
+            return np.array([np.abs(terms[name]) ** p for name, p in NORMS])
 
-        def overlap(x, which):
-            rs, ss = self.part_stacks(t, x, 0.0, order=1)
-            if which == "sx_r":
-                return ss["vx"] * (rs["v"] - v_m)
-            if which == "rx_sx":
-                return rs["vx"] * ss["vx"]
-            return rs["vx"] * (ss["v"] - v_m)
-
-        out = {
-            "vSx_vR_L1": prod(lambda x: overlap(x, "sx_r"), 1),
-            "vSx_vR_L2": prod(lambda x: overlap(x, "sx_r"), 2),
-            "vRx_vSx_L1": prod(lambda x: overlap(x, "rx_sx"), 1),
-            "vRx_vSx_L2": prod(lambda x: overlap(x, "rx_sx"), 2),
-            "vRx_vS_L2": prod(lambda x: overlap(x, "rx_s"), 2),
-            "Q1I_L2": prod(lambda x: self.momentum_defect(t, x, 0.0)[0], 2),
-            "Q2_L2": prod(lambda x: self.aux_defect(t, x, 0.0, 1.0), 2),
-        }
-        return out
+        # the integral of a squared norm at the floor, to the relative tolerance
+        vals = adaptive_simpson(integrand, self._breakpoints(t),
+                                abs_tol=NORM_REL_TOL * NORM_FLOOR ** 2, rel_tol=NORM_REL_TOL)
+        return {key: max(float(val), 0.0) ** (1.0 / p)
+                for key, val, (_, p) in zip(keys, vals, NORMS)}

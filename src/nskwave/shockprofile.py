@@ -4,10 +4,22 @@ The profile solves the momentum equation integrated once from the left
 far field, with the mass equation eliminating velocity (u' = -sigma v').
 In the (v, v') phase plane the left end state is a saddle and the right
 end state a stable node for weak shocks; the profile is the saddle's
-unstable manifold.  We shoot along the unstable eigenvector with a
+unstable manifold.  We shoot from a point on that manifold with a
 high-order adaptive integrator, translate so the midpoint volume sits at
-xi = 0, and extend the left tail with the linearized flow so both table
-ends reach the far-field states to 1e-12.
+xi = 0, and extend the right tail with the linearized node flow, so that
+both table ends reach the far-field states to 1e-12.
+
+The left tail, where v - v_m is below ``TAIL_SWITCH`` times the shock
+strength, is analytic.  There the shooting's absolute error (about
+``ATOL``) would be a large relative error of the slope, solving the
+residual equation for v'' and v''' would amplify it, and v - v_m formed
+from v would carry the rounding of v.  Instead the manifold's expansion
+q(v) = growth_rate dv + manifold_c2 dv^2 (dv = v - v_m) gives the slope,
+and dv(xi) is the exact solution of dv' = q(dv), which ``volume`` and
+``eval_profile`` evaluate from xi alone.  The shot starts at the switch,
+``xi_switch``, on the same expansion, so v and v' are continuous there;
+the residual equation holds for the expansion to O(dv^3), so v'' and v'''
+agree there to O(dv^2) and the rounding of the residual equation.
 """
 from __future__ import annotations
 
@@ -29,6 +41,10 @@ RTOL = 1e-11
 ATOL = 1e-13
 #: largest self-check residual solve_profile accepts
 RESIDUAL_TOL = 1e-8
+#: the left tail is analytic below v - v_m = TAIL_SWITCH * delta_S (1e-6 on
+#: the standard pattern): there the expansion's truncation error, about
+#: (16 dv)^2 relative, is far below the shot slope's ATOL / (growth_rate dv)
+TAIL_SWITCH = 2e-5
 
 
 def _rankine_hugoniot_gap(v, pattern: WavePattern, model: GasModel):
@@ -92,6 +108,38 @@ def _saddle_rate(v0, pattern, model):
     return A, B, disc
 
 
+def _manifold_c2(lam, pattern: WavePattern, model: GasModel):
+    """dv^2 coefficient c2 of the unstable manifold q = lam dv + c2 dv^2 at v_m.
+
+    On the manifold v'' = q'(v) q.  Write ``_accel`` as A(v) + B(v) q +
+    C(v) q^2 with Taylor coefficients A1, A2, B0, B1, C0 at v_m.  The dv
+    terms of q' q = _accel(v, q) give lam^2 = A1 + B0 lam, the saddle rate,
+    and the dv^2 terms give 3 lam c2 = A2 + B0 c2 + B1 lam + C0 lam^2.
+    """
+    a, b = model.alpha, model.beta
+    v0 = pattern.mid.v
+    Fp = pattern.sigma ** 2 + float(thermo.dpressure(v0, model))
+    Fpp = float(thermo.d2pressure(v0, model))
+    A2 = -(5.0 + b) * v0 ** (4.0 + b) * Fp - 0.5 * v0 ** (5.0 + b) * Fpp
+    B0 = -pattern.sigma * v0 ** (4.0 + b - a)
+    B1 = -pattern.sigma * (4.0 + b - a) * v0 ** (3.0 + b - a)
+    C0 = 0.5 * (5.0 + b) / v0
+    return (A2 + B1 * lam + C0 * lam * lam) / (3.0 * lam - B0)
+
+
+def _manifold(dv, lam, c2):
+    """Slope q = lam dv + c2 dv^2 on the unstable manifold, with dq/dv and
+    d^2q/dv^2.  Along the manifold v' = q, v'' = q' q, v''' = (q'' q + q'^2) q."""
+    return dv * (lam + c2 * dv), lam + 2.0 * c2 * dv, 2.0 * c2
+
+
+def _manifold_gap(xi, xi0, dv0, lam, c2):
+    """dv at xi on the solution of dv' = lam dv + c2 dv^2 through (xi0, dv0),
+    in closed form (a Bernoulli equation), to full relative precision."""
+    e = np.exp(lam * (xi - xi0))
+    return dv0 * e / (1.0 + (c2 / lam) * dv0 * (1.0 - e))
+
+
 @dataclass
 class ShockProfile:
     """Tabulated monotone traveling wave with derivatives and tail metadata."""
@@ -106,12 +154,16 @@ class ShockProfile:
     u_m: float
     tail_rate: float
     growth_rate: float
+    manifold_c2: float
+    xi_switch: float
     model: GasModel
     pattern: WavePattern = field(repr=False)
 
     def __post_init__(self):
         self._spline = CubicHermiteSpline(self.xi, self.v, self.vp)
-        self._dspline = self._spline.derivative()
+        # v' interpolates the tabulated (v', v''): it is C^1, so the stack's
+        # derivatives have no kinks at the knots
+        self._dspline = CubicHermiteSpline(self.xi, self.vp, self.vpp)
 
     @property
     def xi_lo(self) -> float:
@@ -121,13 +173,32 @@ class ShockProfile:
     def xi_hi(self) -> float:
         return float(self.xi[-1])
 
+    def _tail(self, xi):
+        """The analytic left tail at ``xi``: the mask of the points in it and,
+        at those points, dv = v - v_m, the manifold slope q, dq/dv and
+        d^2q/dv^2."""
+        tail = (xi >= self.xi[0]) & (xi < self.xi_switch)
+        dv = _manifold_gap(xi[tail], self.xi_switch, TAIL_SWITCH * self.pattern.delta_S,
+                           self.growth_rate, self.manifold_c2)
+        return (tail, dv, *_manifold(dv, self.growth_rate, self.manifold_c2))
+
     def volume(self, xi):
-        """v and v' at arbitrary xi (end-state constants beyond the table)."""
+        """v and v' at arbitrary xi (end-state constants beyond the table).
+
+        From ``xi_switch`` on, v and v' are the splines of the tabulated
+        (v, v') and (v', v'').  In the analytic left tail, below
+        ``xi_switch``, they are v_m + dv and q(dv), and no spline is
+        evaluated.
+        """
         xi = np.asarray(xi, dtype=float)
-        inside = (xi >= self.xi[0]) & (xi <= self.xi[-1])
-        xin = np.where(inside, xi, self.xi[0])
-        v = np.where(inside, self._spline(xin), np.where(xi < self.xi[0], self.v_m, self.v_plus))
-        vp = np.where(inside, self._dspline(xin), 0.0)
+        body = (xi >= self.xi_switch) & (xi <= self.xi[-1])
+        tail, dv, q, _, _ = self._tail(xi)
+        v = np.where(xi < self.xi_switch, self.v_m, self.v_plus)
+        vp = np.zeros_like(v)
+        v[body] = self._spline(xi[body])
+        vp[body] = self._dspline(xi[body])
+        v[tail] = self.v_m + dv
+        vp[tail] = q
         return v, vp
 
     def self_residual(self) -> float:
@@ -163,6 +234,7 @@ def solve_profile(pattern: WavePattern, model: GasModel) -> ShockProfile:
     if A_m <= 0.0:
         raise ProfileError("left end state is not a saddle; profile solve failed")
     lam_plus = 0.5 * (B_m + np.sqrt(disc_m))
+    c2 = _manifold_c2(lam_plus, pattern, model)
     A_p, B_p, disc_p = _saddle_rate(v_p, pattern, model)
     if disc_p <= 0.0:
         raise MonotonicityError(
@@ -170,8 +242,9 @@ def solve_profile(pattern: WavePattern, model: GasModel) -> ShockProfile:
             f"(discriminant {disc_p:.3g}); shock outside the weak-dispersion regime")
     nu_slow = 0.5 * (B_p + np.sqrt(disc_p))
 
-    d0 = 1e-8 * delta_S
-    y0 = np.array([v_m + d0, d0 * lam_plus])
+    # shoot from the switch on the manifold; left of it the tail is analytic
+    d0 = TAIL_SWITCH * delta_S
+    y0 = np.array([v_m + d0, _manifold(d0, lam_plus, c2)[0]])
     # stop while the slope is still far above the integrator noise floor,
     # then close the last stretch with the linearized node flow
     gap_stop = max(TAIL_CUT, 1000.0 * ATOL)
@@ -222,15 +295,15 @@ def solve_profile(pattern: WavePattern, model: GasModel) -> ShockProfile:
     v, q = vq[0], vq[1]
     xi = grid - xi_mid
 
-    # extend both tails with the linearized saddle/node flows down to the cut level
-    d_first = v[0] - v_m
-    if d_first > TAIL_CUT:
-        n_ext = int(np.ceil(np.log(d_first / TAIL_CUT) / lam_plus / h))
-        xi_ext = xi[0] - h * np.arange(n_ext, 0, -1)
-        dv_ext = d_first * np.exp(lam_plus * (xi_ext - xi[0]))
-        xi = np.concatenate([xi_ext, xi])
-        v = np.concatenate([v_m + dv_ext, v])
-        q = np.concatenate([lam_plus * dv_ext, q])
+    # tabulate the analytic left tail and extend the right one with the
+    # linearized node flow, both down to the cut level
+    xi_switch = float(xi[0])
+    n_ext = int(np.ceil(np.log(d0 / TAIL_CUT) / lam_plus / h))
+    xi_ext = xi_switch - h * np.arange(n_ext, 0, -1)
+    dv_ext = _manifold_gap(xi_ext, xi_switch, d0, lam_plus, c2)
+    xi = np.concatenate([xi_ext, xi])
+    v = np.concatenate([v_m + dv_ext, v])
+    q = np.concatenate([_manifold(dv_ext, lam_plus, c2)[0], q])
     d_last = v_p - v[-1]
     if d_last > TAIL_CUT:
         n_ext = int(np.ceil(np.log(d_last / TAIL_CUT) / abs(nu_slow) / h))
@@ -256,7 +329,8 @@ def solve_profile(pattern: WavePattern, model: GasModel) -> ShockProfile:
 
     prof = ShockProfile(xi=xi, v=v, vp=q, vpp=vpp, sigma=sigma,
                         v_m=v_m, v_plus=v_p, u_m=pattern.mid.u, tail_rate=tail_rate,
-                        growth_rate=float(lam_plus), model=model, pattern=pattern)
+                        growth_rate=float(lam_plus), manifold_c2=float(c2),
+                        xi_switch=xi_switch, model=model, pattern=pattern)
 
     if abs(float(prof._spline(0.0)) - 0.5 * (v_m + v_p)) > 1e-10:
         raise ProfileError("profile normalization failed: midpoint not at xi = 0")
@@ -271,10 +345,13 @@ def solve_profile(pattern: WavePattern, model: GasModel) -> ShockProfile:
 def eval_profile(profile: ShockProfile, xi) -> dict:
     """Profile fields at xi: volume/velocity/auxiliary stacks.
 
-    Derivatives come from the tabulated slope and the residual equation
-    solved for v'' (and differentiated once for v'''), so they satisfy the
-    traveling-wave system to the accuracy of the table itself.  Beyond the
-    table the far-field constants are returned with zero derivatives.
+    v and v' come from ``ShockProfile.volume``.  From the switch on, v''
+    is the residual equation solved for it (differentiated once for
+    v'''), so the derivatives satisfy the traveling-wave system to the
+    accuracy of the table itself.  In the analytic left tail,
+    v'' = q' q and v''' = (q'' q + q'^2) q from the same manifold
+    expansion q(dv) that gives ``volume`` its v' there.  Beyond the table
+    the far-field constants are returned with zero derivatives.
     """
     xi = np.asarray(xi, dtype=float)
     p = profile.pattern
@@ -285,6 +362,9 @@ def eval_profile(profile: ShockProfile, xi) -> dict:
     vxx = np.where(inside, _accel(v, vx, p, model), 0.0)
     gv, gq = _accel_grad(v, vx, p, model)
     vxxx = np.where(inside, gv * vx + gq * vxx, 0.0)
+    tail, _, q, dq, ddq = profile._tail(xi)
+    vxx[tail] = dq * q
+    vxxx[tail] = (ddq * q + dq * dq) * q
 
     u = profile.u_m - profile.sigma * (v - profile.v_m)
     ux = -profile.sigma * vx

@@ -162,7 +162,6 @@ def test_criterion_3_profile_suite(profile_sweep):
 # -- 4: wave-interaction decay --------------------------------------------------------
 
 
-@pytest.mark.slow
 def test_criterion_4_interaction_decay(model14):
     started = time.time()
     failures = []

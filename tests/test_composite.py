@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import nskwave as nw
 from nskwave import thermo
 from nskwave.composite import (_capillary_grad_x, _capillary_main_x,
                                _pressure_flux_x, _viscous_flux_x)
+from nskwave.config import parse_config
 from nskwave.rarefaction import RarefactionWave
 from tests.conftest import make_pattern
 
@@ -184,3 +187,49 @@ def test_interaction_norm_against_dense_quadrature(composite_std):
     oracle = np.sqrt(simpson(f ** 2, x=x))
     rec = comp.interaction_norms(t)
     assert rec["vSx_vR_L2"] == pytest.approx(oracle, rel=1e-5)
+
+
+@pytest.fixture(scope="module")
+def composite_standard():
+    cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "standard.cfg")
+    return nw.build_composite(cfg.build_pattern(), cfg.gas)
+
+
+def fixed_grid_norms(comp, t, keys, spacing=0.01):
+    """The norms ``keys`` (``<integrand>_L<p>``) by composite Simpson on a
+    uniform grid over both waves, with integrands from part_stacks,
+    momentum_defect and aux_defect."""
+    fan_lo, fan_hi = comp.rarefaction.support(t)
+    center = comp.pattern.sigma * t
+    lo = min(fan_lo, center + comp.profile.xi_lo)
+    hi = max(fan_hi, center + comp.profile.xi_hi)
+    n = 2 * int(np.ceil((hi - lo) / (2.0 * spacing)))
+    x = np.linspace(lo, hi, n + 1)
+    w = np.full(n + 1, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    w *= (hi - lo) / (3.0 * n)
+    v_m = comp.pattern.mid.v
+    fan, shock = comp.part_stacks(t, x, 0.0, order=1)
+    terms = {"vSx_vR": shock["vx"] * (fan["v"] - v_m), "vRx_vSx": fan["vx"] * shock["vx"],
+             "vRx_vS": fan["vx"] * (shock["v"] - v_m),
+             "Q1I": comp.momentum_defect(t, x, 0.0)[0], "Q2": comp.aux_defect(t, x, 0.0, 1.0)}
+    out = {}
+    for key in keys:
+        name, _, norm = key.rpartition("_")
+        p = int(norm[1:])
+        out[key] = float(w @ np.abs(terms[name]) ** p) ** (1.0 / p)
+    return out
+
+
+@pytest.mark.parametrize("t", [70.0, 80.0])
+def test_interaction_norms_reach_their_tolerance(composite_standard, t, caplog):
+    # where the waves separate, the shock's far tail carries the overlap
+    with caplog.at_level("WARNING", logger="nskwave.quadrature"):
+        rec = composite_standard.interaction_norms(t)
+    assert not caplog.records
+    ref = fixed_grid_norms(composite_standard, t, rec)
+    # criterion 4's floor; measured within 3.3e-10 of the reference
+    for key, value in rec.items():
+        if ref[key] > 1e-18:
+            assert value == pytest.approx(ref[key], rel=1e-8, abs=0.0), key

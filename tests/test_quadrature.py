@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -60,3 +62,38 @@ def test_interval_cap_logs_a_warning(monkeypatch, caplog):
     (rec,) = caplog.records
     assert rec.levelname == "WARNING"
     assert "intervals still open (cap 4)" in rec.getMessage()
+
+
+def test_rows_of_a_vector_integrand_share_one_refinement():
+    def f(x):
+        return np.array([np.exp(-x * x), np.exp(-2.0 * np.abs(x)) * np.cos(3.0 * x),
+                         x ** 3 - 2.0 * x, np.zeros_like(x)])
+
+    calls = []
+    val = adaptive_simpson(lambda x: calls.append(x.size) or f(x), [-30.0, 0.0, 30.0],
+                           abs_tol=1e-13, rel_tol=1e-11)
+    assert val.shape == (4,)
+    exact = [np.sqrt(np.pi), 4.0 / 13.0, 0.0, 0.0]
+    np.testing.assert_allclose(val, exact, rtol=1e-11, atol=1e-12)
+    assert val[3] == 0.0
+    # one evaluation per level for all rows; a row alone still gives a float
+    assert len(calls) <= quadrature.MAX_LEVELS
+    assert isinstance(adaptive_simpson(lambda x: f(x)[0], [-30.0, 0.0, 30.0]), float)
+
+
+def test_small_jump_converges_without_the_valve(caplog):
+    # a jump is never accepted by the interval's own test; the global test
+    # stops once its error is small against the whole integral
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.exp(-x * x) + 1e-4 * (x > 0.3)
+
+    with caplog.at_level("WARNING", logger="nskwave.quadrature"):
+        val = adaptive_simpson(f, [-6.0, 6.0], abs_tol=1e-14, rel_tol=1e-8)
+    exact = np.sqrt(np.pi) * math.erf(6.0) + 1e-4 * 5.7
+    assert val == pytest.approx(exact, rel=1e-8)
+    assert not caplog.records
+    # 17 calls; refining the jump down to MAX_LEVELS would take 61
+    assert len(calls) < 30

@@ -225,3 +225,92 @@ def test_sweep_fitted_constants_stable(profile_sweep):
         assert seq.max() / seq.min() < 2.0
     # decay rate within a factor 3 of the strength scale
     assert all(0.5 <= r <= 3.0 for r in tail_ratio)
+
+
+# -- the analytic left tail --------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def profile_standard():
+    cfg = parse_config(CONFIGS / "standard.cfg")
+    return nw.solve_profile(cfg.build_pattern(), cfg.gas)
+
+
+@pytest.fixture(params=["standard", "std"])
+def tail_profile(request, profile_standard, profile_std):
+    return {"standard": profile_standard, "std": profile_std}[request.param]
+
+
+def relative_second_differences(f):
+    return np.max(np.abs(f[2:] - 2.0 * f[1:-1] + f[:-2]) / np.abs(f[1:-1]))
+
+
+def tail_window(prof, lo, hi):
+    """xi at spacing 0.01 where v - v_m runs from about lo to about hi (on the
+    standard pattern, xi in [-223, -190])."""
+    xi_lo, xi_hi = np.interp([lo, hi], prof.v - prof.v_m, prof.xi)
+    return np.arange(xi_lo, xi_hi, 0.01)
+
+
+def test_left_tail_is_as_smooth_as_its_exponential(tail_profile):
+    # where v - v_m is 1e-8 to 1e-7, the shot slope's absolute error made v'
+    # and v'' rough (relative second differences 3e-4 and 5e-3 on the
+    # standard pattern, against 4.7e-7 for exp(growth_rate xi))
+    xi = tail_window(tail_profile, 1e-8, 1e-7)
+    st = nw.eval_profile(tail_profile, xi)
+    exact = relative_second_differences(np.exp(tail_profile.growth_rate * xi))
+    for key in ("vx", "vxx", "vxxx"):
+        assert relative_second_differences(st[key]) < 2.0 * exact, key
+
+
+def test_switch_is_continuous(tail_profile):
+    xs = tail_profile.xi_switch
+    xi = xs + np.array([-1e-9, 0.0, 1e-9])
+    st = nw.eval_profile(tail_profile, xi)
+    v, vx = tail_profile.volume(xi)
+    # volume and eval_profile share one tail
+    assert np.array_equal(v, st["v"]) and np.array_equal(vx, st["vx"])
+    # measured jumps from the tail to the switch node: v' 7e-11 and 1.3e-10,
+    # v'' 5.4e-9, v''' 7.7e-8 and 3.2e-8 on the two patterns.  From the node
+    # on, v'' and v''' solve the residual equation, whose rounding there
+    # (2.7e-9 and 3.8e-8 against an accurate re-solve at v - v_m = 1e-6)
+    # is the jump: it moves v''' by 1.5e-8 over the next 1e-9 in xi.  That
+    # rounding falls like 1 / (v - v_m) while the expansion's error in v'''
+    # grows like (v - v_m)^2 (6e-8 at 1e-5), so no switch gap gives 1e-8.
+    for key, bound in (("vx", 1e-9), ("vxx", 2e-8), ("vxxx", 2e-7)):
+        assert abs(st[key][0] / st[key][1] - 1.0) < bound, key
+        assert abs(st[key][2] / st[key][1] - 1.0) < bound, key
+
+
+def test_tail_matches_an_accurate_resolve(tail_profile):
+    """The profile ODE solved in (v - v_m, v') with DOP853 at atol 1e-30 and
+    the Rankine-Hugoniot gap free of cancellation, from v - v_m = 1e-13 on
+    the linear manifold, shifted to reach the switch gap at xi_switch."""
+    prof = tail_profile
+    pat, model = prof.pattern, prof.model
+    a, b, g, s, v_m = model.alpha, model.beta, model.gamma, pat.sigma, pat.mid.v
+
+    def accel(dv, q):
+        v = v_m + dv
+        gap = s * s * dv + v_m ** -g * np.expm1(-g * np.log1p(dv / v_m))
+        return -v ** (5.0 + b) * gap - s * v ** (4.0 + b - a) * q + 0.5 * (5.0 + b) * q * q / v
+
+    def at_switch(_, y):
+        return y[0] - shockprofile.TAIL_SWITCH * pat.delta_S
+    at_switch.terminal = True
+
+    d_start = 1e-13
+    sol = shockprofile.solve_ivp(lambda _, y: [y[1], accel(y[0], y[1])], (0.0, 1e4),
+                                 [d_start, prof.growth_rate * d_start], method="DOP853",
+                                 rtol=1e-13, atol=1e-30, events=at_switch, dense_output=True)
+    shift = prof.xi_switch - sol.t_events[0][0]
+    xi = np.linspace(prof.xi_lo, prof.xi_switch, 2001)[:-1]
+    xi = xi[xi > shift]
+    dv_ref, q_ref = sol.sol(xi - shift)
+    tail, dv, _, _, _ = prof._tail(xi)
+    st = nw.eval_profile(prof, xi)
+    assert tail.all()
+    # measured: 5e-11, 1e-10 and 5e-10 on both patterns
+    assert np.max(np.abs(dv / dv_ref - 1.0)) < 1e-9
+    assert np.max(np.abs(st["vx"] / q_ref - 1.0)) < 1e-9
+    assert np.max(np.abs(st["vxx"] / accel(dv_ref, q_ref) - 1.0)) < 5e-9
