@@ -177,7 +177,7 @@ def _suite_profile(config, rng):
         return
     profile = solve_profile(pattern, config.gas)
     assert profile.self_residual() < 1e-8, "profile residual too large"
-    assert abs(float(profile._spline(0.0)) - 0.5 * (profile.v_m + profile.v_plus)) < 1e-10
+    assert abs(float(profile.volume(0.0)[0]) - 0.5 * (profile.v_m + profile.v_plus)) < 1e-10
 
 
 def _suite_forcing_cancellation(config, rng):

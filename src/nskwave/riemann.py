@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import thermo
 from .errors import DomainError, PatternError
@@ -168,8 +167,8 @@ def solve_intermediate_state(left: EndState, right: EndState, model: GasModel,
     """Find the unique intermediate state joining ``left`` and ``right``.
 
     Root of g(v) := z1(v, hugoniot_u(v)) - z1(left) in (0, v_plus]: the
-    bracket's left end is halved until g > 0, and Brent's method solves
-    on the bracket.
+    bracket's left end is halved until g > 0, and bisection solves on the
+    bracket.
     """
     z1_left = float(thermo.riemann_invariant_z1(left.v, left.u, model))
     vp = right.v
@@ -193,7 +192,15 @@ def solve_intermediate_state(left: EndState, right: EndState, model: GasModel,
             if lo < 1e-6 * vp:
                 raise PatternError("pattern not R1-S2: no bracketing root above vacuum")
             g_lo = g(lo)
-        v_root = brentq(g, lo, vp, xtol=1e-15 * vp, rtol=4.0 * np.finfo(float).eps)
+        # bisection to the tolerance of scipy's brentq at xtol = 1e-15 v_plus
+        hi = vp
+        while hi - lo > 1e-15 * vp + 4.0 * np.finfo(float).eps * hi:
+            mid = 0.5 * (lo + hi)
+            if g(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        v_root = 0.5 * (lo + hi)
         if abs(g(v_root)) > 1e-11 * scale:
             raise PatternError("intermediate-state solve did not converge")
 

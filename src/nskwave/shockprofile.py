@@ -4,10 +4,12 @@ The profile solves the momentum equation integrated once from the left
 far field, with the mass equation eliminating velocity (u' = -sigma v').
 In the (v, v') phase plane the left end state is a saddle and the right
 end state a stable node for weak shocks; the profile is the saddle's
-unstable manifold.  We shoot from a point on that manifold with a
-high-order adaptive integrator, translate so the midpoint volume sits at
-xi = 0, and extend the right tail with the linearized node flow, so that
-both table ends reach the far-field states to 1e-12.
+unstable manifold.  We shoot from a point on that manifold with an
+adaptive Dormand-Prince 5(4) integrator (``_shoot``), tabulate its dense
+output, translate so the midpoint volume sits at xi = 0, and extend the
+right tail with the linearized node flow, so that both table ends reach
+the far-field states to 1e-12.  ``volume`` interpolates the table with
+cubic Hermite polynomials.
 
 The left tail, where v - v_m is below ``TAIL_SWITCH`` times the shock
 strength, is analytic.  There the shooting's absolute error (about
@@ -23,11 +25,10 @@ agree there to O(dv^2) and the rounding of the residual equation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline
 
 from . import thermo
 from .errors import DomainError, MonotonicityError, ProfileError
@@ -36,7 +37,7 @@ from .thermo import GasModel
 
 #: both table ends reach their far-field value to this tolerance
 TAIL_CUT = 1e-12
-#: relative and absolute tolerances of the RK45 shooting
+#: relative and absolute tolerances of the Dormand-Prince shooting
 RTOL = 1e-11
 ATOL = 1e-13
 #: largest self-check residual solve_profile accepts
@@ -53,7 +54,7 @@ def _rankine_hugoniot_gap(v, pattern: WavePattern, model: GasModel):
     The pressure is evaluated with ``np.power``, the ufunc that
     ``thermo.pressure`` uses, but without its validation: the callers own
     the volume check.  A scalar ``v`` goes through the same ufunc loop as
-    an array, so the RK45 right-hand side and the tabulated stack agree
+    an array, so the shot's right-hand side and the tabulated stack agree
     to the bit (plain ``**`` on a float may differ by one ulp).
     """
     v_m = pattern.mid.v
@@ -140,6 +141,178 @@ def _manifold_gap(xi, xi0, dv0, lam, c2):
     return dv0 * e / (1.0 + (c2 / lam) * dv0 * (1.0 - e))
 
 
+def _rhs(v, q, pattern: WavePattern, model: GasModel):
+    """(v', v'') of the shot at (v, v') = (v, q), on plain floats."""
+    # scalar check: thermo's array validation would cost more than the closure
+    if not thermo.VOLUME_FLOOR < v < np.inf:
+        raise DomainError(f"profile solve left the volume domain (v = {v!r})")
+    return q, float(_accel(v, q, pattern, model))
+
+
+# Dormand-Prince 5(4), the coefficients of scipy's RK45: stage coefficients,
+# the fifth-order weights and the error weights (both without stage 2, whose
+# weight is 0; the error's last is stage 7's, the slope at the step's end),
+# and Shampine's quartic dense output, row s for stage s + 1
+_A2 = 1 / 5
+_A3 = (3 / 40, 9 / 40)
+_A4 = (44 / 45, -56 / 15, 32 / 9)
+_A5 = (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)
+_A6 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)
+_B = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+
+
+def _rms(a, b):
+    return math.sqrt(0.5 * (a * a + b * b))
+
+
+def _crossing(t0, h, y0, k, level, sign):
+    """xi in the step [t0, t0 + h] where sign * (y - level) rises through 0.
+
+    y is one component of the step's dense output, with starting value
+    ``y0`` and stages ``k``; bisection narrows the bracket to about 4 eps
+    relative, the tolerance scipy's event location uses.
+    """
+    c = [sum(ks * p for ks, p in zip(k, row)) for row in _P.T.tolist()]
+
+    def g(t):
+        x = (t - t0) / h
+        return sign * (y0 + h * x * (c[0] + x * (c[1] + x * (c[2] + x * c[3]))) - level)
+
+    lo, hi = t0, t0 + h
+    while hi - lo > 4.0 * np.finfo(float).eps * (1.0 + abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _shoot(y0, span, v_mid, v_stop, pattern: WavePattern, model: GasModel):
+    """Integrate (v, v')' = ``_rhs`` from xi = 0 until v rises to ``v_stop``.
+
+    Dormand-Prince 5(4) with local extrapolation, with the step control of
+    scipy's RK45 at ``RTOL``/``ATOL``: Hairer's initial step, the RMS error
+    scaled by max(|y|, |y_new|), safety 0.9 and step factors in [0.2, 10].
+    Returns xi_mid, where v first rises through ``v_mid``; xi_end, where it
+    reaches ``v_stop``; and, per accepted step, its start (n,), size (n,),
+    starting (v, v') (n, 2) and seven stages of each component (n, 2, 7),
+    the last being the slope at the step's end.  A slope that turns
+    negative first raises ``MonotonicityError``, a span passed first
+    ``ProfileError``.
+    """
+    v, q = y0
+    span = float(span)
+    fv, fq = _rhs(v, q, pattern, model)
+    # initial step of Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4,
+    # for the error estimator's order 4
+    sv, sq = ATOL + abs(v) * RTOL, ATOL + abs(q) * RTOL
+    d0, d1 = _rms(v / sv, q / sq), _rms(fv / sv, fq / sq)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    gv, gq = _rhs(v + h0 * fv, q + h0 * fq, pattern, model)
+    d2 = _rms((gv - fv) / sv, (gq - fq) / sq) / h0
+    h1 = (max(1e-6, 1e-3 * h0) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** 0.2)
+    h_abs = min(100.0 * h0, h1, span)
+
+    t, xi_mid = 0.0, None
+    starts, sizes, states, stages = [], [], [], []
+    while True:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise ProfileError(f"profile solve failed: step size fell below {min_step:.3g} "
+                                   f"at xi = {t:.6g}")
+            t_new = min(t + h_abs, span)
+            h = t_new - t
+            h_abs = h
+            k2v, k2q = _rhs(v + h * (_A2 * fv), q + h * (_A2 * fq), pattern, model)
+            a = _A3
+            k3v, k3q = _rhs(v + h * (a[0] * fv + a[1] * k2v),
+                            q + h * (a[0] * fq + a[1] * k2q), pattern, model)
+            a = _A4
+            k4v, k4q = _rhs(v + h * (a[0] * fv + a[1] * k2v + a[2] * k3v),
+                            q + h * (a[0] * fq + a[1] * k2q + a[2] * k3q), pattern, model)
+            a = _A5
+            k5v, k5q = _rhs(v + h * (a[0] * fv + a[1] * k2v + a[2] * k3v + a[3] * k4v),
+                            q + h * (a[0] * fq + a[1] * k2q + a[2] * k3q + a[3] * k4q),
+                            pattern, model)
+            a = _A6
+            k6v, k6q = _rhs(
+                v + h * (a[0] * fv + a[1] * k2v + a[2] * k3v + a[3] * k4v + a[4] * k5v),
+                q + h * (a[0] * fq + a[1] * k2q + a[2] * k3q + a[3] * k4q + a[4] * k5q),
+                pattern, model)
+            b = _B
+            v_new = v + h * (b[0] * fv + b[1] * k3v + b[2] * k4v + b[3] * k5v + b[4] * k6v)
+            q_new = q + h * (b[0] * fq + b[1] * k3q + b[2] * k4q + b[3] * k5q + b[4] * k6q)
+            k7v, k7q = _rhs(v_new, q_new, pattern, model)
+            e = _E
+            err_v = h * (e[0] * fv + e[1] * k3v + e[2] * k4v + e[3] * k5v + e[4] * k6v
+                         + e[5] * k7v)
+            err_q = h * (e[0] * fq + e[1] * k3q + e[2] * k4q + e[3] * k5q + e[4] * k6q
+                         + e[5] * k7q)
+            err = _rms(err_v / (ATOL + max(abs(v), abs(v_new)) * RTOL),
+                       err_q / (ATOL + max(abs(q), abs(q_new)) * RTOL))
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+
+        kv = (fv, k2v, k3v, k4v, k5v, k6v, k7v)
+        kq = (fq, k2q, k3q, k4q, k5q, k6q, k7q)
+        starts.append(t)
+        sizes.append(h)
+        states.append((v, q))
+        stages.append((kv, kq))
+        if xi_mid is None and v <= v_mid <= v_new:
+            xi_mid = _crossing(t, h, v, kv, v_mid, 1.0)
+        xi_end = _crossing(t, h, v, kv, v_stop, 1.0) if v <= v_stop <= v_new else None
+        if q_new <= 0.0 <= q and (xi_end is None or _crossing(t, h, q, kq, 0.0, -1.0) < xi_end):
+            raise MonotonicityError("monotonicity violated: profile slope crossed zero before arrival")
+        if xi_end is not None:
+            return (xi_mid, xi_end, np.array(starts), np.array(sizes), np.array(states),
+                    np.array(stages))
+        if t_new == span:
+            raise ProfileError(
+                f"profile solve failed: right state not reached within span {span:.1f} "
+                f"(final v = {v_new:.6g}, bracket [{pattern.mid.v:.6g}, {v_stop:.6g}])")
+        t, v, q, fv, fq = t_new, v_new, q_new, k7v, k7q
+
+
+def _dense(starts, sizes, states, stages, step, xi):
+    """(v, v') at ``xi`` from the dense output of accepted step ``step``."""
+    h = sizes[step]
+    x = (xi - starts[step]) / h
+    powers = x[:, None] ** np.arange(1, 5)
+    Q = stages[step] @ _P
+    y = states[step] + h[:, None] * (Q @ powers[:, :, None])[:, :, 0]
+    return y[:, 0], y[:, 1]
+
+
+def _hermite(x, y, dy):
+    """Coefficients (c3, c2, c1, c0), each per interval, of the cubic Hermite
+    interpolant of (y, dy) at the knots x; on [x_i, x_i+1] it is
+    ((c3 s + c2) s + c1) s + c0 with s = xi - x_i."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    t = (dy[:-1] + dy[1:] - 2.0 * slope) / dx
+    return np.stack([t / dx, (slope - dy[:-1]) / dx - t, dy[:-1], y[:-1]])
+
+
 @dataclass
 class ShockProfile:
     """Tabulated monotone traveling wave with derivatives and tail metadata."""
@@ -160,10 +333,11 @@ class ShockProfile:
     pattern: WavePattern = field(repr=False)
 
     def __post_init__(self):
-        self._spline = CubicHermiteSpline(self.xi, self.v, self.vp)
-        # v' interpolates the tabulated (v', v''): it is C^1, so the stack's
+        # coefficients (4, 2, n - 1) of the cubic Hermite interpolants of the
+        # tabulated (v, v') and (v', v''): v' is C^1, so the stack's
         # derivatives have no kinks at the knots
-        self._dspline = CubicHermiteSpline(self.xi, self.vp, self.vpp)
+        self._cubics = np.stack([_hermite(self.xi, self.v, self.vp),
+                                 _hermite(self.xi, self.vp, self.vpp)], axis=1)
 
     @property
     def xi_lo(self) -> float:
@@ -185,18 +359,22 @@ class ShockProfile:
     def volume(self, xi):
         """v and v' at arbitrary xi (end-state constants beyond the table).
 
-        From ``xi_switch`` on, v and v' are the splines of the tabulated
-        (v, v') and (v', v'').  In the analytic left tail, below
-        ``xi_switch``, they are v_m + dv and q(dv), and no spline is
-        evaluated.
+        From ``xi_switch`` on, v and v' are the cubic Hermite interpolants
+        of the tabulated (v, v') and (v', v''), on the table interval found
+        once for both.  In the analytic left tail, below ``xi_switch``, they
+        are v_m + dv and q(dv), and no interpolant is evaluated.
         """
         xi = np.asarray(xi, dtype=float)
         body = (xi >= self.xi_switch) & (xi <= self.xi[-1])
         tail, dv, q, _, _ = self._tail(xi)
         v = np.where(xi < self.xi_switch, self.v_m, self.v_plus)
         vp = np.zeros_like(v)
-        v[body] = self._spline(xi[body])
-        vp[body] = self._dspline(xi[body])
+        s = xi[body]
+        i = np.searchsorted(self.xi, s, side="right") - 1
+        np.minimum(i, len(self.xi) - 2, out=i)
+        s -= self.xi[i]
+        c = self._cubics.take(i, axis=2)
+        v[body], vp[body] = ((c[0] * s + c[1]) * s + c[2]) * s + c[3]
         v[tail] = self.v_m + dv
         vp[tail] = q
         return v, vp
@@ -244,55 +422,29 @@ def solve_profile(pattern: WavePattern, model: GasModel) -> ShockProfile:
 
     # shoot from the switch on the manifold; left of it the tail is analytic
     d0 = TAIL_SWITCH * delta_S
-    y0 = np.array([v_m + d0, _manifold(d0, lam_plus, c2)[0]])
+    y0 = (v_m + d0, float(_manifold(d0, lam_plus, c2)[0]))
     # stop while the slope is still far above the integrator noise floor,
     # then close the last stretch with the linearized node flow
     gap_stop = max(TAIL_CUT, 1000.0 * ATOL)
     span = 3.0 * (np.log((v_p - v_m) / d0) / lam_plus
                   + np.log((v_p - v_m) / TAIL_CUT) / abs(nu_slow)) + 100.0
 
-    def rhs(_, y):
-        # scalar check: thermo's array validation would cost more than the closure
-        v, q = float(y[0]), float(y[1])
-        if not thermo.VOLUME_FLOOR < v < np.inf:
-            raise DomainError(f"profile solve left the volume domain (v = {v!r})")
-        return [q, float(_accel(v, q, pattern, model))]
+    xi_mid, xi_end, starts, sizes, states, stages = _shoot(
+        y0, span, 0.5 * (v_m + v_p), v_p - gap_stop, pattern, model)
 
-    def ev_mid(_, y):
-        return y[0] - 0.5 * (v_m + v_p)
-    ev_mid.direction = 1.0
-
-    def ev_arrive(_, y):
-        return y[0] - (v_p - gap_stop)
-    ev_arrive.terminal = True
-    ev_arrive.direction = 1.0
-
-    def ev_turn(_, y):
-        return y[1]
-    ev_turn.terminal = True
-    ev_turn.direction = -1.0
-
-    sol = solve_ivp(rhs, (0.0, span), y0, method="RK45", rtol=RTOL, atol=ATOL,
-                    events=(ev_mid, ev_arrive, ev_turn), dense_output=True)
-    if sol.t_events[2].size:
-        raise MonotonicityError("monotonicity violated: profile slope crossed zero before arrival")
-    if not sol.t_events[1].size:
-        raise ProfileError(
-            f"profile solve failed: right state not reached within span {span:.1f} "
-            f"(final v = {sol.y[0, -1]:.6g}, bracket [{v_m:.6g}, {v_p:.6g}])")
-    xi_mid = float(sol.t_events[0][0])
-    xi_end = float(sol.t_events[1][0])
-
+    # the table: each step, the last one cut at the arrival, in equal pieces
+    # no longer than h (the points of np.linspace, to the bit)
     h = min(0.1, 0.01 / delta_S)
-    knots = sol.t[(sol.t > 0.0) & (sol.t < xi_end)]
-    base = np.concatenate([[0.0], knots, [xi_end]])
-    pieces = [np.array([0.0])]
-    for aL, aR in zip(base[:-1], base[1:]):
-        k = max(1, int(np.ceil((aR - aL) / h)))
-        pieces.append(np.linspace(aL, aR, k + 1)[1:])
-    grid = np.concatenate(pieces)
-    vq = sol.sol(grid)
-    v, q = vq[0], vq[1]
+    base = np.append(starts, xi_end)
+    width = np.diff(base)
+    pieces = np.maximum(1, np.ceil(width / h).astype(int))
+    ends = np.cumsum(pieces)
+    step = np.repeat(np.arange(len(pieces)), pieces)
+    j = np.arange(1, ends[-1] + 1) - (ends - pieces)[step]    # 1 .. pieces within a step
+    grid = base[step] + j * (width / pieces)[step]
+    grid[ends - 1] = base[1:]
+    grid = np.append(0.0, grid)
+    v, q = _dense(starts, sizes, states, stages, np.append(0, step), grid)
     xi = grid - xi_mid
 
     # tabulate the analytic left tail and extend the right one with the
@@ -332,7 +484,7 @@ def solve_profile(pattern: WavePattern, model: GasModel) -> ShockProfile:
                         growth_rate=float(lam_plus), manifold_c2=float(c2),
                         xi_switch=xi_switch, model=model, pattern=pattern)
 
-    if abs(float(prof._spline(0.0)) - 0.5 * (v_m + v_p)) > 1e-10:
+    if abs(float(prof.volume(0.0)[0]) - 0.5 * (v_m + v_p)) > 1e-10:
         raise ProfileError("profile normalization failed: midpoint not at xi = 0")
     if abs(v[0] - v_m) > 1e-10 or abs(v[-1] - v_p) > 1e-10:
         raise ProfileError("profile tails did not reach the far-field states")

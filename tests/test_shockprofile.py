@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import nskwave as nw
 from nskwave import shockprofile, thermo
@@ -40,16 +41,12 @@ def validated_gap(v, pattern, model):
 def solve_profile_validated(pattern, model, monkeypatch):
     """solve_profile with the right-hand side fed numpy scalars and the
     validated gap: the reference for the scalar right-hand side."""
-    solve_ivp = shockprofile.solve_ivp
-
-    def reference_ivp(fun, *args, **kwargs):
-        def rhs(_, y):
-            return [y[1], float(shockprofile._accel(y[0], y[1], pattern, model))]
-        return solve_ivp(rhs, *args, **kwargs)
+    def reference_rhs(v, q, pattern, model):
+        return q, float(shockprofile._accel(np.float64(v), np.float64(q), pattern, model))
 
     with monkeypatch.context() as m:
         m.setattr(shockprofile, "_rankine_hugoniot_gap", validated_gap)
-        m.setattr(shockprofile, "solve_ivp", reference_ivp)
+        m.setattr(shockprofile, "_rhs", reference_rhs)
         return nw.solve_profile(pattern, model)
 
 
@@ -67,25 +64,87 @@ def test_profile_table_matches_validated_rhs(name, monkeypatch):
     assert all(np.array_equal(st[key], st_ref[key]) for key in st_ref)
 
 
-def test_profile_rhs_rejects_volumes_outside_the_domain(pattern_std, model14, monkeypatch):
-    captured = []
-
-    class Captured(Exception):
-        pass
-
-    def capture(fun, *args, **kwargs):
-        captured.append(fun)
-        raise Captured
-
-    monkeypatch.setattr(shockprofile, "solve_ivp", capture)
-    with pytest.raises(Captured):
-        nw.solve_profile(pattern_std, model14)
-    (rhs,) = captured
+def test_profile_rhs_rejects_volumes_outside_the_domain(pattern_std, model14):
     v_m = pattern_std.mid.v
-    assert rhs(0.0, np.array([v_m, 0.0]))[1] == pytest.approx(0.0, abs=1e-15)
+    assert shockprofile._rhs(v_m, 0.0, pattern_std, model14)[1] == pytest.approx(0.0, abs=1e-15)
     for v in (0.0, np.nan, np.inf, -1.0, 0.5 * thermo.VOLUME_FLOOR):
         with pytest.raises(nw.DomainError):
-            rhs(0.0, np.array([v, 1e-3]))
+            shockprofile._rhs(float(v), 1e-3, pattern_std, model14)
+
+
+def shoot_and_reference(name, monkeypatch):
+    """The profile of a config, the arguments and result of its shot, and
+    scipy's RK45 on the same right-hand side, tolerances and events."""
+    cfg = parse_config(CONFIGS / f"{name}.cfg")
+    shot, shoot = {}, shockprofile._shoot
+
+    def recording_shoot(*args):
+        shot["args"], shot["result"] = args, shoot(*args)
+        return shot["result"]
+
+    monkeypatch.setattr(shockprofile, "_shoot", recording_shoot)
+    prof = nw.solve_profile(cfg.build_pattern(), cfg.gas)
+    y0, span, v_mid, v_stop, pattern, model = shot["args"]
+
+    def ev_mid(_, y):
+        return y[0] - v_mid
+    ev_mid.direction = 1.0
+
+    def ev_arrive(_, y):
+        return y[0] - v_stop
+    ev_arrive.terminal = True
+    ev_arrive.direction = 1.0
+
+    def ev_turn(_, y):
+        return y[1]
+    ev_turn.terminal = True
+    ev_turn.direction = -1.0
+
+    ref = solve_ivp(lambda _, y: shockprofile._rhs(float(y[0]), float(y[1]), pattern, model),
+                    (0.0, span), y0, method="RK45", rtol=shockprofile.RTOL,
+                    atol=shockprofile.ATOL, events=(ev_mid, ev_arrive, ev_turn),
+                    dense_output=True)
+    return prof, shot["args"], shot["result"], ref
+
+
+@pytest.mark.parametrize("name", ["standard", "smoke"])
+def test_shot_matches_scipy_rk45(name, monkeypatch):
+    prof, (_, _, v_mid, v_stop, _, _), shot, ref = shoot_and_reference(name, monkeypatch)
+    xi_mid, xi_end, starts = shot[:3]
+    assert ref.status == 1 and ref.t_events[2].size == 0
+    # The two shots round differently (scipy sums the stages with BLAS), so
+    # their step sizes part from the third step on.  Measured: 832 and 666
+    # steps on both sides.
+    assert abs(len(starts) - (len(ref.t) - 1)) <= 3
+    # Near the saddle a rounding difference in the state is a shift along
+    # the orbit: xi_mid differs by 4.2e-9 and 3.4e-10, while both are 2.0e-6
+    # and 7.4e-7 from a DOP853 solve at rtol 1e-13.
+    assert abs(xi_mid - ref.t_events[0][0]) < 1e-8
+    # The arrival, where v' is about 1e-11, turns a v difference of 1e-14
+    # into 1e-3 in xi (xi_end differs by 3.0e-4 and 7.0e-4), so it is
+    # compared in v: scipy's solution at this shot's arrival and midpoint
+    # (measured 2.3e-15 and 1.2e-14; 3.9e-12 and 1.3e-12, the shift above).
+    assert abs(ref.sol(xi_end)[0] - v_stop) < 1e-13
+    assert abs(ref.sol(xi_mid)[0] - v_mid) < 1e-11
+    # the shot's table against scipy's dense output, each at its own
+    # midpoint: measured 2.8e-14 and 1.5e-13 in v, 3.2e-14 and 1.6e-13 in v'
+    body = (prof.xi >= prof.xi_switch) & (prof.xi <= xi_end - xi_mid)
+    v_ref, vp_ref = ref.sol(prof.xi[body] + ref.t_events[0][0])
+    assert np.max(np.abs(prof.v[body] - v_ref)) < 5e-13
+    assert np.max(np.abs(prof.vp[body] - vp_ref)) < 5e-13
+
+
+def test_shot_raises_when_the_slope_turns_negative(pattern_std, model14, monkeypatch):
+    monkeypatch.setattr(shockprofile, "_accel", lambda v, q, pattern, model: -1e-3)
+    with pytest.raises(nw.MonotonicityError, match="slope crossed zero"):
+        nw.solve_profile(pattern_std, model14)
+
+
+def test_shot_raises_when_the_span_ends_before_arrival(pattern_std, model14, monkeypatch):
+    # v' stays at its small starting value, so v creeps up linearly
+    monkeypatch.setattr(shockprofile, "_accel", lambda v, q, pattern, model: 0.0)
+    with pytest.raises(nw.ProfileError, match="not reached within span"):
+        nw.solve_profile(pattern_std, model14)
 
 
 def test_residual_vanishes_at_end_states(pattern_std, model14):
@@ -300,9 +359,9 @@ def test_tail_matches_an_accurate_resolve(tail_profile):
     at_switch.terminal = True
 
     d_start = 1e-13
-    sol = shockprofile.solve_ivp(lambda _, y: [y[1], accel(y[0], y[1])], (0.0, 1e4),
-                                 [d_start, prof.growth_rate * d_start], method="DOP853",
-                                 rtol=1e-13, atol=1e-30, events=at_switch, dense_output=True)
+    sol = solve_ivp(lambda _, y: [y[1], accel(y[0], y[1])], (0.0, 1e4),
+                    [d_start, prof.growth_rate * d_start], method="DOP853",
+                    rtol=1e-13, atol=1e-30, events=at_switch, dense_output=True)
     shift = prof.xi_switch - sol.t_events[0][0]
     xi = np.linspace(prof.xi_lo, prof.xi_switch, 2001)[:-1]
     xi = xi[xi > shift]
