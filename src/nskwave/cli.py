@@ -99,7 +99,7 @@ def _cmd_interactions(config: RunConfig, out_dir: Path, seed: int) -> int:
     pattern = config.build_pattern()
     composite = solver.build_composite(pattern, config.gas)
     times = np.linspace(0.0, config.scheme.t_end, 9)
-    results = [composite.interaction_norms(t) for t in times]
+    results = composite.interaction_norms(times)
     rows = [[t, *rec.values()] for t, rec in zip(times.tolist(), results)]
     write_csv(out_dir / "interactions.csv", ["t", *results[0]], rows)
     return EXIT_OK

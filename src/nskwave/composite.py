@@ -233,32 +233,41 @@ class CompositeWave:
             out.append(aR)
         return np.unique(np.asarray(out))
 
-    def interaction_norms(self, t) -> dict:
+    def interaction_norms(self, times) -> list[dict]:
         """Norms of the wave-overlap products and of the forcing terms at
-        time ``t``, with the shock unshifted (X = 0).
+        each of ``times``, with the shock unshifted (X = 0); one dict per
+        time.
 
         The auxiliary forcing is linear in the shift rate; its norm is
-        given per unit rate.  All seven come from one adaptive quadrature
-        whose integrand evaluates the fan and the shock stack once per
-        point, to ``NORM_REL_TOL`` of each integral or, for an integral
-        below the square of ``NORM_FLOOR``, of that square.
+        given per unit rate.  All seven at one time come from one adaptive
+        quadrature whose integrand evaluates the fan and the shock stack
+        once per point, to ``NORM_REL_TOL`` of each integral or, for an
+        integral below the square of ``NORM_FLOOR``, of that square.  The
+        quadratures of all times refine in lockstep: each level makes one
+        integrand call on the points of every time still open.
         """
         keys = [f"{name}_L{p}" for name, p in NORMS]
+        times = np.asarray(times, dtype=float)
         if not (self.pattern.has_shock and self.pattern.has_rarefaction):
-            return dict.fromkeys(keys, 0.0)
+            return [dict.fromkeys(keys, 0.0) for _ in times]
         pattern, model, v_m = self.pattern, self.model, self.pattern.mid.v
 
-        def integrand(x):
-            rs, ss = self.part_stacks(t, x, 0.0, order=3)
-            terms = {"vSx_vR": ss["vx"] * (rs["v"] - v_m),
+        def integrand(x, domain):
+            rs, ss = self.part_stacks(times[domain], x, 0.0, order=3)
+            # the forcings first: their temporaries are the largest
+            terms = {"Q1I": _interaction_forcing(pattern, rs, ss, model),
+                     "Q2": _aux_forcing_per_rate(pattern, rs, ss, model),
+                     "vSx_vR": ss["vx"] * (rs["v"] - v_m),
                      "vRx_vSx": rs["vx"] * ss["vx"],
-                     "vRx_vS": rs["vx"] * (ss["v"] - v_m),
-                     "Q1I": _interaction_forcing(pattern, rs, ss, model),
-                     "Q2": _aux_forcing_per_rate(pattern, rs, ss, model)}
-            return np.array([np.abs(terms[name]) ** p for name, p in NORMS])
+                     "vRx_vS": rs["vx"] * (ss["v"] - v_m)}
+            rows = np.empty((len(NORMS), x.size))
+            for row, (name, p) in zip(rows, NORMS):
+                np.abs(terms[name], out=row)
+                row **= p
+            return rows
 
         # the integral of a squared norm at the floor, to the relative tolerance
-        vals = adaptive_simpson(integrand, self._breakpoints(t),
+        vals = adaptive_simpson(integrand, [self._breakpoints(t) for t in times],
                                 abs_tol=NORM_REL_TOL * NORM_FLOOR ** 2, rel_tol=NORM_REL_TOL)
-        return {key: max(float(val), 0.0) ** (1.0 / p)
-                for key, val, (_, p) in zip(keys, vals, NORMS)}
+        return [{key: max(float(val), 0.0) ** (1.0 / p)
+                 for key, val, (_, p) in zip(keys, row, NORMS)} for row in vals]

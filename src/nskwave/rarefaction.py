@@ -24,6 +24,21 @@ from .thermo import GasModel
 X0_WINDOW = 25.0
 
 
+def _time_offsets(t, x):
+    """``t`` as a float, or as an array of the shape of ``x`` when it holds
+    one value per point; raises ``DomainError`` unless every value is
+    finite and nonnegative."""
+    if np.ndim(t) == 0:
+        t = float(t)
+        if not 0.0 <= t < np.inf:
+            raise DomainError("time must be finite and nonnegative")
+        return t
+    t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0.0) & (t < np.inf)):
+        raise DomainError("time must be finite and nonnegative")
+    return np.broadcast_to(t, np.shape(x))
+
+
 class RarefactionWave:
     """Smooth expansion fan joining the left and intermediate states."""
 
@@ -62,7 +77,8 @@ class RarefactionWave:
     def burgers_state(self, tau, x):
         """Invert x = x0 + w0(x0) tau; returns (speed, foot point).
 
-        The map is a strictly monotone perturbation of the identity
+        ``tau`` is one time offset or an array of them, one per point of
+        ``x``.  The map is a strictly monotone perturbation of the identity
         (1 + w0' tau >= 1), so a bracketed Newton iteration always
         converges.  Each point is frozen at the first iterate whose
         residual meets the tolerance, and only the live points iterate
@@ -72,8 +88,7 @@ class RarefactionWave:
         bisection while the rest of the array waits.
         """
         x = np.asarray(x, dtype=float)
-        if not np.isfinite(tau) or tau < 0.0:
-            raise DomainError("time must be finite and nonnegative")
+        tau = _time_offsets(tau, x)
         if not np.all(np.isfinite(x)):
             raise DomainError("position must be finite")
         if self.degenerate or self.half_width == 0.0:
@@ -81,6 +96,9 @@ class RarefactionWave:
             return np.full_like(x0, self.w_m), x0
 
         xs = x.ravel()
+        per_point = np.ndim(tau) > 0
+        if per_point:
+            tau = tau.ravel()
         foot = np.empty_like(xs)
         live = np.arange(xs.size)
         lo = xs - self.w_m * tau - 1.0
@@ -99,6 +117,8 @@ class RarefactionWave:
                 break
             live, xs, x0, T, res = live[keep], xs[keep], x0[keep], T[keep], res[keep]
             lo, hi, dxold, tol = lo[keep], hi[keep], dxold[keep], tol[keep]
+            if per_point:
+                tau = tau[keep]
             hi = np.where(res > 0.0, x0, hi)
             lo = np.where(res > 0.0, lo, x0)
             slope = 1.0 + self.half_width * (1.0 - T * T) * tau
@@ -177,6 +197,9 @@ class RarefactionWave:
     def eval(self, t, x, order: int = 1) -> dict:
         """Fan fields at physical time t with x-derivatives up to ``order`` (0..4).
 
+        ``t`` is one time or an array of them, one per point of ``x``; each
+        point gets the values a call at its own time would give.
+
         At order 0 only the nodes inside ``support(t, X0_WINDOW)`` go
         through the characteristic solve; the rest get the end states.
         This is exact, not an approximation: left of the window the foot
@@ -188,9 +211,8 @@ class RarefactionWave:
         """
         if not 0 <= order <= 4:
             raise DomainError(f"unsupported derivative order {order}")
-        if t < 0.0:
-            raise DomainError("time must be nonnegative")
         x = np.asarray(x, dtype=float)
+        t = _time_offsets(t, x)
         tau = 1.0 + t
         if self.degenerate:
             zeros = np.zeros_like(x)
@@ -211,8 +233,9 @@ class RarefactionWave:
         v = np.where(left, self.v_minus, self.v_m)
         u = np.where(left, self.u_minus, self.u_m)
         if inside.any():
-            _, x0 = self.burgers_state(tau, x[inside])
-            fan = self._stack_from_x0(tau, x0, 0)
+            tau_in = tau[inside] if np.ndim(tau) else tau
+            _, x0 = self.burgers_state(tau_in, x[inside])
+            fan = self._stack_from_x0(tau_in, x0, 0)
             v[inside] = fan["v"]
             u[inside] = fan["u"]
         return {"v": v, "u": u}
@@ -224,8 +247,9 @@ class RarefactionWave:
         tau = 1.0 + t
         return self.w_minus * tau - pad, self.w_m * tau + pad
 
-    def _magnitude_on_x0(self, tau, x0, order, field):
-        st = self._stack_from_x0(tau, x0, order)
+    @staticmethod
+    def _magnitude(st, order, field):
+        """|u| or |(v, u)| of the order-``order`` x-derivative in stack ``st``."""
         key = ["x", "xx", "xxx", "xxxx"][order - 1]
         if field == "u":
             return np.abs(st["u" + key])
@@ -239,32 +263,34 @@ class RarefactionWave:
         pair.  Finite-p integrals run in foot-point coordinates with
         the exact jacobian 1 + w0' tau, which keeps the integration window
         fixed for all times; the discarded tails are below 1e-20 by the
-        tanh envelope.
+        tanh envelope.  The integrals of all ``orders`` refine in lockstep,
+        one stack evaluation per level.
         """
         if field not in ("u", "pair"):
             raise DomainError(f"unknown field {field!r}")
         if t < 0.0:
             raise DomainError("time must be nonnegative")
-        tau = 1.0 + t
-        out = {}
+        orders = tuple(orders)
         if self.degenerate:
             return {j: 0.0 for j in orders}
+        if not all(1 <= j <= 4 for j in orders):
+            raise DomainError(f"unsupported derivative order in {orders}")
+        if not (p >= 1 or np.isinf(p)):
+            raise DomainError("Lebesgue exponent must be >= 1 or inf")
+        if not orders:
+            return {}
+        tau = 1.0 + t
+        top = max(orders)
+        if np.isinf(p):
+            st = self._stack_from_x0(tau, np.linspace(-X0_WINDOW, X0_WINDOW, 8001), top)
+            return {j: float(np.max(self._magnitude(st, j, field))) for j in orders}
+
+        def integrand(x0, domain):
+            st = self._stack_from_x0(tau, x0, top)
+            mag = np.choose(domain, [self._magnitude(st, j, field) for j in orders])
+            jac = 1.0 + self._w0_derivatives(x0)[2] * tau
+            return mag ** p * jac
+
         breaks = [-X0_WINDOW, -12.0, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0, 12.0, X0_WINDOW]
-        for j in orders:
-            if not 1 <= j <= 4:
-                raise DomainError(f"unsupported derivative order {j}")
-            if np.isinf(p):
-                x0 = np.linspace(-X0_WINDOW, X0_WINDOW, 8001)
-                out[j] = float(np.max(self._magnitude_on_x0(tau, x0, j, field)))
-            else:
-                if not p >= 1:
-                    raise DomainError("Lebesgue exponent must be >= 1 or inf")
-
-                def integrand(x0, j=j):
-                    mag = self._magnitude_on_x0(tau, x0, j, field)
-                    jac = 1.0 + self._w0_derivatives(x0)[2] * tau
-                    return mag ** p * jac
-
-                val = adaptive_simpson(integrand, breaks, abs_tol=1e-14, rel_tol=1e-10)
-                out[j] = float(max(val, 0.0) ** (1.0 / p))
-        return out
+        vals = adaptive_simpson(integrand, [breaks] * len(orders), abs_tol=1e-14, rel_tol=1e-10)
+        return {j: float(max(val, 0.0) ** (1.0 / p)) for j, val in zip(orders, vals)}

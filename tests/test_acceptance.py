@@ -172,7 +172,7 @@ def test_criterion_4_interaction_decay(model14):
             prof = nw.solve_profile(pat, model14)
             comp = nw.CompositeWave(RarefactionWave(pat, model14), prof, pat, model14)
             times = [0.0, 5.0 / delta_S, 20.0 / delta_S, 50.0 / delta_S]
-            seq = [comp.interaction_norms(t) for t in times]
+            seq = comp.interaction_norms(times)
             t0_norms[(delta_R, delta_S)] = seq[0]
             for key in seq[0]:
                 vals = [s[key] for s in seq]

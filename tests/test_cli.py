@@ -1,10 +1,14 @@
 import dataclasses
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nskwave as nw
-from nskwave import cli
+from nskwave import cli, composite
 from nskwave.config import parse_config
+
+STANDARD = Path(__file__).resolve().parents[1] / "configs" / "standard.cfg"
 
 SMOKE = """
 [gas]
@@ -182,6 +186,37 @@ def test_interactions_csv(smoke_cfg, tmp_path):
     lines = (out / "interactions.csv").read_text().splitlines()
     assert lines[0].startswith("t,vSx_vR_L1")
     assert len(lines) == 10
+
+
+def test_interactions_refine_all_times_in_lockstep(tmp_path, monkeypatch):
+    """On standard.cfg cut to t_end = 80 the nine times refine in lockstep:
+    one integrand call per level, where nine quadratures made 109.  The CSV
+    is the one those nine quadratures give, to the bit."""
+    cfg = parse_config(STANDARD)
+    cfg = dataclasses.replace(cfg, scheme=dataclasses.replace(cfg.scheme, t_end=80.0))
+    calls = []
+    adaptive_simpson = composite.adaptive_simpson
+
+    def counting(f, breakpoints, *args, **kwargs):
+        # the integrand wrapped as the benchmark's tracer wraps it
+        def integrand(x, *rest):
+            calls.append(x.size)
+            return f(x, *rest)
+        return adaptive_simpson(integrand, breakpoints, *args, **kwargs)
+
+    monkeypatch.setattr(composite, "adaptive_simpson", counting)
+    assert cli.dispatch("interactions", cfg, out_dir=tmp_path / "lockstep") == 0
+    monkeypatch.undo()
+    assert len(calls) <= 14
+
+    wave = nw.build_composite(cfg.build_pattern(), cfg.gas)
+    rows = []
+    for t in np.linspace(0.0, 80.0, 9).tolist():
+        (rec,) = wave.interaction_norms([t])
+        rows.append([t, *rec.values()])
+    cli.write_csv(tmp_path / "per_time.csv", ["t", *rec], rows)
+    lockstep = (tmp_path / "lockstep" / "interactions.csv").read_text()
+    assert lockstep == (tmp_path / "per_time.csv").read_text()
 
 
 def test_exit_code_on_pattern_failure(tmp_path):

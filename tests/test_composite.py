@@ -162,15 +162,14 @@ def test_weight_bounds_and_slope(composite_std, pattern_std):
 
 def test_interaction_norms_zero_without_overlap(model14, overlap_x):
     comp = make_composite(model14, 0.9, 0.0)
-    rec = comp.interaction_norms(1.0)
+    (rec,) = comp.interaction_norms([1.0])
     assert set(rec) == {"vSx_vR_L1", "vSx_vR_L2", "vRx_vSx_L1", "vRx_vSx_L2",
                         "vRx_vS_L2", "Q1I_L2", "Q2_L2"}
     assert all(v == 0.0 for v in rec.values())
 
 
 def test_interaction_norms_decrease_with_separation(composite_std):
-    early = composite_std.interaction_norms(0.0)
-    late = composite_std.interaction_norms(20.0 / composite_std.pattern.delta_S)
+    early, late = composite_std.interaction_norms([0.0, 20.0 / composite_std.pattern.delta_S])
     for key in early:
         assert late[key] < early[key] or early[key] == 0.0
 
@@ -185,7 +184,7 @@ def test_interaction_norm_against_dense_quadrature(composite_std):
     rs, ss = comp.part_stacks(t, x, 0.0, order=1)
     f = ss["vx"] * (rs["v"] - comp.pattern.mid.v)
     oracle = np.sqrt(simpson(f ** 2, x=x))
-    rec = comp.interaction_norms(t)
+    (rec,) = comp.interaction_norms([t])
     assert rec["vSx_vR_L2"] == pytest.approx(oracle, rel=1e-5)
 
 
@@ -226,7 +225,7 @@ def fixed_grid_norms(comp, t, keys, spacing=0.01):
 def test_interaction_norms_reach_their_tolerance(composite_standard, t, caplog):
     # where the waves separate, the shock's far tail carries the overlap
     with caplog.at_level("WARNING", logger="nskwave.quadrature"):
-        rec = composite_standard.interaction_norms(t)
+        (rec,) = composite_standard.interaction_norms([t])
     assert not caplog.records
     ref = fixed_grid_norms(composite_standard, t, rec)
     # criterion 4's floor; measured within 3.3e-10 of the reference

@@ -97,3 +97,81 @@ def test_small_jump_converges_without_the_valve(caplog):
     assert not caplog.records
     # 17 calls; refining the jump down to MAX_LEVELS would take 61
     assert len(calls) < 30
+
+
+def lockstep(fs, calls):
+    """One integrand for several domains: the points of domain i go to fs[i]."""
+    def f(x, domain):
+        calls.append(x.size)
+        return np.choose(domain, [fi(x) for fi in fs])
+    return f
+
+
+def counted(f, calls):
+    return lambda x: calls.append(x.size) or f(x)
+
+
+DOMAINS = [
+    (lambda x: np.exp(-x * x), [-30.0, 0.0, 30.0]),
+    (lambda x: np.exp(-2.0 * np.abs(x)) * np.cos(3.0 * x), [-30.0, 0.0, 30.0]),
+    (lambda x: np.exp(-((x - 900.0) ** 2)), [0.0, 900.0, 1000.0]),
+    (lambda x: x ** 3 - 2.0 * x, [0.0, 2.0]),
+    (np.sin, [0.0, 2.0 * np.pi]),
+]
+
+
+def test_domains_in_lockstep_keep_their_single_domain_results():
+    fs, breakpoints = zip(*DOMAINS)
+    calls, alone_calls = [], []
+    together = adaptive_simpson(lockstep(fs, calls), list(breakpoints),
+                                abs_tol=1e-13, rel_tol=1e-11)
+    alone = []
+    for f, bp in DOMAINS:
+        alone_calls.append([])
+        alone.append(adaptive_simpson(counted(f, alone_calls[-1]), bp,
+                                      abs_tol=1e-13, rel_tol=1e-11))
+    assert together == alone
+    assert all(isinstance(val, float) for val in together)
+    # one call per level on the points of every open domain: as many calls
+    # as the domain that refines longest, and no point more than alone
+    assert len(calls) == max(map(len, alone_calls))
+    assert sum(calls) == sum(map(sum, alone_calls))
+    # a list of one domain is the one-domain case, returned as a list
+    f, bp = DOMAINS[0]
+    assert adaptive_simpson(lockstep([f], []), [bp], abs_tol=1e-13, rel_tol=1e-11) == alone[:1]
+
+
+def test_vector_integrands_in_lockstep():
+    def rows(scale):
+        return lambda x: np.array([np.exp(-scale * x * x), np.cos(scale * x)])
+
+    fs = [rows(1.0), rows(3.0), rows(0.5)]
+    breakpoints = [[-30.0, 0.0, 30.0], [-1.0, 2.0], [0.0, 5.0, 40.0]]
+    together = adaptive_simpson(lockstep(fs, []), breakpoints, abs_tol=1e-13, rel_tol=1e-11)
+    for f, bp, val in zip(fs, breakpoints, together):
+        alone = adaptive_simpson(f, bp, abs_tol=1e-13, rel_tol=1e-11)
+        assert val.shape == (2,) and np.array_equal(val, alone)
+
+
+def test_a_domain_at_the_valve_leaves_the_others_converged(monkeypatch, caplog):
+    monkeypatch.setattr(quadrature, "MAX_INTERVALS", 4)
+    domains = [(np.exp, [0.0, 1.0]),
+               (lambda x: np.exp(-x * x / 1e-4), [-1.0, 1.0]),
+               (lambda x: x ** 3 - 2.0 * x, [0.0, 2.0])]
+    tol = {"abs_tol": 1e-14, "rel_tol": 1e-8}
+    alone, warnings = [], []
+    for f, bp in domains:
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="nskwave.quadrature"):
+            alone.append(adaptive_simpson(f, bp, **tol))
+        warnings.append([rec.getMessage() for rec in caplog.records])
+    assert warnings[0] == warnings[2] == []
+    (valve,) = warnings[1]
+    assert "intervals still open (cap 4)" in valve
+    caplog.clear()
+    fs, breakpoints = zip(*domains)
+    with caplog.at_level("WARNING", logger="nskwave.quadrature"):
+        together = adaptive_simpson(lockstep(fs, []), list(breakpoints), **tol)
+    assert [rec.getMessage() for rec in caplog.records] == [valve]
+    assert together == alone
+    assert together[0] == pytest.approx(math.e - 1.0, rel=1e-8)

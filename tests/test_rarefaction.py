@@ -48,26 +48,40 @@ def test_burgers_interior_against_bisection(wave):
     assert abs(w[0] - w_oracle) < 1e-12
 
 
-@pytest.mark.parametrize("t", [1.0, 200.0])
-def test_burgers_frozen_points_keep_their_positions(wave, t):
+@pytest.mark.parametrize("times", [(1.0,), (200.0,), (1.0, 200.0)],
+                         ids=["1.0", "200.0", "per-point"])
+def test_burgers_frozen_points_keep_their_positions(wave, times):
     """Points converge at different iterations (at t = 200 the fan interior
     takes up to 11 and many need bisection); each must be returned at its
-    own position of a 2-D input that interleaves both far fields with it."""
-    tau = 1.0 + t
-    x = np.concatenate([
-        np.linspace(wave.w_minus * tau - 60.0, wave.w_minus * tau - 40.0, 6),
-        np.linspace(wave.w_m * tau + 40.0, wave.w_m * tau + 60.0, 6),
-        np.linspace(wave.center * tau - 16.0, wave.center * tau + 16.0, 36),
-    ])
-    x = np.random.default_rng(5).permutation(x).reshape(6, 8)
-    w, x0 = wave.burgers_state(tau, x)
+    own position of a 2-D input that interleaves both far fields with it.
+    With several times each point carries its own time offset, which the
+    iteration compacts with the live points."""
+    x, tau = [], []
+    for t in times:
+        tau_t = 1.0 + t
+        x_t = np.concatenate([
+            np.linspace(wave.w_minus * tau_t - 60.0, wave.w_minus * tau_t - 40.0, 6),
+            np.linspace(wave.w_m * tau_t + 40.0, wave.w_m * tau_t + 60.0, 6),
+            np.linspace(wave.center * tau_t - 16.0, wave.center * tau_t + 16.0, 36),
+        ])
+        x.append(x_t)
+        tau.append(np.full_like(x_t, tau_t))
+    order = np.random.default_rng(5).permutation(sum(len(x_t) for x_t in x))
+    x = np.concatenate(x)[order].reshape(-1, 8)
+    tau = np.concatenate(tau)[order].reshape(x.shape)
+    w, x0 = wave.burgers_state(tau if len(times) > 1 else 1.0 + times[0], x)
     assert w.shape == x0.shape == x.shape
-    oracle = np.vectorize(lambda xi: bisection_foot_point(wave, tau, xi))(x)
+    oracle = np.vectorize(lambda xi, ti: bisection_foot_point(wave, ti, xi))(x, tau)
     w_oracle = wave.center + wave.half_width * np.tanh(oracle)
     assert np.max(np.abs(w - w_oracle)) < 1e-12
     # the foot point is as accurate as the residual tolerance allows (slope >= 1)
     tol = 1e-13 * np.maximum(1.0, np.abs(x) + np.abs(wave.w_m) * tau)
     assert np.all(np.abs(x0 - oracle) <= 2.0 * tol)
+    if len(times) > 1:
+        for t in times:
+            at_t = tau == 1.0 + t
+            w_t, x0_t = wave.burgers_state(1.0 + t, x[at_t])
+            assert np.array_equal(w[at_t], w_t) and np.array_equal(x0[at_t], x0_t)
 
 
 def test_burgers_rejects_bad_input(wave):
@@ -75,6 +89,9 @@ def test_burgers_rejects_bad_input(wave):
         wave.burgers_state(-1.0, np.array([0.0]))
     with pytest.raises(nw.DomainError):
         wave.burgers_state(1.0, np.array([np.nan]))
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(nw.DomainError):
+            wave.burgers_state(np.array([1.0, bad]), np.array([0.0, 0.0]))
 
 
 def test_eval_far_field(wave):
@@ -140,6 +157,36 @@ def test_eval_window_scalar_and_bad_positions(wave):
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(nw.DomainError):
             wave.eval(t, np.array([0.0, bad]), order=0)
+
+
+def test_eval_with_a_time_per_point_matches_one_call_per_time(wave):
+    """A time array, one entry per point, gives each point the bits of the
+    scalar call at its own time, at every order, on a shuffled array that
+    mixes the windows, the fan interiors and the far fields of all times."""
+    times = (0.0, 0.5, 1.0, 200.0)
+    x, t = [], []
+    for ti in times:
+        lo, hi = wave.support(ti, pad=X0_WINDOW)
+        x_t = np.concatenate([np.linspace(lo - 80.0, lo, 8), np.linspace(hi, hi + 80.0, 8),
+                              np.linspace(lo, hi, 40)])
+        x.append(x_t)
+        t.append(np.full_like(x_t, ti))
+    order = np.random.default_rng(7).permutation(sum(len(x_t) for x_t in x))
+    x = np.concatenate(x)[order].reshape(-1, 8)
+    t = np.concatenate(t)[order].reshape(x.shape)
+    for deriv in range(5):
+        st = wave.eval(t, x, order=deriv)
+        for ti in times:
+            at_t = t == ti
+            ref = wave.eval(ti, x[at_t], order=deriv)
+            assert set(st) == set(ref)
+            assert all(np.array_equal(st[key][at_t], ref[key]) for key in ref), (deriv, ti)
+    for bad in (-1.0, -np.inf, np.inf, np.nan):
+        for deriv in (0, 1):
+            with pytest.raises(nw.DomainError):
+                wave.eval(np.array([0.0, bad]), np.array([0.0, 1.0]), order=deriv)
+            with pytest.raises(nw.DomainError):
+                wave.eval(bad, np.array([0.0, 1.0]), order=deriv)
 
 
 def test_eval_rejects_bad_order(wave):
@@ -320,3 +367,11 @@ def test_limit_toward_self_similar_fan(wave, model14):
         sups.append(np.max(np.abs(st["v"] - ve) + np.abs(st["u"] - ue)))
     assert sups[1] < sups[0]
     assert sups[1] < 5e-3
+
+
+@pytest.mark.parametrize("p", [1, 2, np.inf])
+def test_derivative_norms_of_all_orders_match_one_order_at_a_time(wave, p):
+    # the orders refine in lockstep; each keeps the result it gets alone
+    together = wave.derivative_norms(3.0, p)
+    alone = {j: wave.derivative_norms(3.0, p, orders=(j,))[j] for j in (1, 2, 3, 4)}
+    assert together == alone
