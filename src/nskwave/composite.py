@@ -17,7 +17,7 @@ from .errors import VacuumError
 from .quadrature import adaptive_simpson
 from .rarefaction import RarefactionWave
 from .riemann import WavePattern
-from .shockprofile import ShockProfile, eval_profile
+from .shockprofile import ShockProfile, eval_profile, stack_from_volume
 from .thermo import GasModel
 
 #: (integrand, p) of each interaction norm ||integrand||_Lp
@@ -124,43 +124,38 @@ class CompositeWave:
 
     # -- raw stacks --------------------------------------------------------
 
-    def _shock_stack(self, t, x, X):
-        zeros = np.zeros_like(np.asarray(x, dtype=float))
-        if not self.pattern.has_shock:
-            const = dict.fromkeys(("vx", "vxx", "vxxx", "ux", "uxx", "w", "wx"), zeros)
-            const["v"] = np.full_like(zeros, self.pattern.mid.v)
-            const["u"] = np.full_like(zeros, self.pattern.mid.u)
-            return const
-        xi = np.asarray(x, dtype=float) - self.pattern.sigma * t - X
-        return eval_profile(self.profile, xi)
+    def shock_stack(self, t, x, X, order: int):
+        """The shifted shock's ``eval_profile`` stack of order ``order``;
+        without a shock, the same stack of the constant mid state."""
+        x = np.asarray(x, dtype=float)
+        if self.pattern.has_shock:
+            return eval_profile(self.profile, x - self.pattern.sigma * t - X, order)
+        return stack_from_volume(self.pattern, self.model, np.full_like(x, self.pattern.mid.v),
+                                 *[np.zeros_like(x)] * order)
 
     def part_stacks(self, t, x, X, order: int = 3):
         """(fan stack, shock stack) with derivatives up to ``order``."""
-        return self.rarefaction.eval(t, x, order=order), self._shock_stack(t, x, X)
+        return self.rarefaction.eval(t, x, order=order), self.shock_stack(t, x, X, order)
 
     # -- composite background ------------------------------------------------
 
     def eval_bar(self, t, x, X) -> dict:
         """The shifted composite background at one time.
 
-        Fields vbar, ubar, wbar with first derivatives and vbar_xx; the
+        Fields vbar, ubar, wbar with the slopes vbar_x and ubar_x; the
         weight ``a`` of the shifted entropy with its slope ``a_x``; and the
-        fan (order 2) and shock stacks they come from, under ``fan`` and
+        order-1 fan and shock stacks they come from, under ``fan`` and
         ``shock``.
         """
-        rs, ss = self.part_stacks(t, x, X, order=2)
-        bar = superpose(self.pattern, rs, ss, ("vx", "ux", "vxx"))
-        b = self.model.beta
-        vbar, vbar_x = bar["v"], bar["vx"]
-        gcap = vbar ** (-0.5 * (b + 5.0))
-        bar["w"] = -vbar_x * gcap
-        bar["wx"] = -bar["vxx"] * gcap + 0.5 * (b + 5.0) * vbar_x ** 2 * vbar ** (-0.5 * (b + 7.0))
+        rs, ss = self.part_stacks(t, x, X, order=1)
+        bar = superpose(self.pattern, rs, ss, ("vx", "ux"))
+        bar["w"] = -bar["vx"] * bar["v"] ** (-0.5 * (self.model.beta + 5.0))
         if self.pattern.has_shock:
             bar["a"] = entropy_weight(self.pattern, ss["u"])
             # sigma vS_x / sqrt(delta_S) > 0
             bar["a_x"] = -ss["ux"] / np.sqrt(self.pattern.delta_S)
         else:
-            bar["a"], bar["a_x"] = np.ones_like(vbar), np.zeros_like(vbar)
+            bar["a"], bar["a_x"] = np.ones_like(bar["v"]), np.zeros_like(bar["v"])
         bar["fan"], bar["shock"] = rs, ss
         return bar
 
@@ -185,7 +180,7 @@ class CompositeWave:
                + _capillary_grad_x(rs, m))
         if not self.pattern.has_shock:
             return zeros, fan
-        ss = self._shock_stack(t, x, X)
+        ss = self.shock_stack(t, x, X, order=3)
         return _interaction_forcing(self.pattern, rs, ss, m), fan
 
     def aux_defect(self, t, x, X, Xdot):

@@ -22,8 +22,8 @@ MAX_LEVELS = 60
 MAX_INTERVALS = 200_000
 
 
-def _levels(pts, abs_tol, rel_tol):
-    """The refinement of one domain with sorted distinct breakpoints ``pts``.
+def _levels(pts, abs_tol, rel_tol, index):
+    """The refinement of domain ``index`` with sorted distinct breakpoints ``pts``.
 
     A generator: it yields the points whose integrand values it needs next,
     is sent those values as an array of shape (k, n), and returns the k
@@ -69,9 +69,9 @@ def _levels(pts, abs_tol, rel_tol):
         n_open = int(np.count_nonzero(keep))
         if n_open > MAX_INTERVALS or level == MAX_LEVELS - 1:
             # safety valve: accept the refined estimate everywhere
-            log.warning("adaptive_simpson: %d intervals still open (cap %d) after %d "
-                        "levels; returning the unconverged estimate",
-                        n_open, MAX_INTERVALS, level + 1)
+            log.warning("adaptive_simpson: domain %d on [%.6g, %.6g]: %d intervals still "
+                        "open (cap %d) after %d levels; returning the unconverged estimate",
+                        index, pts[0], pts[-1], n_open, MAX_INTERVALS, level + 1)
             result += np.sum(s2[:, keep], axis=1)
             return result
         # split every unaccepted interval into its two halves
@@ -124,17 +124,17 @@ def adaptive_simpson(f, breakpoints, abs_tol=1e-10, rel_tol=1e-9):
     test alone would halve such intervals until the valve below.
 
     If more than ``MAX_INTERVALS`` intervals of a domain are still open, or
-    after ``MAX_LEVELS`` levels, a warning is logged and the domain's
-    unconverged estimate is returned.
+    after ``MAX_LEVELS`` levels, a warning naming the domain is logged and
+    the domain's unconverged estimate is returned.
     """
     several = len(breakpoints) > 0 and np.ndim(breakpoints[0]) > 0
     domains = breakpoints if several else [breakpoints]
     runs = []
-    for bp in domains:
+    for index, bp in enumerate(domains):
         pts = np.unique(np.asarray(bp, dtype=float))
         if pts.size < 2:
             raise ValueError("need at least two distinct breakpoints")
-        runs.append(_levels(pts, abs_tol, rel_tol))
+        runs.append(_levels(pts, abs_tol, rel_tol, index))
     need = {i: next(run) for i, run in enumerate(runs)}
     results = [None] * len(runs)
     vector = None

@@ -59,13 +59,15 @@ class RarefactionWave:
 
     # -- initial profile -------------------------------------------------
 
-    def _w0_derivatives(self, x0):
-        """Initial speed profile and its first four derivatives at x0."""
+    def _w0_derivatives(self, x0, order):
+        """tanh(x0), w0(x0) and, above order 0, the first four derivatives of w0."""
         T = np.tanh(x0)
-        e = np.exp(-2.0 * np.abs(x0))
-        sech2 = 4.0 * e / (1.0 + e) ** 2
         A = self.half_width
         w0 = self.center + A * T
+        if order == 0:
+            return T, w0, None, None, None, None
+        e = np.exp(-2.0 * np.abs(x0))
+        sech2 = 4.0 * e / (1.0 + e) ** 2
         w1 = A * sech2
         w2 = -2.0 * A * T * sech2
         w3 = -2.0 * A * sech2 * (1.0 - 3.0 * T * T)
@@ -140,7 +142,7 @@ class RarefactionWave:
     def _stack_from_x0(self, tau, x0, order):
         """Field values and x-derivatives given the foot points x0."""
         g = self.gamma
-        T, w, w1_0, w2_0, w3_0, w4_0 = self._w0_derivatives(x0)
+        T, w, w1_0, w2_0, w3_0, w4_0 = self._w0_derivatives(x0, order)
         V = (g / (w * w)) ** (1.0 / (g + 1.0))
         u = self.z1 - thermo.lambda1_antiderivative(V, self.model)
 
@@ -288,7 +290,7 @@ class RarefactionWave:
         def integrand(x0, domain):
             st = self._stack_from_x0(tau, x0, top)
             mag = np.choose(domain, [self._magnitude(st, j, field) for j in orders])
-            jac = 1.0 + self._w0_derivatives(x0)[2] * tau
+            jac = 1.0 + self._w0_derivatives(x0, top)[2] * tau
             return mag ** p * jac
 
         breaks = [-X0_WINDOW, -12.0, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0, 12.0, X0_WINDOW]

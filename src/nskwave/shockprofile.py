@@ -327,10 +327,8 @@ class ShockProfile:
     v: np.ndarray = field(repr=False)
     vp: np.ndarray = field(repr=False)
     vpp: np.ndarray = field(repr=False)
-    sigma: float
     v_m: float
     v_plus: float
-    u_m: float
     tail_rate: float
     growth_rate: float
     manifold_c2: float
@@ -412,7 +410,6 @@ def solve_profile(pattern: WavePattern, model: GasModel) -> ShockProfile:
     if delta_S < DEGENERATE_STRENGTH:
         raise ProfileError("degenerate shock strength: equal end states admit no profile")
     v_m, v_p = pattern.mid.v, pattern.right.v
-    sigma = pattern.sigma
     p_m = _mid_pressure(pattern, model)
 
     A_m, B_m, disc_m = _saddle_rate(v_m, pattern, model)
@@ -486,8 +483,7 @@ def solve_profile(pattern: WavePattern, model: GasModel) -> ShockProfile:
     else:
         tail_rate = float(abs(nu_slow))
 
-    prof = ShockProfile(xi=xi, v=v, vp=q, vpp=vpp, sigma=sigma,
-                        v_m=v_m, v_plus=v_p, u_m=pattern.mid.u, tail_rate=tail_rate,
+    prof = ShockProfile(xi=xi, v=v, vp=q, vpp=vpp, v_m=v_m, v_plus=v_p, tail_rate=tail_rate,
                         growth_rate=float(lam_plus), manifold_c2=float(c2),
                         xi_switch=xi_switch, model=model, pattern=pattern)
 
@@ -501,36 +497,47 @@ def solve_profile(pattern: WavePattern, model: GasModel) -> ShockProfile:
     return prof
 
 
-def eval_profile(profile: ShockProfile, xi) -> dict:
-    """Profile fields at xi: volume/velocity/auxiliary stacks.
+def stack_from_volume(pattern: WavePattern, model: GasModel, v, vx, vxx=None, vxxx=None) -> dict:
+    """The shock stack of volume v, to the order of the last x-derivative
+    given: order 1 is v, vx and the velocity u = u_m - sigma (v - v_m) with
+    ux; order 2 adds vxx, uxx, w and wx; order 3 adds vxxx."""
+    sigma, mid, b = pattern.sigma, pattern.mid, model.beta
+    st = {"v": v, "vx": vx, "u": mid.u - sigma * (v - mid.v), "ux": -sigma * vx}
+    if vxx is not None:
+        gcap = v ** (-0.5 * (b + 5.0))
+        st.update(vxx=vxx, uxx=-sigma * vxx, w=-vx * gcap,
+                  wx=-vxx * gcap + 0.5 * (b + 5.0) * vx * vx * v ** (-0.5 * (b + 7.0)))
+    if vxxx is not None:
+        st["vxxx"] = vxxx
+    return st
 
-    v and v' come from ``ShockProfile.volume``.  From the switch on, v''
-    is the residual equation solved for it (differentiated once for
-    v'''), so the derivatives satisfy the traveling-wave system to the
-    accuracy of the table itself.  In the analytic left tail,
-    v'' = q' q and v''' = (q'' q + q'^2) q from the same manifold
-    expansion q(dv) that gives ``volume`` its v' there.  Beyond the table
-    the far-field constants are returned with zero derivatives.
+
+def eval_profile(profile: ShockProfile, xi, order: int = 3) -> dict:
+    """Profile fields at xi: their ``stack_from_volume`` of order ``order``.
+
+    v and v' come from ``ShockProfile.volume``; order 1 needs nothing else.
+    From the switch on, v'' is the residual equation solved for it
+    (differentiated once for v''' at order 3), so the derivatives satisfy
+    the traveling-wave system to the accuracy of the table itself.  In the
+    analytic left tail, v'' = q' q and v''' = (q'' q + q'^2) q from the same
+    manifold expansion q(dv) that gives ``volume`` its v' there.  Beyond
+    the table the far-field constants are returned with zero derivatives.
     """
+    if order not in (1, 2, 3):
+        raise DomainError(f"unsupported derivative order {order}")
     xi = np.asarray(xi, dtype=float)
-    p = profile.pattern
-    model = profile.model
-    b = model.beta
+    p, model = profile.pattern, profile.model
     v, vx = profile.volume(xi)
+    if order == 1:
+        return stack_from_volume(p, model, v, vx)
     inside = (xi >= profile.xi_lo) & (xi <= profile.xi_hi)
     p_m = _mid_pressure(p, model)
     vxx = np.where(inside, _accel(v, vx, p, model, p_m), 0.0)
-    gv, gq = _accel_grad(v, vx, p, model, p_m)
-    vxxx = np.where(inside, gv * vx + gq * vxx, 0.0)
     tail, _, q, dq, ddq = profile._tail(xi)
     vxx[tail] = dq * q
+    if order == 2:
+        return stack_from_volume(p, model, v, vx, vxx)
+    gv, gq = _accel_grad(v, vx, p, model, p_m)
+    vxxx = np.where(inside, gv * vx + gq * vxx, 0.0)
     vxxx[tail] = (ddq * q + dq * dq) * q
-
-    u = profile.u_m - profile.sigma * (v - profile.v_m)
-    ux = -profile.sigma * vx
-    gcap = v ** (-0.5 * (b + 5.0))
-    w = -vx * gcap
-    wx = -vxx * gcap + 0.5 * (b + 5.0) * vx * vx * v ** (-0.5 * (b + 7.0))
-    return {"v": v, "vx": vx, "vxx": vxx, "vxxx": vxxx,
-            "u": u, "ux": ux, "uxx": -profile.sigma * vxx,
-            "w": w, "wx": wx}
+    return stack_from_volume(p, model, v, vx, vxx, vxxx)

@@ -211,14 +211,10 @@ def _shift_rate(t, X, u, grid: Grid, composite: CompositeWave, fan=None):
         return 0.0
     if fan is None:
         fan = composite.rarefaction.eval(t, grid.x, order=0)
-    prof = composite.profile
-    xi = grid.x - pattern.sigma * t - X
-    vS, vSx = prof.volume(xi)
-    uS = prof.u_m - pattern.sigma * (vS - prof.v_m)
-    uSx = -pattern.sigma * vSx
-    a = entropy_weight(pattern, uS)
-    psi = u - superpose(pattern, fan, {"v": vS, "u": uS})["u"]
-    factor = uSx + thermo.dpressure(vS, composite.model) * vSx / pattern.sigma
+    shock = composite.shock_stack(t, grid.x, X, order=1)
+    a = entropy_weight(pattern, shock["u"])
+    psi = u - superpose(pattern, fan, shock)["u"]
+    factor = shock["ux"] + thermo.dpressure(shock["v"], composite.model) * shock["vx"] / pattern.sigma
     integral = float(np.trapezoid(a * psi * factor, dx=grid.dx))
     return -pattern.M / pattern.delta_S * integral
 

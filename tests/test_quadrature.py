@@ -167,11 +167,12 @@ def test_a_domain_at_the_valve_leaves_the_others_converged(monkeypatch, caplog):
         warnings.append([rec.getMessage() for rec in caplog.records])
     assert warnings[0] == warnings[2] == []
     (valve,) = warnings[1]
-    assert "intervals still open (cap 4)" in valve
+    assert "domain 0 on [-1, 1]: " in valve and "intervals still open (cap 4)" in valve
     caplog.clear()
     fs, breakpoints = zip(*domains)
     with caplog.at_level("WARNING", logger="nskwave.quadrature"):
         together = adaptive_simpson(lockstep(fs, []), list(breakpoints), **tol)
-    assert [rec.getMessage() for rec in caplog.records] == [valve]
+    # the same warning, naming the valve's place in the lockstep
+    assert [rec.getMessage() for rec in caplog.records] == [valve.replace("domain 0", "domain 1")]
     assert together == alone
     assert together[0] == pytest.approx(math.e - 1.0, rel=1e-8)

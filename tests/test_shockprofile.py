@@ -220,7 +220,7 @@ def test_oscillatory_regime_rejected(model14, right_state):
 
 def test_eval_far_field_and_midpoint(profile_std):
     st = nw.eval_profile(profile_std, np.array([profile_std.xi_lo - 10.0]))
-    assert st["v"][0] == profile_std.v_m and st["u"][0] == profile_std.u_m
+    assert st["v"][0] == profile_std.v_m and st["u"][0] == profile_std.pattern.mid.u
     assert st["vx"][0] == 0.0 and st["w"][0] == 0.0
     st = nw.eval_profile(profile_std, np.array([profile_std.xi_hi + 10.0]))
     assert st["v"][0] == profile_std.v_plus
@@ -232,7 +232,7 @@ def test_mass_equation_along_profile(profile_std):
     rng = np.random.default_rng(3)
     xi = rng.uniform(profile_std.xi_lo, profile_std.xi_hi, 100)
     st = nw.eval_profile(profile_std, xi)
-    assert np.max(np.abs(st["ux"] + profile_std.sigma * st["vx"])) < 1e-12
+    assert np.max(np.abs(st["ux"] + profile_std.pattern.sigma * st["vx"])) < 1e-12
 
 
 def test_velocity_slope_proportional_to_volume_slope(profile_std):
@@ -240,7 +240,7 @@ def test_velocity_slope_proportional_to_volume_slope(profile_std):
     xi = np.linspace(profile_std.xi_lo, profile_std.xi_hi, 500)
     st = nw.eval_profile(profile_std, xi)
     assert np.all(st["ux"] <= 0.0)
-    np.testing.assert_allclose(np.abs(st["ux"]), profile_std.sigma * st["vx"], rtol=1e-13)
+    np.testing.assert_allclose(np.abs(st["ux"]), profile_std.pattern.sigma * st["vx"], rtol=1e-13)
 
 
 def test_auxiliary_field_definition(profile_std, model14):
@@ -325,6 +325,28 @@ def test_left_tail_is_as_smooth_as_its_exponential(tail_profile):
     exact = relative_second_differences(np.exp(tail_profile.growth_rate * xi))
     for key in ("vx", "vxx", "vxxx"):
         assert relative_second_differences(st[key]) < 2.0 * exact, key
+
+
+ORDER_KEYS = {1: {"v", "vx", "u", "ux"},
+              2: {"v", "vx", "u", "ux", "vxx", "uxx", "w", "wx"}}
+
+
+def test_lower_orders_are_the_order_three_stack_truncated(tail_profile):
+    prof = tail_profile
+    # the analytic tail, the body and beyond both table ends
+    xi = np.concatenate([np.linspace(prof.xi_lo, prof.xi_switch, 50, endpoint=False),
+                         np.linspace(prof.xi_switch, prof.xi_hi, 400),
+                         [prof.xi_lo - 10.0, prof.xi_hi + 10.0]])
+    full = nw.eval_profile(prof, xi)
+    assert nw.eval_profile(prof, xi, order=3).keys() == full.keys()
+    for order, keys in ORDER_KEYS.items():
+        st = nw.eval_profile(prof, xi, order=order)
+        assert st.keys() == keys
+        for key in keys:
+            assert np.array_equal(st[key], full[key]), (order, key)
+    for order in (0, 4):
+        with pytest.raises(nw.DomainError):
+            nw.eval_profile(prof, xi, order=order)
 
 
 def test_switch_is_continuous(tail_profile):

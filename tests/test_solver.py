@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import nskwave as nw
-from nskwave import solver, thermo
+from nskwave import shockprofile, solver, thermo
 from nskwave.composite import CompositeWave
 from nskwave.rarefaction import RarefactionWave
+from nskwave.shockprofile import ShockProfile
 from nskwave.solver import _boundary_flux, _check_domain, _shift_rate, discrete_gradient_w
 from tests.conftest import make_pattern
 
@@ -281,6 +282,47 @@ def test_run_evaluates_one_background_per_record(monkeypatch):
     assert [c[2] for c in calls[:2]] == [2, 2] and calls[2] == (0.0, 0.0, n)
     assert calls[3:] == [(r.t, r.X, n) for r in result.records]
     assert len(result.records) == result.summary["steps"] + 1
+
+
+@pytest.fixture
+def stack_traffic(monkeypatch):
+    """The calls that build wave stacks, logged in order: the fan's
+    evaluations and the shock stacks with their orders, the profile's
+    volume, and the residual equation's second and third derivatives."""
+    calls = []
+
+    def log(owner, name, entry):
+        real = getattr(owner, name)
+
+        def logged(*args, **kwargs):
+            calls.append(entry(*args, **kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, logged)
+
+    log(RarefactionWave, "eval", lambda self, t, x, order=1: ("fan", order))
+    log(CompositeWave, "shock_stack", lambda self, t, x, X, order: ("shock", order))
+    log(ShockProfile, "volume", lambda self, xi: "volume")
+    log(shockprofile, "_accel", lambda *args: "_accel")
+    log(shockprofile, "_accel_grad", lambda *args: "_accel_grad")
+    return calls
+
+
+def test_shift_rate_reads_one_order_one_shock_stack(stack_traffic):
+    cfg = nw.parse_config(SMOKE_CFG)
+    composite = nw.build_composite(cfg.build_pattern(), cfg.gas)
+    state = solver.initial_data(cfg.grid, composite, cfg.perturbation)
+    stack_traffic.clear()
+    shift_rate(state, cfg.grid, composite)
+    assert stack_traffic == [("fan", 0), ("shock", 1), "volume"]
+    stack_traffic.clear()
+    _shift_rate(state.t, state.X, state.u, cfg.grid, composite, state.fan)
+    assert stack_traffic == [("shock", 1), "volume"]
+
+
+def test_background_reads_order_one_stacks(stack_traffic, composite_std):
+    composite_std.eval_bar(2.0, np.linspace(-30.0, 30.0, 301), 0.1)
+    assert stack_traffic == [("fan", 1), ("shock", 1), "volume"]
 
 
 @pytest.mark.parametrize("shift", [True, False])
