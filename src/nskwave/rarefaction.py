@@ -25,9 +25,9 @@ X0_WINDOW = 25.0
 
 
 def _time_offsets(t, x):
-    """``t`` as a float, or as an array of the shape of ``x`` when it holds
-    one value per point; raises ``DomainError`` unless every value is
-    finite and nonnegative."""
+    """``t`` as a float, or as an array that broadcasts to the shape of
+    ``x`` when it holds one value per point (or per row of points); raises
+    ``DomainError`` unless every value is finite and nonnegative."""
     if np.ndim(t) == 0:
         t = float(t)
         if not 0.0 <= t < np.inf:
@@ -36,7 +36,7 @@ def _time_offsets(t, x):
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0.0) & (t < np.inf)):
         raise DomainError("time must be finite and nonnegative")
-    return np.broadcast_to(t, np.shape(x))
+    return t
 
 
 class RarefactionWave:
@@ -60,7 +60,8 @@ class RarefactionWave:
     # -- initial profile -------------------------------------------------
 
     def _w0_derivatives(self, x0, order):
-        """tanh(x0), w0(x0) and, above order 0, the first four derivatives of w0."""
+        """tanh(x0), w0(x0) and the first four derivatives of w0, those
+        above ``order`` as None."""
         T = np.tanh(x0)
         A = self.half_width
         w0 = self.center + A * T
@@ -68,26 +69,30 @@ class RarefactionWave:
             return T, w0, None, None, None, None
         e = np.exp(-2.0 * np.abs(x0))
         sech2 = 4.0 * e / (1.0 + e) ** 2
-        w1 = A * sech2
-        w2 = -2.0 * A * T * sech2
-        w3 = -2.0 * A * sech2 * (1.0 - 3.0 * T * T)
-        w4 = 8.0 * A * T * sech2 * (2.0 - 3.0 * T * T)
-        return T, w0, w1, w2, w3, w4
+        w = [A * sech2, None, None, None]
+        if order >= 2:
+            w[1] = -2.0 * A * T * sech2
+        if order >= 3:
+            w[2] = -2.0 * A * sech2 * (1.0 - 3.0 * T * T)
+        if order >= 4:
+            w[3] = 8.0 * A * T * sech2 * (2.0 - 3.0 * T * T)
+        return T, w0, *w
 
     # -- implicit characteristic solve ------------------------------------
 
     def burgers_state(self, tau, x):
         """Invert x = x0 + w0(x0) tau; returns (speed, foot point).
 
-        ``tau`` is one time offset or an array of them, one per point of
+        ``tau`` is one time offset or an array of them that broadcasts to
         ``x``.  The map is a strictly monotone perturbation of the identity
         (1 + w0' tau >= 1), so a bracketed Newton iteration always
         converges.  Each point is frozen at the first iterate whose
-        residual meets the tolerance, and only the live points iterate
-        on.  This is needed, not only cheaper: a converged point has a
-        last step of about 0, so the contraction guard below would throw
-        it to the middle of its bracket, from where it creeps back by
-        bisection while the rest of the array waits.
+        residual meets the tolerance.  This is needed, not only cheaper: a
+        converged point has a last step of about 0, so the contraction
+        guard below would throw it to the middle of its bracket, from where
+        it creeps back by bisection while the rest of the array waits.
+        Frozen points keep their iterate until they are at least half of
+        the points still iterated; then they are dropped from the arrays.
         """
         x = np.asarray(x, dtype=float)
         tau = _time_offsets(tau, x)
@@ -100,7 +105,7 @@ class RarefactionWave:
         xs = x.ravel()
         per_point = np.ndim(tau) > 0
         if per_point:
-            tau = tau.ravel()
+            tau = np.broadcast_to(tau, x.shape).ravel()
         foot = np.empty_like(xs)
         live = np.arange(xs.size)
         lo = xs - self.w_m * tau - 1.0
@@ -110,25 +115,31 @@ class RarefactionWave:
         tol = 1e-13 * np.maximum(1.0, np.abs(xs) + np.abs(self.w_m) * tau)
         for _ in range(120):
             T = np.tanh(x0)
-            w0 = self.center + self.half_width * T
-            res = x0 + w0 * tau - xs
+            res = x0 + (self.center + self.half_width * T) * tau - xs
             done = np.abs(res) <= tol
-            foot[live[done]] = x0[done]
-            keep = ~done
-            if not keep.any():
+            n_done = np.count_nonzero(done)
+            if n_done == done.size:
+                foot[live] = x0
                 break
-            live, xs, x0, T, res = live[keep], xs[keep], x0[keep], T[keep], res[keep]
-            lo, hi, dxold, tol = lo[keep], hi[keep], dxold[keep], tol[keep]
-            if per_point:
-                tau = tau[keep]
-            hi = np.where(res > 0.0, x0, hi)
-            lo = np.where(res > 0.0, lo, x0)
+            if 2 * n_done >= done.size:
+                foot[live[done]] = x0[done]
+                keep = ~done
+                live, xs, x0, T, res = live[keep], xs[keep], x0[keep], T[keep], res[keep]
+                lo, hi, dxold, tol = lo[keep], hi[keep], dxold[keep], tol[keep]
+                if per_point:
+                    tau = tau[keep]
+                done = None
+            up = res > 0.0
+            hi = np.where(up, x0, hi)
+            lo = np.where(up, lo, x0)
             slope = 1.0 + self.half_width * (1.0 - T * T) * tau
             cand = x0 - res / slope
             # fall back to bisection when the step leaves the bracket or the
             # residual is not contracting (Newton two-cycles across the fan)
             bisect = (cand < lo) | (cand > hi) | (np.abs(2.0 * res) > np.abs(dxold * slope))
             new = np.where(bisect, 0.5 * (lo + hi), cand)
+            if done is not None:
+                new = np.where(done, x0, new)
             dxold = np.abs(new - x0)
             x0 = new
         else:
@@ -199,8 +210,9 @@ class RarefactionWave:
     def eval(self, t, x, order: int = 1) -> dict:
         """Fan fields at physical time t with x-derivatives up to ``order`` (0..4).
 
-        ``t`` is one time or an array of them, one per point of ``x``; each
-        point gets the values a call at its own time would give.
+        ``t`` is one time or an array of them that broadcasts to ``x``, one
+        per point or per row of points; each point gets the values a call at
+        its own time would give.
 
         At order 0 only the nodes inside ``support(t, X0_WINDOW)`` go
         through the characteristic solve; the rest get the end states.
@@ -235,7 +247,7 @@ class RarefactionWave:
         v = np.where(left, self.v_minus, self.v_m)
         u = np.where(left, self.u_minus, self.u_m)
         if inside.any():
-            tau_in = tau[inside] if np.ndim(tau) else tau
+            tau_in = np.broadcast_to(tau, x.shape)[inside] if np.ndim(tau) else tau
             _, x0 = self.burgers_state(tau_in, x[inside])
             fan = self._stack_from_x0(tau_in, x0, 0)
             v[inside] = fan["v"]

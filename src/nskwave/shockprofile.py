@@ -5,11 +5,13 @@ far field, with the mass equation eliminating velocity (u' = -sigma v').
 In the (v, v') phase plane the left end state is a saddle and the right
 end state a stable node for weak shocks; the profile is the saddle's
 unstable manifold.  We shoot from a point on that manifold with an
-adaptive Dormand-Prince 5(4) integrator (``_shoot``), tabulate its dense
-output, translate so the midpoint volume sits at xi = 0, and extend the
-right tail with the linearized node flow, so that both table ends reach
-the far-field states to 1e-12.  ``volume`` interpolates the table with
-cubic Hermite polynomials.
+adaptive Dormand-Prince 5(4) integrator (``_shoot``), translate so the
+midpoint volume sits at xi = 0, and tabulate the profile at uniform knots
+xi_lo + k h: the analytic left tail (below) up to the shot's start, its
+dense output up to its arrival and the linearized node flow beyond, so
+that both table ends reach the far-field states to 1e-12.  ``volume``
+interpolates the table with cubic Hermite polynomials, on the interval
+it finds by arithmetic on the knots.
 
 The left tail, where v - v_m is below ``TAIL_SWITCH`` times the shock
 strength, is analytic.  There the shooting's absolute error (about
@@ -300,23 +302,32 @@ def _shoot(y0, span, v_mid, v_stop, pattern: WavePattern, model: GasModel, p_m):
 
 
 def _dense(starts, sizes, states, stages, step, xi):
-    """(v, v') at ``xi`` from the dense output of accepted step ``step``."""
+    """(v, v') at ``xi`` from the dense output of accepted step ``step``:
+    y0 + h x (c0 + x (c1 + x (c2 + x c3))) with x = (xi - start) / h, the
+    polynomial ``_crossing`` evaluates."""
     h = sizes[step]
     x = (xi - starts[step]) / h
-    powers = x[:, None] ** np.arange(1, 5)
-    Q = stages[step] @ _P
-    y = states[step] + h[:, None] * (Q @ powers[:, :, None])[:, :, 0]
+    c = stages @ _P                 # (steps, 2, 4), per accepted step
+    y = c[step, :, 3]
+    for k in (2, 1, 0):
+        y *= x[:, None]
+        y += c[step, :, k]
+    y *= (h * x)[:, None]
+    y += states[step]
     return y[:, 0], y[:, 1]
 
 
-def _hermite(x, y, dy):
+def _hermite(x, y, dy, out):
     """Coefficients (c3, c2, c1, c0), each per interval, of the cubic Hermite
-    interpolant of (y, dy) at the knots x; on [x_i, x_i+1] it is
-    ((c3 s + c2) s + c1) s + c0 with s = xi - x_i."""
+    interpolant of (y, dy) at the knots x, written to the rows of ``out``;
+    on [x_i, x_i+1] it is ((c3 s + c2) s + c1) s + c0 with s = xi - x_i."""
     dx = np.diff(x)
     slope = np.diff(y) / dx
     t = (dy[:-1] + dy[1:] - 2.0 * slope) / dx
-    return np.stack([t / dx, (slope - dy[:-1]) / dx - t, dy[:-1], y[:-1]])
+    out[0] = t / dx
+    out[1] = (slope - dy[:-1]) / dx - t
+    out[2] = dy[:-1]
+    out[3] = y[:-1]
 
 
 @dataclass
@@ -337,11 +348,20 @@ class ShockProfile:
     pattern: WavePattern = field(repr=False)
 
     def __post_init__(self):
-        # coefficients (4, 2, n - 1) of the cubic Hermite interpolants of the
-        # tabulated (v, v') and (v', v''): v' is C^1, so the stack's
-        # derivatives have no kinks at the knots
-        self._cubics = np.stack([_hermite(self.xi, self.v, self.vp),
-                                 _hermite(self.xi, self.vp, self.vpp)], axis=1)
+        # the knots are uniform: ``volume`` finds a point's interval by
+        # arithmetic, and ``self_residual`` differences every window
+        self._h = (self.xi[-1] - self.xi[0]) / (len(self.xi) - 1)
+        if np.max(np.abs(np.diff(self.xi) - self._h)) > 1e-9 * self._h:
+            raise ProfileError("profile table knots are not uniformly spaced")
+        # coefficients (4, 2, .) of the cubic Hermite interpolants of the
+        # tabulated (v, v') and (v', v''), from the interval that holds the
+        # switch on (left of it ``volume`` is the analytic tail): v' is C^1,
+        # so the stack's derivatives have no kinks at the knots
+        first = int(np.clip((self.xi_switch - self.xi[0]) // self._h, 0, len(self.xi) - 2))
+        self._knots = self.xi[first:]
+        self._cubics = np.empty((4, 2, len(self._knots) - 1))
+        _hermite(self._knots, self.v[first:], self.vp[first:], self._cubics[:, 0])
+        _hermite(self._knots, self.vp[first:], self.vpp[first:], self._cubics[:, 1])
 
     @property
     def xi_lo(self) -> float:
@@ -365,8 +385,12 @@ class ShockProfile:
 
         From ``xi_switch`` on, v and v' are the cubic Hermite interpolants
         of the tabulated (v, v') and (v', v''), on the table interval found
-        once for both.  In the analytic left tail, below ``xi_switch``, they
-        are v_m + dv and q(dv), and no interpolant is evaluated.
+        once for both: the integer part of the point's offset, in knot
+        spacings, to the knot at or below the switch.  A point within
+        rounding of a knot may land in the interval on its other side,
+        where the C^1 interpolant agrees to a few ulp.  In the analytic
+        left tail, below ``xi_switch``, they are v_m + dv and q(dv), and no
+        interpolant is evaluated.
         """
         xi = np.asarray(xi, dtype=float)
         body = (xi >= self.xi_switch) & (xi <= self.xi[-1])
@@ -374,9 +398,10 @@ class ShockProfile:
         v = np.where(xi < self.xi_switch, self.v_m, self.v_plus)
         vp = np.zeros_like(v)
         s = xi[body]
-        i = np.searchsorted(self.xi, s, side="right") - 1
-        np.minimum(i, len(self.xi) - 2, out=i)
-        s -= self.xi[i]
+        # truncation toward 0 is the floor: s - knots[0] > -h
+        i = ((s - self._knots[0]) / self._h).astype(np.intp)
+        np.minimum(i, len(self._knots) - 2, out=i)
+        s -= self._knots[i]
         c = self._cubics.take(i, axis=2)
         v[body], vp[body] = ((c[0] * s + c[1]) * s + c[2]) * s + c[3]
         v[tail] = self.v_m + dv
@@ -384,21 +409,15 @@ class ShockProfile:
         return v, vp
 
     def self_residual(self) -> float:
-        """Max residual over the table, with v'' from a fourth-order
-        difference of the tabulated v' (independent of the algebraic
-        closure used during the solve)."""
+        """Max residual over the table's interior knots, with v'' from the
+        five-point difference of the tabulated v' (independent of the
+        algebraic closure used during the solve)."""
         xi, v, q = self.xi, self.v, self.vp
         n = len(xi)
         if n < 7:
             return 0.0
-        # interior five-point stencil on the (mildly) nonuniform grid is
-        # avoided by sampling: the grid is uniform away from the raw
-        # integrator knots, so restrict to the centers i of uniformly spaced
-        # runs xi[i - 2 .. i + 2]; row j of the window holds h[j .. j + 3]
         h = np.diff(xi)
-        hs = np.lib.stride_tricks.sliding_window_view(h, 4)
-        uniform = np.max(np.abs(hs - hs[:, :1]), axis=1) <= 1e-9 * hs[:, 0]
-        i = np.flatnonzero(uniform) + 2
+        i = np.arange(2, n - 2)
         dq = (q[i - 2] - 8.0 * q[i - 1] + 8.0 * q[i + 1] - q[i + 2]) / (12.0 * h[i - 2])
         r = profile_residual(v[i], q[i], dq, self.pattern, self.model)
         return float(np.max(np.abs(r), initial=0.0))
@@ -436,36 +455,32 @@ def solve_profile(pattern: WavePattern, model: GasModel) -> ShockProfile:
     xi_mid, xi_end, starts, sizes, states, stages = _shoot(
         y0, span, 0.5 * (v_m + v_p), v_p - gap_stop, pattern, model, p_m)
 
-    # the table: each step, the last one cut at the arrival, in equal pieces
-    # no longer than h (the points of np.linspace, to the bit)
-    h = min(0.1, 0.01 / delta_S)
-    base = np.append(starts, xi_end)
-    width = np.diff(base)
-    pieces = np.maximum(1, np.ceil(width / h).astype(int))
-    ends = np.cumsum(pieces)
-    step = np.repeat(np.arange(len(pieces)), pieces)
-    j = np.arange(1, ends[-1] + 1) - (ends - pieces)[step]    # 1 .. pieces within a step
-    grid = base[step] + j * (width / pieces)[step]
-    grid[ends - 1] = base[1:]
-    grid = np.append(0.0, grid)
-    v, q = _dense(starts, sizes, states, stages, np.append(0, step), grid)
-    xi = grid - xi_mid
-
-    # tabulate the analytic left tail and extend the right one with the
-    # linearized node flow, both down to the cut level
-    xi_switch = float(xi[0])
-    n_ext = int(np.ceil(np.log(d0 / TAIL_CUT) / lam_plus / h))
-    xi_ext = xi_switch - h * np.arange(n_ext, 0, -1)
-    dv_ext = _manifold_gap(xi_ext, xi_switch, d0, lam_plus, c2)
-    xi = np.concatenate([xi_ext, xi])
-    v = np.concatenate([v_m + dv_ext, v])
-    q = np.concatenate([_manifold(dv_ext, lam_plus, c2)[0], q])
+    # the table at uniform knots xi_lo + k h, in the frame where the shot's
+    # start is the switch: left of it the analytic tail from the cut level
+    # on, then the shot's dense output up to its arrival.  The spacing is
+    # no coarser than the shot's steps through the steep middle (0.066 to
+    # 0.077 on the standard and smoke patterns), where the interpolant's
+    # error is largest
+    h = min(0.07, 0.007 / delta_S)
+    xi_switch = -xi_mid
+    n_tail = int(np.ceil(np.log(d0 / TAIL_CUT) / lam_plus / h))
+    xi_lo = xi_switch - n_tail * h
+    xi = xi_lo + h * np.arange(n_tail + int(np.ceil(xi_end / h)) + 2)
+    xi = xi[xi - xi_switch <= xi_end]
+    tail = xi < xi_switch
+    dv_tail = _manifold_gap(xi[tail], xi_switch, d0, lam_plus, c2)
+    s = xi[~tail] - xi_switch
+    step = np.searchsorted(starts, s, side="right") - 1
+    v_shot, q_shot = _dense(starts, sizes, states, stages, step, s)
+    v = np.concatenate([v_m + dv_tail, v_shot])
+    q = np.concatenate([_manifold(dv_tail, lam_plus, c2)[0], q_shot])
+    # extend the right tail with the linearized node flow down to the cut level
     d_last = v_p - v[-1]
     if d_last > TAIL_CUT:
         n_ext = int(np.ceil(np.log(d_last / TAIL_CUT) / abs(nu_slow) / h))
-        xi_ext = xi[-1] + h * np.arange(1, n_ext + 1)
-        dv_ext = d_last * np.exp(nu_slow * (xi_ext - xi[-1]))
-        xi = np.concatenate([xi, xi_ext])
+        xi_end_knot = xi[-1]
+        xi = xi_lo + h * np.arange(len(xi) + n_ext)
+        dv_ext = d_last * np.exp(nu_slow * (xi[len(v):] - xi_end_knot))
         v = np.concatenate([v, v_p - dv_ext])
         q = np.concatenate([q, abs(nu_slow) * dv_ext])
 

@@ -8,9 +8,13 @@ coefficients, the w-equation is the exact time derivative of the discrete
 definition w = -g(v) D0 v on interior nodes, and the capillary momentum
 term is its adjoint, so the pressure and capillary terms cancel in the
 semi-discrete energy balance.  Time is classical four-stage Runge-Kutta
-under a parabolic CFL bound; the shock shift, re-evaluated at every stage,
-and the boundary-flux integral of the mass audit ride along as two extra
-scalars.
+under a parabolic CFL bound, on a stacked stage state: the fields, each
+stage's tendency and their weighted sum are (3, n) arrays, so every
+Runge-Kutta combination is one array operation.  The shock shift,
+re-evaluated at every stage, and the boundary-flux integral of the mass
+audit ride along as two extra scalars.  The shift rate integrates over
+the shock's support only, the nodes where its table reaches: beyond it
+the integrand is exactly zero.
 """
 from __future__ import annotations
 
@@ -147,31 +151,50 @@ def initial_data(grid: Grid, composite: CompositeWave, perturbation: Perturbatio
 # -- spatial operator ---------------------------------------------------------
 
 
-def _rhs_arrays(v, u, w, dx, model: GasModel):
-    """Semidiscrete tendencies (v_t, u_t, w_t); boundary nodes are pinned."""
+def _rhs_arrays(v, u, w, dx, model: GasModel, out=None):
+    """Semidiscrete tendencies (v_t, u_t, w_t), the rows of one (3, n)
+    array (``out`` when given); boundary nodes are pinned."""
     if np.min(v) < VACUUM_FLOOR:
         raise VacuumError(f"volume fell below the vacuum floor {VACUUM_FLOOR}")
     g, a, b = model.gamma, model.alpha, model.beta
     h = 0.5 / dx
-    p = v ** (-g)
-    visc = v ** (-a - 1.0)                   # mu(v)/v
-    cap = v ** (-0.5 * (b + 5.0))            # sqrt(kappa)/v^(5/2)
-    dcap_vx = -0.5 * (b + 5.0) * cap / v * first_derivative(v, dx)   # cap'(v) D0 v
-    visc_f = 0.5 * (visc[:-1] + visc[1:])
-    du = np.diff(u) / dx
+    # the three powers of v from one logarithm
+    e = -0.5 * (b + 5.0)
+    log_v = np.log(v)
+    p = np.exp(-g * log_v)
+    visc = np.exp((-a - 1.0) * log_v)       # mu(v)/v
+    cap = np.exp(e * log_v)                 # sqrt(kappa)/v^(5/2)
+    dcap_vx = first_derivative(v, dx)       # cap'(v) D0 v = e cap / v D0 v
+    dcap_vx *= cap
+    dcap_vx /= v
+    dcap_vx *= e
+    # dx times twice the viscous flux at the faces, (visc_i + visc_i+1)(u_i+1 - u_i)
+    visc_flux = visc[:-1] + visc[1:]
+    visc_flux *= np.diff(u)
 
-    vt = np.zeros_like(v)
-    ut = np.zeros_like(u)
-    wt = np.zeros_like(w)
-    vt[1:-1] = (u[2:] - u[:-2]) * h
+    if out is None:
+        out = np.empty((3, v.size))
+    out[:, 0] = out[:, -1] = 0.0
+    vt, ut, wt = out
+    np.subtract(u[2:], u[:-2], out=vt[1:-1])
+    vt[1:-1] *= h
     # w_t is the exact time derivative of discrete_gradient_w = -cap(v) D0 v on
     # interior nodes; the capillary momentum term D0 q is its adjoint, so the
     # two cancel in the discrete energy balance
-    wt[1:-1] = -(dcap_vx[1:-1] * vt[1:-1] + cap[1:-1] * (vt[2:] - vt[:-2]) * h)
-    q_minus_p = first_derivative(cap * w, dx) - dcap_vx * w - p
-    ut[1:-1] = ((q_minus_p[2:] - q_minus_p[:-2]) * h
-                + (visc_f[1:] * du[1:] - visc_f[:-1] * du[:-1]) / dx)
-    return vt, ut, wt
+    wti = wt[1:-1]
+    np.subtract(vt[2:], vt[:-2], out=wti)
+    wti *= cap[1:-1]
+    wti *= h
+    wti += dcap_vx[1:-1] * vt[1:-1]
+    np.negative(wti, out=wti)
+    q_minus_p = first_derivative(cap * w, dx)
+    q_minus_p -= dcap_vx * w
+    q_minus_p -= p
+    uti = ut[1:-1]
+    np.subtract(q_minus_p[2:], q_minus_p[:-2], out=uti)
+    uti *= h
+    uti += (visc_flux[1:] - visc_flux[:-1]) * (h / dx)
+    return out
 
 
 spatial_rhs = _rhs_arrays
@@ -179,9 +202,13 @@ spatial_rhs = _rhs_arrays
 
 def _parabolic_coefficient(v, model: GasModel) -> float:
     """Largest diffusion coefficient nu of the viscous and capillary terms,
-    which sets the parabolic step bound dt <= cfl dx^2 / nu."""
-    return float(max(np.max(v ** (-model.alpha - 1.0)),
-                     np.max(v ** (-0.5 * (model.beta + 5.0)))))
+    which sets the parabolic step bound dt <= cfl dx^2 / nu.
+
+    Both coefficients are powers of v, monotone in v, so their largest
+    value over the grid is taken at its smallest or its largest volume.
+    """
+    ends = np.array([[np.min(v)], [np.max(v)]])
+    return float(np.max(ends ** [-model.alpha - 1.0, -0.5 * (model.beta + 5.0)]))
 
 
 def parabolic_dt(state: SimState, grid: Grid, model: GasModel, cfl: float) -> float:
@@ -203,20 +230,35 @@ def _shift_rate(t, X, u, grid: Grid, composite: CompositeWave, fan=None):
 
     Weighted projection of the velocity perturbation onto the shock
     gradient; identically zero for u = ubar and zero for degenerate shock
-    strength.  ``fan`` is the fan's stack at t on the grid (its v and u are
-    used); it is evaluated here when not given.
+    strength.  Beyond the shock's table vS' is exactly zero, and so is the
+    integrand, so it is evaluated on the nodes of the table's support only
+    and summed with the trapezoid weights of the whole grid.  ``fan`` is
+    the fan's stack at t on the grid (its v and u are used); it is
+    evaluated here when not given.
     """
-    pattern = composite.pattern
+    pattern, profile, x = composite.pattern, composite.profile, grid.x
     if not pattern.has_shock:
         return 0.0
+    # the nodes with x - sigma t - X in [xi_lo, xi_hi], and one more on each
+    # side against rounding
+    c = pattern.sigma * t + X
+    i0 = max(int(np.searchsorted(x, c + profile.xi_lo)) - 1, 0)
+    i1 = min(int(np.searchsorted(x, c + profile.xi_hi, side="right")) + 1, x.size)
+    if i0 >= i1:
+        return 0.0
+    part = slice(i0, i1)
     if fan is None:
-        fan = composite.rarefaction.eval(t, grid.x, order=0)
-    shock = composite.shock_stack(t, grid.x, X, order=1)
+        fan = composite.rarefaction.eval(t, x[part], order=0)
+    else:
+        fan = {"v": fan["v"][part], "u": fan["u"][part]}
+    shock = composite.shock_stack(t, x[part], X, order=1)
     a = entropy_weight(pattern, shock["u"])
-    psi = u - superpose(pattern, fan, shock)["u"]
+    psi = u[part] - superpose(pattern, fan, shock)["u"]
     factor = shock["ux"] + thermo.dpressure(shock["v"], composite.model) * shock["vx"] / pattern.sigma
-    integral = float(np.trapezoid(a * psi * factor, dx=grid.dx))
-    return -pattern.M / pattern.delta_S * integral
+    y = a * psi * factor
+    # the trapezoid halves the weight of the grid's end nodes only
+    total = y.sum() - 0.5 * ((y[0] if i0 == 0 else 0.0) + (y[-1] if i1 == x.size else 0.0))
+    return -pattern.M / pattern.delta_S * float(total * grid.dx)
 
 
 # -- time stepping -------------------------------------------------------------
@@ -232,8 +274,12 @@ def _step_core(state: SimState, grid: Grid, composite: CompositeWave,
     """Advance (v, u, w, X) and the boundary-flux integral by one classical
     Runge-Kutta step; returns the new state.
 
-    With the shift on, the fan is evaluated once per distinct stage time:
-    k1 takes ``state.fan``, k2 and k3 share the stack at t + dt/2, and the
+    The fields are the rows of one (3, n) array, and so are each stage's
+    tendency k, its fields and the weighted sum k1 + 2 k2 + 2 k3 + k4, so
+    each Runge-Kutta combination is one array operation; the new state's
+    v, u and w are rows of one array.  With the shift on, the fan is
+    evaluated once per step, at both new stage times in one call: k1
+    takes ``state.fan``, k2 and k3 share the stack at t + dt/2, and the
     stack at t + dt drives k4 and becomes the new state's ``fan``.
     """
     nu = _parabolic_coefficient(state.v, model)
@@ -243,35 +289,47 @@ def _step_core(state: SimState, grid: Grid, composite: CompositeWave,
             f"{scheme.cfl * grid.dx ** 2 / nu:.3e}")
 
     shift_on = scheme.shift and composite.pattern.has_shock
-    t, v, u, w, X = state.t, state.v, state.u, state.w, state.X
+    t, X = state.t, state.X
+    U = np.stack((state.v, state.u, state.w))
+    k, k_sum, stage = np.empty_like(U), np.empty_like(U), np.empty_like(U)
     fan_half = fan_end = None
     if shift_on:
-        fan_half = composite.rarefaction.eval(t + 0.5 * dt, grid.x, order=0)
-        fan_end = composite.rarefaction.eval(t + dt, grid.x, order=0)
+        fans = composite.rarefaction.eval(np.array([[t + 0.5 * dt], [t + dt]]),
+                                          np.broadcast_to(grid.x, (2, grid.n)), order=0)
+        fan_half = {"v": fans["v"][0], "u": fans["u"][0]}
+        # copied, so that the new state does not hold the half-step row too
+        fan_end = {"v": fans["v"][1].copy(), "u": fans["u"][1].copy()}
 
-    def f(tt, fan, v, u, w, X):
-        vt, ut, wt = _rhs_arrays(v, u, w, grid.dx, model)
-        xdot = _shift_rate(tt, X, u, grid, composite, fan) if shift_on else 0.0
-        return vt, ut, wt, xdot, _boundary_flux(u)
-
-    k1 = f(t, state.fan, v, u, w, X)
-    k2 = f(t + 0.5 * dt, fan_half, v + 0.5 * dt * k1[0], u + 0.5 * dt * k1[1],
-           w + 0.5 * dt * k1[2], X + 0.5 * dt * k1[3])
-    k3 = f(t + 0.5 * dt, fan_half, v + 0.5 * dt * k2[0], u + 0.5 * dt * k2[1],
-           w + 0.5 * dt * k2[2], X + 0.5 * dt * k2[3])
-    k4 = f(t + dt, fan_end, v + dt * k3[0], u + dt * k3[1], w + dt * k3[2], X + dt * k3[3])
+    # stage i at time t + c dt; the next stage's fields are U + a dt k
+    xdot, flux = [0.0] * 4, [0.0] * 4
+    rows, X_stage = U, X
+    for i, (c, a, fan) in enumerate(zip((0.0, 0.5, 0.5, 1.0), (0.5, 0.5, 1.0, None),
+                                        (state.fan, fan_half, fan_half, fan_end))):
+        _rhs_arrays(*rows, grid.dx, model, out=k)
+        if shift_on:
+            xdot[i] = _shift_rate(t + c * dt, X_stage, rows[1], grid, composite, fan)
+        flux[i] = _boundary_flux(rows[1])
+        if a is not None:
+            np.multiply(k, a * dt, out=stage)
+            stage += U
+            rows, X_stage = stage, X + a * dt * xdot[i]
+        # the weighted sum, left to right: k1, + 2 k2, + 2 k3, + k4
+        if i == 0:
+            k, k_sum = k_sum, k
+            continue
+        if i < 3:
+            k *= 2.0
+        k_sum += k
 
     sixth = dt / 6.0
-    v_new = v + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    u_new = u + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    w_new = w + sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-    X_new = X + sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-    flux = state.flux + sixth * (k1[4] + 2.0 * k2[4] + 2.0 * k3[4] + k4[4])
-
-    for arr in (v_new, u_new, w_new):
-        if not np.all(np.isfinite(arr)):
-            raise SolverError(f"non-finite field at t = {t + dt:.6g}; aborting")
-    return SimState(v=v_new, u=u_new, w=w_new, t=t + dt, X=float(X_new), flux=float(flux),
+    k_sum *= sixth
+    np.add(U, k_sum, out=stage)
+    if not np.all(np.isfinite(stage)):
+        raise SolverError(f"non-finite field at t = {t + dt:.6g}; aborting")
+    X_new = X + sixth * (xdot[0] + 2.0 * xdot[1] + 2.0 * xdot[2] + xdot[3])
+    flux_new = state.flux + sixth * (flux[0] + 2.0 * flux[1] + 2.0 * flux[2] + flux[3])
+    v, u, w = stage
+    return SimState(v=v, u=u, w=w, t=t + dt, X=float(X_new), flux=float(flux_new),
                     fan=fan_end)
 
 

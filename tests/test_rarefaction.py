@@ -189,6 +189,27 @@ def test_eval_with_a_time_per_point_matches_one_call_per_time(wave):
                 wave.eval(bad, np.array([0.0, 1.0]), order=deriv)
 
 
+def test_eval_with_a_time_per_row_matches_one_call_per_time(wave):
+    """Times of shape (2, 1) against nodes broadcast to (2, n), the stepping
+    path's one call for both new stage times: each row is the scalar call."""
+    x = np.linspace(-120.0, 80.0, 1001)
+    times = np.array([[0.4], [0.8]])
+    for deriv in (0, 1):
+        st = wave.eval(times, np.broadcast_to(x, (2, x.size)), order=deriv)
+        for row, ti in enumerate(times[:, 0]):
+            ref = wave.eval(ti, x, order=deriv)
+            assert all(np.array_equal(st[key][row], ref[key]) for key in ref), (deriv, ti)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+def test_w0_derivatives_stop_at_the_order(wave, order):
+    x0 = np.linspace(-30.0, 30.0, 601)
+    full = wave._w0_derivatives(x0, 4)
+    got = wave._w0_derivatives(x0, order)
+    assert all(np.array_equal(a, b) for a, b in zip(got[:2 + order], full))
+    assert got[2 + order:] == (None,) * (4 - order)
+
+
 def test_eval_rejects_bad_order(wave):
     with pytest.raises(nw.DomainError):
         wave.eval(0.0, np.array([0.0]), order=5)

@@ -176,21 +176,22 @@ def test_self_residual_matches_pointwise_loop(name):
 
 
 def test_self_residual_nonuniform_and_short_tables(profile_std):
-    # shift every seventh knot: uniform five-point runs survive only between them
+    # the knots are uniform, so every interior knot is a five-point center
+    h = np.diff(profile_std.xi)
+    assert np.max(np.abs(h - h[0])) <= 1e-9 * h[0]
+    # a table on other knots is refused: volume locates by the spacing
     xi = profile_std.xi.copy()
     xi[1:-1:7] += 0.3 * np.diff(xi)[0:-1:7]
-    jagged = dataclasses.replace(profile_std, xi=xi)
-    assert jagged.self_residual() > 0.0
-    assert jagged.self_residual() == self_residual_loop(jagged)
-    # fewer than seven knots, and no uniformly spaced run at all
+    with pytest.raises(nw.ProfileError, match="not uniformly spaced"):
+        dataclasses.replace(profile_std, xi=xi)
+    k = np.arange(40)
+    with pytest.raises(nw.ProfileError, match="not uniformly spaced"):
+        dataclasses.replace(profile_std, xi=np.cumsum(0.1 * 1.01 ** k), v=profile_std.v[:40],
+                            vp=profile_std.vp[:40], vpp=profile_std.vpp[:40])
+    # fewer than seven knots
     short = dataclasses.replace(profile_std, xi=profile_std.xi[:6], v=profile_std.v[:6],
                                 vp=profile_std.vp[:6], vpp=profile_std.vpp[:6])
     assert short.self_residual() == 0.0 == self_residual_loop(short)
-    k = np.arange(40)
-    geometric = dataclasses.replace(
-        profile_std, xi=np.cumsum(0.1 * 1.01 ** k), v=profile_std.v[:40],
-        vp=profile_std.vp[:40], vpp=profile_std.vpp[:40])
-    assert geometric.self_residual() == 0.0 == self_residual_loop(geometric)
 
 
 def test_profile_monotone_and_normalized(profile_std):
@@ -347,6 +348,35 @@ def test_lower_orders_are_the_order_three_stack_truncated(tail_profile):
     for order in (0, 4):
         with pytest.raises(nw.DomainError):
             nw.eval_profile(prof, xi, order=order)
+
+
+def searched_volume(prof, xi):
+    """``volume`` with each body point's interval found by np.searchsorted
+    on the knots, the lookup the uniform table's arithmetic replaced."""
+    v, vp = (f.copy() for f in prof.volume(xi))
+    body = (xi >= prof.xi_switch) & (xi <= prof.xi_hi)
+    knots = prof._knots            # the knots of the interpolated intervals
+    i = np.minimum(np.searchsorted(knots, xi[body], side="right") - 1, len(knots) - 2)
+    s = xi[body] - knots[i]
+    c = prof._cubics.take(i, axis=2)
+    v[body], vp[body] = ((c[0] * s + c[1]) * s + c[2]) * s + c[3]
+    return v, vp
+
+
+def test_volume_is_the_cubic_located_by_search(tail_profile):
+    prof = tail_profile
+    rng = np.random.default_rng(11)
+    # off the knots the interval, and so every bit, is the searched one
+    xi = np.concatenate([rng.uniform(prof.xi_lo - 5.0, prof.xi_hi + 5.0, 20000),
+                         [prof.xi_lo - 10.0, prof.xi_lo - 1e-9, prof.xi_hi + 1e-9,
+                          prof.xi_hi + 10.0]])
+    for got, ref in zip(prof.volume(xi), searched_volume(prof, xi)):
+        assert np.array_equal(got, ref)
+    # at a knot the arithmetic may land in the neighbouring interval, whose
+    # C^1 cubic meets the knot's value to rounding
+    knots = np.concatenate([prof.xi, [prof.xi_switch]])
+    for got, ref in zip(prof.volume(knots), searched_volume(prof, knots)):
+        assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(np.abs(ref)))
 
 
 def test_switch_is_continuous(tail_profile):

@@ -243,6 +243,36 @@ def test_shift_rate_properties(composite_std, model14):
     assert abs(r1) <= 100.0 * np.max(np.abs(bump))
 
 
+def full_grid_shift_rate(t, X, u, grid, composite):
+    """-M/delta_S int a psi (uS_x + p'(vS) vS_x / sigma) dx by the trapezoid
+    on the whole grid, as the benchmark's check writes it."""
+    pattern = composite.pattern
+    bar = composite.eval_bar(t, grid.x, X)
+    shock = nw.eval_profile(composite.profile, grid.x - pattern.sigma * t - X)
+    integrand = bar["a"] * (u - bar["u"]) * (
+        shock["ux"] + thermo.dpressure(shock["v"], composite.model) * shock["vx"] / pattern.sigma)
+    return -pattern.M / pattern.delta_S * np.trapezoid(integrand, dx=grid.dx)
+
+
+# (config, t, X, whether the grid reaches past the table's left and right end)
+@pytest.mark.parametrize("name, t, X, past_ends", [("smoke", 0.0, 0.0, (True, True)),
+                                                   ("standard", 200.0, 0.0, (True, False)),
+                                                   ("standard", 0.0, -100.0, (False, True))],
+                         ids=["inside", "cut-right", "cut-left"])
+def test_shift_rate_is_the_full_grid_trapezoid(name, t, X, past_ends):
+    cfg = nw.parse_config(SMOKE_CFG.with_name(f"{name}.cfg"))
+    grid = cfg.grid
+    composite = nw.build_composite(cfg.build_pattern(), cfg.gas)
+    lo, hi = grid.x[[0, -1]] - composite.pattern.sigma * t - X
+    assert (lo < composite.profile.xi_lo, hi > composite.profile.xi_hi) == past_ends
+    u = composite.eval_bar(t, grid.x, X)["u"] + 1e-3 * np.exp(-(grid.x - 10.0) ** 2 / 50.0)
+    got = _shift_rate(t, X, u, grid, composite)
+    assert got == pytest.approx(full_grid_shift_rate(t, X, u, grid, composite), rel=1e-14)
+    assert got != 0.0
+    fan = composite.rarefaction.eval(t, grid.x, order=0)
+    assert _shift_rate(t, X, u, grid, composite, fan) == got
+
+
 def test_shift_disabled_for_degenerate_shock(model14, right_state):
     pat = make_pattern(model14, 1.0, 0.08)
     comp = nw.CompositeWave(RarefactionWave(pat, model14), None, pat, model14)
@@ -350,20 +380,31 @@ def test_record_xdot_is_the_uncached_shift_rate(monkeypatch, shift):
 
 @pytest.mark.parametrize("shift, per_step", [(True, 2), (False, 0)])
 def test_run_evaluates_the_fan_once_per_new_stage_time(monkeypatch, shift, per_step):
-    """k1 reuses the fan the previous step ended on, k2 and k3 share the one
-    at t + dt/2, and records read their background's fan."""
-    order0 = []
-    real = RarefactionWave.eval
+    """One order-0 call per step carries the ``per_step`` new stage times,
+    t + dt/2 and t + dt, on every node: k1 reuses the fan the previous step
+    ended on, k2 and k3 share the one at t + dt/2, and records read their
+    background's fan."""
+    order0, steps = [], []
+    real_eval, real_step = RarefactionWave.eval, solver._step_core
 
     def counting(self, t, x, order=1):
         if order == 0:
-            order0.append(t)
-        return real(self, t, x, order)
+            order0.append(np.broadcast_arrays(t, x))
+        return real_eval(self, t, x, order)
+
+    def stepping(state, grid, composite, model, scheme, dt):
+        steps.append((state.t, dt, grid.x))
+        return real_step(state, grid, composite, model, scheme, dt)
 
     monkeypatch.setattr(RarefactionWave, "eval", counting)
+    monkeypatch.setattr(solver, "_step_core", stepping)
     result = nw.run(smoke_every_step(shift))
-    assert result.summary["steps"] > 2
-    assert len(order0) == per_step * result.summary["steps"]
+    assert len(steps) == result.summary["steps"] > 2
+    assert len(order0) == (len(steps) if per_step else 0)
+    for (t, x), (t0, dt, nodes) in zip(order0, steps):
+        times = np.full((per_step, nodes.size), [[t0 + 0.5 * dt], [t0 + dt]])
+        assert np.array_equal(np.reshape(t, (per_step, -1)), times)
+        assert np.array_equal(np.reshape(x, (per_step, -1)), [nodes] * per_step)
 
 
 def test_step_from_a_state_without_its_fan():
