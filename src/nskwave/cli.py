@@ -25,6 +25,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
+#: the errors ``dispatch`` reports with each exit code
+VALIDATION_ERRORS = (ConfigError, PatternError, DomainError)
+NUMERICAL_ERRORS = (ProfileError, VacuumError, CflError, SolverError, FloatingPointError)
+
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -37,6 +41,10 @@ def _write_atomic(path: Path, text: str):
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
+            # mkstemp creates the file owner-only; give it open()'s mode
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -233,12 +241,13 @@ VERIFY_SUITES = [
 
 
 def _cmd_verify(config: RunConfig, out_dir: Path, seed: int) -> int:
+    """Run every suite; a failed check or an error ``dispatch`` maps is a FAIL."""
     failures = 0
     for name, fn in VERIFY_SUITES:
         rng = np.random.default_rng(seed)
         try:
             fn(config, rng)
-        except AssertionError as exc:
+        except (AssertionError, *VALIDATION_ERRORS, *NUMERICAL_ERRORS) as exc:
             print(f"FAIL {name}: {exc}")
             failures += 1
         else:
@@ -266,10 +275,10 @@ def dispatch(subcommand: str, config: RunConfig, out_dir=None, seed: int = 0) ->
     out = Path(out_dir) if out_dir is not None else Path(config.output.dir)
     try:
         return _HANDLERS[subcommand](config, out, seed)
-    except (ConfigError, PatternError, DomainError) as exc:
+    except VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ProfileError, VacuumError, CflError, SolverError, FloatingPointError) as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

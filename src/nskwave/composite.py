@@ -91,7 +91,7 @@ def _interaction_forcing(pattern: WavePattern, rs, ss, model):
 
 def _aux_forcing_per_rate(pattern: WavePattern, rs, ss, model):
     """Auxiliary-equation forcing per unit shift rate from the fan stack
-    ``rs`` (order 2) and the shock stack ``ss``."""
+    ``rs`` (order 1 or more) and the shock stack ``ss`` (order 2 or more)."""
     b = model.beta
     bar = superpose(pattern, rs, ss, ("vx",))
     vbar, vbar_x = bar["v"], bar["vx"]
@@ -188,7 +188,7 @@ class CompositeWave:
         x = np.asarray(x, dtype=float)
         if not (self.pattern.has_shock and self.pattern.has_rarefaction):
             return np.zeros_like(x)
-        rs, ss = self.part_stacks(t, x, X, order=2)
+        rs, ss = self.rarefaction.eval(t, x, order=1), self.shock_stack(t, x, X, order=2)
         return Xdot * _aux_forcing_per_rate(self.pattern, rs, ss, self.model)
 
     # -- wave-interaction norms ----------------------------------------------

@@ -5,12 +5,14 @@ The format is INI-like: bracketed sections, one key = value per line and
 strings, and a bare word is read as a string.  Each section is a
 dataclass whose fields are the section's keys, with their types and
 defaults; its ``__post_init__`` holds the section's rules.  Parsing is
-strict: unknown sections or keys are rejected with their line number, and
-validation reports every violated constraint at once, not just the first.
+strict: unknown sections or keys, a key set twice and a float that is
+not finite are rejected with their line number, and validation reports
+every violated constraint at once, not just the first.
 """
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 import typing
 from dataclasses import dataclass
@@ -126,6 +128,7 @@ def parse_config(path) -> RunConfig:
     """Read, type-check and validate a configuration file."""
     text = Path(path).read_text()
     values: dict[str, dict] = {section: {} for section in SECTIONS}
+    set_at: dict[tuple, int] = {}    # (section, key) -> the line that set it
     errors: list[str] = []
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -152,6 +155,10 @@ def parse_config(path) -> RunConfig:
         if key not in _KEY_TYPES[section]:
             errors.append(f"line {lineno}: unknown key {key!r} in section [{section}]")
             continue
+        if (section, key) in set_at:
+            errors.append(f"line {lineno}: key {key!r} already set on line {set_at[section, key]}")
+            continue
+        set_at[section, key] = lineno
         want = _KEY_TYPES[section][key]
         val = _parse_value(rawval)
         if want is float and isinstance(val, (int, float)) and not isinstance(val, bool):
@@ -161,6 +168,9 @@ def parse_config(path) -> RunConfig:
         if not isinstance(val, want) or (want is not bool and isinstance(val, bool)):
             errors.append(
                 f"line {lineno}: key {key!r} expects {want.__name__}, got {val!r}")
+            continue
+        if isinstance(val, float) and not math.isfinite(val):
+            errors.append(f"line {lineno}: key {key!r} must be finite, got {val!r}")
             continue
         values[section][key] = val
 

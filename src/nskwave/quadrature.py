@@ -1,4 +1,4 @@
-"""Adaptive Simpson quadrature over a list of breakpoints.
+"""Adaptive Simpson quadrature over lists of breakpoints.
 
 The integrands in this package are smooth with exponentially localized
 features, so plain Simpson with Richardson-style refinement is both fast
@@ -6,7 +6,7 @@ and deterministic.  The implementation is iterative and batched: every
 refinement level evaluates the integrand once, on one numpy array.  An
 integrand may return several rows (shape (k, n)); the rows then share one
 refinement, so quantities built from the same expensive stacks are
-integrated with one evaluation of those stacks per point.  Several domains
+integrated with one evaluation of those stacks per point.  The domains
 (the same integrand at several times, say) refine in lockstep: each level
 evaluates the integrand once on the points of every domain still open.
 """
@@ -87,22 +87,19 @@ def _levels(pts, abs_tol, rel_tol, index):
         del fmid, fml, fmr, s_left, s_right, s2, diff, err, richardson, tol
 
 
-def adaptive_simpson(f, breakpoints, abs_tol=1e-10, rel_tol=1e-9):
-    """Integrate ``f`` over [breakpoints[0], breakpoints[-1]].
+def adaptive_simpson(f, domains, abs_tol=1e-10, rel_tol=1e-9):
+    """Integrate ``f`` over each of ``domains``, in lockstep.
 
-    ``f`` must accept a 1-D numpy array of n points and return either an
-    array of shape (n,), giving a float, or one of shape (k, n), giving the
-    k integrals of its rows as an array of shape (k,).  ``breakpoints``
-    seed the initial subdivision; features known in advance (wave centers,
-    tail edges) should appear here so the adaptivity starts near them.
-
-    Several domains.  If ``breakpoints`` is a sequence of breakpoint
-    sequences, one per domain, the domains refine in lockstep and a list
-    with one result per domain is returned.  ``f`` is then called as
-    ``f(x, domain)``, with ``domain`` the integer array giving the index of
-    each point's domain, on the points of all open domains at once.  Each
-    domain keeps its own intervals, acceptance, stop and valve, so its
-    result is the one it gets alone.
+    ``domains`` is a list of breakpoint sequences, one per domain; a domain
+    is [breakpoints[0], breakpoints[-1]], and its breakpoints seed the
+    initial subdivision, so features known in advance (wave centers, tail
+    edges) should appear there and the adaptivity starts near them.  ``f``
+    is called as ``f(x, domain)`` on the points of every open domain at
+    once, with ``domain`` the integer array giving the index of each
+    point's domain.  It returns an array of shape (k, n), or (n,) for
+    k = 1, and the result is a list with one (k,) array of the integrals
+    of the rows per domain.  Each domain keeps its own intervals,
+    acceptance, stop and valve, so its result is the one it gets alone.
 
     Acceptance.  Each level halves every open interval.  The error of an
     interval's refined Simpson sum S2 is estimated as |S2 - S1|/15, which
@@ -127,8 +124,6 @@ def adaptive_simpson(f, breakpoints, abs_tol=1e-10, rel_tol=1e-9):
     after ``MAX_LEVELS`` levels, a warning naming the domain is logged and
     the domain's unconverged estimate is returned.
     """
-    several = len(breakpoints) > 0 and np.ndim(breakpoints[0]) > 0
-    domains = breakpoints if several else [breakpoints]
     runs = []
     for index, bp in enumerate(domains):
         pts = np.unique(np.asarray(bp, dtype=float))
@@ -137,19 +132,16 @@ def adaptive_simpson(f, breakpoints, abs_tol=1e-10, rel_tol=1e-9):
         runs.append(_levels(pts, abs_tol, rel_tol, index))
     need = {i: next(run) for i, run in enumerate(runs)}
     results = [None] * len(runs)
-    vector = None
     while need:
         live = list(need)
         sizes = [need[i].size for i in live]
         x = np.concatenate([need.pop(i) for i in live])
-        values = f(x, np.repeat(live, sizes)) if several else f(x)
-        if vector is None:
-            vector = np.ndim(values) == 2
-        for i, chunk in zip(live, np.split(np.atleast_2d(values), np.cumsum(sizes[:-1]), axis=1)):
+        values = np.atleast_2d(f(x, np.repeat(live, sizes)))
+        for i, chunk in zip(live, np.split(values, np.cumsum(sizes[:-1]), axis=1)):
             try:
                 need[i] = runs[i].send(chunk)
             except StopIteration as stop:
-                results[i] = stop.value if vector else float(stop.value[0])
+                results[i] = stop.value
         # the next level's call runs without this one's values
         del values, chunk
-    return results if several else results[0]
+    return results

@@ -24,15 +24,11 @@ from .thermo import GasModel
 X0_WINDOW = 25.0
 
 
-def _time_offsets(t, x):
-    """``t`` as a float, or as an array that broadcasts to the shape of
-    ``x`` when it holds one value per point (or per row of points); raises
-    ``DomainError`` unless every value is finite and nonnegative."""
-    if np.ndim(t) == 0:
-        t = float(t)
-        if not 0.0 <= t < np.inf:
-            raise DomainError("time must be finite and nonnegative")
-        return t
+def _time_offsets(t):
+    """``t`` as a float array, of shape () for one time; raises
+    ``DomainError`` unless every value is finite and nonnegative.  It is
+    not broadcast: a caller's (2, 1) times stay (2, 1) until they meet the
+    points."""
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0.0) & (t < np.inf)):
         raise DomainError("time must be finite and nonnegative")
@@ -84,18 +80,19 @@ class RarefactionWave:
         """Invert x = x0 + w0(x0) tau; returns (speed, foot point).
 
         ``tau`` is one time offset or an array of them that broadcasts to
-        ``x``.  The map is a strictly monotone perturbation of the identity
-        (1 + w0' tau >= 1), so a bracketed Newton iteration always
-        converges.  Each point is frozen at the first iterate whose
-        residual meets the tolerance.  This is needed, not only cheaper: a
-        converged point has a last step of about 0, so the contraction
-        guard below would throw it to the middle of its bracket, from where
-        it creeps back by bisection while the rest of the array waits.
-        Frozen points keep their iterate until they are at least half of
-        the points still iterated; then they are dropped from the arrays.
+        ``x``; it is broadcast to one offset per point.  The map is a
+        strictly monotone perturbation of the identity (1 + w0' tau >= 1),
+        so a bracketed Newton iteration always converges.  Each point is
+        frozen at the first iterate whose residual meets the tolerance.
+        This is needed, not only cheaper: a converged point has a last step
+        of about 0, so the contraction guard below would throw it to the
+        middle of its bracket, from where it creeps back by bisection while
+        the rest of the array waits.  Frozen points keep their iterate until
+        they are at least half of the points still iterated; then they (and
+        their offsets) are dropped from the arrays.
         """
         x = np.asarray(x, dtype=float)
-        tau = _time_offsets(tau, x)
+        tau = _time_offsets(tau)
         if not np.all(np.isfinite(x)):
             raise DomainError("position must be finite")
         if self.degenerate or self.half_width == 0.0:
@@ -103,9 +100,7 @@ class RarefactionWave:
             return np.full_like(x0, self.w_m), x0
 
         xs = x.ravel()
-        per_point = np.ndim(tau) > 0
-        if per_point:
-            tau = np.broadcast_to(tau, x.shape).ravel()
+        tau = np.broadcast_to(tau, x.shape).ravel()
         foot = np.empty_like(xs)
         live = np.arange(xs.size)
         lo = xs - self.w_m * tau - 1.0
@@ -125,9 +120,7 @@ class RarefactionWave:
                 foot[live[done]] = x0[done]
                 keep = ~done
                 live, xs, x0, T, res = live[keep], xs[keep], x0[keep], T[keep], res[keep]
-                lo, hi, dxold, tol = lo[keep], hi[keep], dxold[keep], tol[keep]
-                if per_point:
-                    tau = tau[keep]
+                lo, hi, dxold, tol, tau = lo[keep], hi[keep], dxold[keep], tol[keep], tau[keep]
                 done = None
             up = res > 0.0
             hi = np.where(up, x0, hi)
@@ -211,8 +204,8 @@ class RarefactionWave:
         """Fan fields at physical time t with x-derivatives up to ``order`` (0..4).
 
         ``t`` is one time or an array of them that broadcasts to ``x``, one
-        per point or per row of points; each point gets the values a call at
-        its own time would give.
+        per point or per row of points; both take the same path, and each
+        point gets the values a call at its own time would give.
 
         At order 0 only the nodes inside ``support(t, X0_WINDOW)`` go
         through the characteristic solve; the rest get the end states.
@@ -226,7 +219,7 @@ class RarefactionWave:
         if not 0 <= order <= 4:
             raise DomainError(f"unsupported derivative order {order}")
         x = np.asarray(x, dtype=float)
-        t = _time_offsets(t, x)
+        t = _time_offsets(t)
         tau = 1.0 + t
         if self.degenerate:
             zeros = np.zeros_like(x)
@@ -247,7 +240,7 @@ class RarefactionWave:
         v = np.where(left, self.v_minus, self.v_m)
         u = np.where(left, self.u_minus, self.u_m)
         if inside.any():
-            tau_in = np.broadcast_to(tau, x.shape)[inside] if np.ndim(tau) else tau
+            tau_in = np.broadcast_to(tau, x.shape)[inside]
             _, x0 = self.burgers_state(tau_in, x[inside])
             fan = self._stack_from_x0(tau_in, x0, 0)
             v[inside] = fan["v"]
@@ -282,8 +275,7 @@ class RarefactionWave:
         """
         if field not in ("u", "pair"):
             raise DomainError(f"unknown field {field!r}")
-        if t < 0.0:
-            raise DomainError("time must be nonnegative")
+        t = float(_time_offsets(t))
         orders = tuple(orders)
         if self.degenerate:
             return {j: 0.0 for j in orders}
@@ -307,4 +299,4 @@ class RarefactionWave:
 
         breaks = [-X0_WINDOW, -12.0, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0, 12.0, X0_WINDOW]
         vals = adaptive_simpson(integrand, [breaks] * len(orders), abs_tol=1e-14, rel_tol=1e-10)
-        return {j: float(max(val, 0.0) ** (1.0 / p)) for j, val in zip(orders, vals)}
+        return {j: float(max(float(val[0]), 0.0) ** (1.0 / p)) for j, val in zip(orders, vals)}

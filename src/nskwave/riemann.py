@@ -46,6 +46,8 @@ class WavePattern:
     delta_R: float
     delta_S: float
     sigma_m: float
+    #: p(v_m), for the gain constants and the shock profile's right-hand side
+    p_m: float
     alpha_m: float
     M: float
     C1: float
@@ -136,7 +138,7 @@ def _build_pattern(left: EndState, mid: EndState, right: EndState,
     return WavePattern(
         left=left, mid=mid, right=right, sigma=sigma,
         delta_R=delta_R, delta_S=delta_S,
-        sigma_m=sigma_m, alpha_m=alpha_m, M=M, C1=float(C1))
+        sigma_m=sigma_m, p_m=p_m, alpha_m=alpha_m, M=M, C1=float(C1))
 
 
 def pattern_from_intermediate(v_m: float, right: EndState, model: GasModel,

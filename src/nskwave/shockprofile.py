@@ -50,23 +50,17 @@ RESIDUAL_TOL = 1e-8
 TAIL_SWITCH = 2e-5
 
 
-def _mid_pressure(pattern: WavePattern, model: GasModel):
-    """p(v_m), computed once per solve or evaluation and passed down as
-    ``p_m``: the shot's right-hand side needs it on every call."""
-    return np.power(pattern.mid.v, -model.gamma)
-
-
-def _rankine_hugoniot_gap(v, pattern: WavePattern, model: GasModel, p_m):
+def _rankine_hugoniot_gap(v, pattern: WavePattern, model: GasModel):
     """sigma^2 (v - v_m) + p(v) - p(v_m); vanishes at both end volumes.
 
-    ``p_m`` is ``_mid_pressure``.  The pressure is evaluated with
+    p(v_m) is ``pattern.p_m``.  The pressure p(v) is evaluated with
     ``np.power``, the ufunc that ``thermo.pressure`` uses, but without its
     validation: the callers own the volume check.  A scalar ``v`` goes
     through the same ufunc loop as an array, so the shot's right-hand side
     and the tabulated stack agree to the bit (plain ``**`` on a float may
     differ by one ulp).
     """
-    return pattern.sigma ** 2 * (v - pattern.mid.v) + np.power(v, -model.gamma) - p_m
+    return pattern.sigma ** 2 * (v - pattern.mid.v) + np.power(v, -model.gamma) - pattern.p_m
 
 
 def profile_residual(v, vp, vpp, pattern: WavePattern, model: GasModel):
@@ -79,25 +73,25 @@ def profile_residual(v, vp, vpp, pattern: WavePattern, model: GasModel):
     if not np.all((v > thermo.VOLUME_FLOOR) & (v < np.inf)):
         raise DomainError("volume must be finite and positive")
     a, b = model.alpha, model.beta
-    return (_rankine_hugoniot_gap(v, pattern, model, _mid_pressure(pattern, model))
+    return (_rankine_hugoniot_gap(v, pattern, model)
             + pattern.sigma * v ** (-a - 1.0) * vp
             + v ** (-b - 5.0) * vpp
             - 0.5 * (5.0 + b) * v ** (-b - 6.0) * vp ** 2)
 
 
-def _accel(v, q, pattern: WavePattern, model: GasModel, p_m):
+def _accel(v, q, pattern: WavePattern, model: GasModel):
     """v'' solved from the residual equation."""
     a, b = model.alpha, model.beta
-    F = _rankine_hugoniot_gap(v, pattern, model, p_m)
+    F = _rankine_hugoniot_gap(v, pattern, model)
     return (-v ** (5.0 + b) * F
             - pattern.sigma * v ** (4.0 + b - a) * q
             + 0.5 * (5.0 + b) * q * q / v)
 
 
-def _accel_grad(v, q, pattern: WavePattern, model: GasModel, p_m):
+def _accel_grad(v, q, pattern: WavePattern, model: GasModel):
     """(d/dv, d/dq) of the acceleration, for the third derivative."""
     a, b = model.alpha, model.beta
-    F = _rankine_hugoniot_gap(v, pattern, model, p_m)
+    F = _rankine_hugoniot_gap(v, pattern, model)
     Fp = pattern.sigma ** 2 + thermo.dpressure(v, model)
     gv = (-(5.0 + b) * v ** (4.0 + b) * F - v ** (5.0 + b) * Fp
           - pattern.sigma * (4.0 + b - a) * v ** (3.0 + b - a) * q
@@ -148,12 +142,12 @@ def _manifold_gap(xi, xi0, dv0, lam, c2):
     return dv0 * e / (1.0 + (c2 / lam) * dv0 * (1.0 - e))
 
 
-def _rhs(v, q, pattern: WavePattern, model: GasModel, p_m):
+def _rhs(v, q, pattern: WavePattern, model: GasModel):
     """(v', v'') of the shot at (v, v') = (v, q), on plain floats."""
     # scalar check: thermo's array validation would cost more than the closure
     if not thermo.VOLUME_FLOOR < v < np.inf:
         raise DomainError(f"profile solve left the volume domain (v = {v!r})")
-    return q, float(_accel(v, q, pattern, model, p_m))
+    return q, float(_accel(v, q, pattern, model))
 
 
 # Dormand-Prince 5(4), the coefficients of scipy's RK45: stage coefficients,
@@ -205,7 +199,7 @@ def _crossing(t0, h, y0, k, level, sign):
     return 0.5 * (lo + hi)
 
 
-def _shoot(y0, span, v_mid, v_stop, pattern: WavePattern, model: GasModel, p_m):
+def _shoot(y0, span, v_mid, v_stop, pattern: WavePattern, model: GasModel):
     """Integrate (v, v')' = ``_rhs`` from xi = 0 until v rises to ``v_stop``.
 
     Dormand-Prince 5(4) with local extrapolation, with the step control of
@@ -220,13 +214,13 @@ def _shoot(y0, span, v_mid, v_stop, pattern: WavePattern, model: GasModel, p_m):
     """
     v, q = y0
     span = float(span)
-    fv, fq = _rhs(v, q, pattern, model, p_m)
+    fv, fq = _rhs(v, q, pattern, model)
     # initial step of Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4,
     # for the error estimator's order 4
     sv, sq = ATOL + abs(v) * RTOL, ATOL + abs(q) * RTOL
     d0, d1 = _rms(v / sv, q / sq), _rms(fv / sv, fq / sq)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    gv, gq = _rhs(v + h0 * fv, q + h0 * fq, pattern, model, p_m)
+    gv, gq = _rhs(v + h0 * fv, q + h0 * fq, pattern, model)
     d2 = _rms((gv - fv) / sv, (gq - fq) / sq) / h0
     h1 = (max(1e-6, 1e-3 * h0) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** 0.2)
@@ -245,27 +239,26 @@ def _shoot(y0, span, v_mid, v_stop, pattern: WavePattern, model: GasModel, p_m):
             t_new = min(t + h_abs, span)
             h = t_new - t
             h_abs = h
-            k2v, k2q = _rhs(v + h * (_A2 * fv), q + h * (_A2 * fq), pattern, model, p_m)
+            k2v, k2q = _rhs(v + h * (_A2 * fv), q + h * (_A2 * fq), pattern, model)
             a = _A3
             k3v, k3q = _rhs(v + h * (a[0] * fv + a[1] * k2v),
-                            q + h * (a[0] * fq + a[1] * k2q), pattern, model, p_m)
+                            q + h * (a[0] * fq + a[1] * k2q), pattern, model)
             a = _A4
             k4v, k4q = _rhs(v + h * (a[0] * fv + a[1] * k2v + a[2] * k3v),
-                            q + h * (a[0] * fq + a[1] * k2q + a[2] * k3q),
-                            pattern, model, p_m)
+                            q + h * (a[0] * fq + a[1] * k2q + a[2] * k3q), pattern, model)
             a = _A5
             k5v, k5q = _rhs(v + h * (a[0] * fv + a[1] * k2v + a[2] * k3v + a[3] * k4v),
                             q + h * (a[0] * fq + a[1] * k2q + a[2] * k3q + a[3] * k4q),
-                            pattern, model, p_m)
+                            pattern, model)
             a = _A6
             k6v, k6q = _rhs(
                 v + h * (a[0] * fv + a[1] * k2v + a[2] * k3v + a[3] * k4v + a[4] * k5v),
                 q + h * (a[0] * fq + a[1] * k2q + a[2] * k3q + a[3] * k4q + a[4] * k5q),
-                pattern, model, p_m)
+                pattern, model)
             b = _B
             v_new = v + h * (b[0] * fv + b[1] * k3v + b[2] * k4v + b[3] * k5v + b[4] * k6v)
             q_new = q + h * (b[0] * fq + b[1] * k3q + b[2] * k4q + b[3] * k5q + b[4] * k6q)
-            k7v, k7q = _rhs(v_new, q_new, pattern, model, p_m)
+            k7v, k7q = _rhs(v_new, q_new, pattern, model)
             e = _E
             err_v = h * (e[0] * fv + e[1] * k3v + e[2] * k4v + e[3] * k5v + e[4] * k6v
                          + e[5] * k7v)
@@ -429,7 +422,6 @@ def solve_profile(pattern: WavePattern, model: GasModel) -> ShockProfile:
     if delta_S < DEGENERATE_STRENGTH:
         raise ProfileError("degenerate shock strength: equal end states admit no profile")
     v_m, v_p = pattern.mid.v, pattern.right.v
-    p_m = _mid_pressure(pattern, model)
 
     A_m, B_m, disc_m = _saddle_rate(v_m, pattern, model)
     if A_m <= 0.0:
@@ -453,7 +445,7 @@ def solve_profile(pattern: WavePattern, model: GasModel) -> ShockProfile:
                   + np.log((v_p - v_m) / TAIL_CUT) / abs(nu_slow)) + 100.0
 
     xi_mid, xi_end, starts, sizes, states, stages = _shoot(
-        y0, span, 0.5 * (v_m + v_p), v_p - gap_stop, pattern, model, p_m)
+        y0, span, 0.5 * (v_m + v_p), v_p - gap_stop, pattern, model)
 
     # the table at uniform knots xi_lo + k h, in the frame where the shot's
     # start is the switch: left of it the analytic tail from the cut level
@@ -487,7 +479,7 @@ def solve_profile(pattern: WavePattern, model: GasModel) -> ShockProfile:
     if np.any(np.diff(v) <= 0.0) or np.any(q <= 0.0):
         raise MonotonicityError("monotonicity violated: tabulated profile is not strictly increasing")
 
-    vpp = np.asarray(_accel(v, q, pattern, model, p_m))
+    vpp = np.asarray(_accel(v, q, pattern, model))
 
     # fitted exponential decay rate of the right tail
     gap = v_p - v
@@ -546,13 +538,12 @@ def eval_profile(profile: ShockProfile, xi, order: int = 3) -> dict:
     if order == 1:
         return stack_from_volume(p, model, v, vx)
     inside = (xi >= profile.xi_lo) & (xi <= profile.xi_hi)
-    p_m = _mid_pressure(p, model)
-    vxx = np.where(inside, _accel(v, vx, p, model, p_m), 0.0)
+    vxx = np.where(inside, _accel(v, vx, p, model), 0.0)
     tail, _, q, dq, ddq = profile._tail(xi)
     vxx[tail] = dq * q
     if order == 2:
         return stack_from_volume(p, model, v, vx, vxx)
-    gv, gq = _accel_grad(v, vx, p, model, p_m)
+    gv, gq = _accel_grad(v, vx, p, model)
     vxxx = np.where(inside, gv * vx + gq * vxx, 0.0)
     vxxx[tail] = (ddq * q + dq * dq) * q
     return stack_from_volume(p, model, v, vx, vxx, vxxx)

@@ -109,7 +109,8 @@ class SimState:
     X: float = 0.0
     #: integral of the boundary flux since t = 0, the mass that left the interior
     flux: float = 0.0
-    #: the fan's stack at t on the grid, or None to evaluate it on demand
+    #: the fan's stack at t on the grid; None when the shift is off or the
+    #: state was built by hand, and ``step`` evaluates it then if it needs it
     fan: dict | None = None
 
 
@@ -225,7 +226,7 @@ def parabolic_dt(state: SimState, grid: Grid, model: GasModel, cfl: float) -> fl
 # -- shift dynamics ----------------------------------------------------------
 
 
-def _shift_rate(t, X, u, grid: Grid, composite: CompositeWave, fan=None):
+def _shift_rate(t, X, u, grid: Grid, composite: CompositeWave, fan):
     """Instantaneous shift rate of the shock location.
 
     Weighted projection of the velocity perturbation onto the shock
@@ -233,8 +234,8 @@ def _shift_rate(t, X, u, grid: Grid, composite: CompositeWave, fan=None):
     strength.  Beyond the shock's table vS' is exactly zero, and so is the
     integrand, so it is evaluated on the nodes of the table's support only
     and summed with the trapezoid weights of the whole grid.  ``fan`` is
-    the fan's stack at t on the grid (its v and u are used); it is
-    evaluated here when not given.
+    the fan's stack at t on the grid; its v and u are sliced to those
+    nodes.
     """
     pattern, profile, x = composite.pattern, composite.profile, grid.x
     if not pattern.has_shock:
@@ -247,10 +248,7 @@ def _shift_rate(t, X, u, grid: Grid, composite: CompositeWave, fan=None):
     if i0 >= i1:
         return 0.0
     part = slice(i0, i1)
-    if fan is None:
-        fan = composite.rarefaction.eval(t, x[part], order=0)
-    else:
-        fan = {"v": fan["v"][part], "u": fan["u"][part]}
+    fan = {"v": fan["v"][part], "u": fan["u"][part]}
     shock = composite.shock_stack(t, x[part], X, order=1)
     a = entropy_weight(pattern, shock["u"])
     psi = u[part] - superpose(pattern, fan, shock)["u"]
@@ -279,8 +277,9 @@ def _step_core(state: SimState, grid: Grid, composite: CompositeWave,
     each Runge-Kutta combination is one array operation; the new state's
     v, u and w are rows of one array.  With the shift on, the fan is
     evaluated once per step, at both new stage times in one call: k1
-    takes ``state.fan``, k2 and k3 share the stack at t + dt/2, and the
-    stack at t + dt drives k4 and becomes the new state's ``fan``.
+    takes ``state.fan`` (evaluated at t when the state has none), k2 and
+    k3 share the stack at t + dt/2, and the stack at t + dt drives k4 and
+    becomes the new state's ``fan``.
     """
     nu = _parabolic_coefficient(state.v, model)
     if dt > scheme.cfl * grid.dx ** 2 / nu * (1.0 + 1e-9):
@@ -292,8 +291,10 @@ def _step_core(state: SimState, grid: Grid, composite: CompositeWave,
     t, X = state.t, state.X
     U = np.stack((state.v, state.u, state.w))
     k, k_sum, stage = np.empty_like(U), np.empty_like(U), np.empty_like(U)
-    fan_half = fan_end = None
+    fan_start = fan_half = fan_end = None
     if shift_on:
+        fan_start = (state.fan if state.fan is not None
+                     else composite.rarefaction.eval(t, grid.x, order=0))
         fans = composite.rarefaction.eval(np.array([[t + 0.5 * dt], [t + dt]]),
                                           np.broadcast_to(grid.x, (2, grid.n)), order=0)
         fan_half = {"v": fans["v"][0], "u": fans["u"][0]}
@@ -304,7 +305,7 @@ def _step_core(state: SimState, grid: Grid, composite: CompositeWave,
     xdot, flux = [0.0] * 4, [0.0] * 4
     rows, X_stage = U, X
     for i, (c, a, fan) in enumerate(zip((0.0, 0.5, 0.5, 1.0), (0.5, 0.5, 1.0, None),
-                                        (state.fan, fan_half, fan_half, fan_end))):
+                                        (fan_start, fan_half, fan_half, fan_end))):
         _rhs_arrays(*rows, grid.dx, model, out=k)
         if shift_on:
             xdot[i] = _shift_rate(t + c * dt, X_stage, rows[1], grid, composite, fan)

@@ -88,14 +88,12 @@ def riemann_invariant_z1(v, u, model: GasModel):
 
 def relative_pressure(v, vbar, model: GasModel):
     """p(v) - p(vbar) - p'(vbar)(v - vbar); nonnegative since p is convex."""
-    v = _volume(v)
-    vbar = _volume(vbar)
-    return pressure(v, model) - pressure(vbar, model) - dpressure(vbar, model) * (v - vbar)
+    v, vbar, g = _volume(v), _volume(vbar), model.gamma
+    return v ** (-g) - vbar ** (-g) + g * vbar ** (-g - 1.0) * (v - vbar)
 
 
 def relative_internal_energy(v, vbar, model: GasModel):
     """Q(v) - Q(vbar) - Q'(vbar)(v - vbar) with Q' = -p."""
-    v = _volume(v)
-    vbar = _volume(vbar)
-    return internal_energy(v, model) - internal_energy(vbar, model) + pressure(vbar, model) * (v - vbar)
+    v, vbar, g = _volume(v), _volume(vbar), model.gamma
+    return v ** (1.0 - g) / (g - 1.0) - vbar ** (1.0 - g) / (g - 1.0) + vbar ** (-g) * (v - vbar)
 

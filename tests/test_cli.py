@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +127,44 @@ def test_parse_reports_line_numbers_and_all_errors(tmp_path):
     assert "at least 16" in msg
 
 
+def test_parse_rejects_a_key_set_twice(tmp_path):
+    # a second [scheme] block would otherwise override t_end and cfl
+    path = tmp_path / "bad.cfg"
+    text = SMOKE + "\n[scheme]\nt_end = 5.0\ncfl = 0.2\n"
+    path.write_text(text)
+    first, second = [i for i, line in enumerate(text.splitlines(), 1) if line.startswith("t_end")]
+    with pytest.raises(nw.ConfigError) as err:
+        parse_config(path)
+    msg = str(err.value)
+    assert f"line {second}: key 't_end' already set on line {first}" in msg
+    assert "key 'cfl' already set on line" in msg
+    # within one block too
+    path.write_text(SMOKE.replace("n = 512", "n = 512\nn = 256"))
+    with pytest.raises(nw.ConfigError, match="key 'n' already set on line"):
+        parse_config(path)
+
+
+@pytest.mark.parametrize("old, new, key", [("center = 0.0", "center = inf", "center"),
+                                           ("width = 6.0", "width = inf", "width"),
+                                           ("center = 0.0", "center = nan", "center"),
+                                           ("x_lo = -240.0", "x_lo = -inf", "x_lo")],
+                         ids=["center-inf", "width-inf", "center-nan", "x_lo-minus-inf"])
+def test_parse_rejects_a_float_that_is_not_finite(tmp_path, old, new, key):
+    path = tmp_path / "bad.cfg"
+    path.write_text(SMOKE.replace(old, new))
+    line = SMOKE.splitlines().index(old) + 1
+    with pytest.raises(nw.ConfigError, match=f"line {line}: key '{key}' must be finite"):
+        parse_config(path)
+
+
+def test_main_exits_1_on_a_float_that_is_not_finite(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(SMOKE.replace("width = 6.0", "width = inf"))
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "key 'width' must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_parse_state_mode_exclusivity(tmp_path):
     text = SMOKE.replace("v_m = 0.9", "v_m = 0.9\nu_minus = 0.1")
     path = tmp_path / "bad.cfg"
@@ -243,6 +283,35 @@ def test_verify_passes(smoke_cfg, capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == len(cli.VERIFY_SUITES)
     assert "FAIL" not in out
+
+
+def test_verify_reports_a_suite_that_raises_and_runs_the_rest(tmp_path, capsys):
+    # inside the strength cap, but the shock's right end state is a spiral:
+    # every suite that solves the profile raises MonotonicityError
+    path = tmp_path / "spiral.cfg"
+    path.write_text(SMOKE.replace("v_m = 0.9\nv_minus = 0.88", "v_m = 0.76\nv_minus = 0.74"))
+    assert cli.dispatch("verify", parse_config(path), seed=0) == 2
+    lines = capsys.readouterr().out.splitlines()
+    failing = {"shock-profile", "forcing-cancellation", "weight-bounds"}
+    assert len(lines) == len(cli.VERIFY_SUITES)
+    for line, (name, _) in zip(lines, cli.VERIFY_SUITES):
+        if name in failing:
+            assert line.startswith(f"FAIL {name}: monotonicity violated: right end state is a spiral")
+        else:
+            assert line == f"PASS {name}"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_atomic_write_gives_the_mode_of_open(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        cli._write_atomic(tmp_path / "atomic.csv", "x\n")
+        (tmp_path / "plain.csv").write_text("x\n")
+    finally:
+        os.umask(old)
+    modes = [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("atomic.csv", "plain.csv")]
+    assert modes == [0o666 & ~umask] * 2
+    assert (tmp_path / "atomic.csv").read_text() == "x\n"
 
 
 def test_main_entry(smoke_cfg, tmp_path, capsys):

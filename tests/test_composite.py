@@ -5,7 +5,7 @@ import pytest
 
 import nskwave as nw
 from nskwave import thermo
-from nskwave.composite import (_capillary_grad_x, _capillary_main_x,
+from nskwave.composite import (_aux_forcing_per_rate, _capillary_grad_x, _capillary_main_x,
                                _pressure_flux_x, _viscous_flux_x)
 from nskwave.config import parse_config
 from nskwave.rarefaction import RarefactionWave
@@ -100,6 +100,17 @@ def test_momentum_forcing_closes_composite_equation(gas):
            - _capillary_grad_x(bar, model) + q1i + q1r)
     scale = np.max(np.abs(q1i)) + np.max(np.abs(q1r))
     assert np.max(np.abs(lhs - rhs)) < 1e-13 * max(1.0, scale / 1e-2)
+
+
+@pytest.mark.parametrize("t", [0.0, 3.0, 80.0])
+def test_aux_defect_reads_an_order_one_fan(composite_std, t):
+    """The auxiliary forcing reads the fan's v, u and vx only, so its order-1
+    stack gives the forcing of the order-2 one to the bit."""
+    x = np.linspace(-400.0, 300.0, 3001)
+    rs, ss = composite_std.part_stacks(t, x, 0.3, order=2)
+    expected = 1.7 * _aux_forcing_per_rate(composite_std.pattern, rs, ss, composite_std.model)
+    got = composite_std.aux_defect(t, x, 0.3, 1.7)
+    assert np.array_equal(got, expected) and np.any(got != 0.0)
 
 
 @pytest.mark.parametrize("gas", [(1.4, 0.0, 0.0), (1.6, 0.5, 1.0)])

@@ -288,6 +288,13 @@ def test_degenerate_fan(model14, right_state):
     assert wave.derivative_norms(1.0, 2) == {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0}
 
 
+@pytest.mark.parametrize("p", [2, np.inf])
+@pytest.mark.parametrize("t", [np.nan, np.inf, -1.0])
+def test_derivative_norms_reject_bad_times(wave, t, p):
+    with pytest.raises(nw.DomainError, match="time must be finite and nonnegative"):
+        wave.derivative_norms(t, p)
+
+
 def test_velocity_variation_equals_strength(wave, pattern_std):
     n1 = wave.derivative_norms(0.0, 1, orders=(1,), field="u")[1]
     assert abs(n1 - pattern_std.delta_R) < 1e-8

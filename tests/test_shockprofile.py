@@ -30,10 +30,10 @@ def self_residual_loop(profile):
     return res_max
 
 
-def validated_gap(v, pattern, model, p_m):
+def validated_gap(v, pattern, model):
     """The Rankine-Hugoniot gap with both pressures through thermo.pressure,
-    which validates its argument as an array on every call; the p(v_m)
-    passed down from the solve is not used."""
+    which validates its argument as an array on every call; the pattern's
+    stored p(v_m) is not used."""
     v_m = pattern.mid.v
     return (pattern.sigma ** 2 * (v - v_m)
             + thermo.pressure(v, model) - thermo.pressure(v_m, model))
@@ -42,8 +42,8 @@ def validated_gap(v, pattern, model, p_m):
 def solve_profile_validated(pattern, model, monkeypatch):
     """solve_profile with the right-hand side fed numpy scalars and the
     validated gap: the reference for the scalar right-hand side."""
-    def reference_rhs(v, q, pattern, model, p_m):
-        return q, float(shockprofile._accel(np.float64(v), np.float64(q), pattern, model, p_m))
+    def reference_rhs(v, q, pattern, model):
+        return q, float(shockprofile._accel(np.float64(v), np.float64(q), pattern, model))
 
     with monkeypatch.context() as m:
         m.setattr(shockprofile, "_rankine_hugoniot_gap", validated_gap)
@@ -67,12 +67,11 @@ def test_profile_table_matches_validated_rhs(name, monkeypatch):
 
 def test_profile_rhs_rejects_volumes_outside_the_domain(pattern_std, model14):
     v_m = pattern_std.mid.v
-    p_m = shockprofile._mid_pressure(pattern_std, model14)
-    rate = shockprofile._rhs(v_m, 0.0, pattern_std, model14, p_m)[1]
+    rate = shockprofile._rhs(v_m, 0.0, pattern_std, model14)[1]
     assert rate == pytest.approx(0.0, abs=1e-15)
     for v in (0.0, np.nan, np.inf, -1.0, 0.5 * thermo.VOLUME_FLOOR):
         with pytest.raises(nw.DomainError):
-            shockprofile._rhs(float(v), 1e-3, pattern_std, model14, p_m)
+            shockprofile._rhs(float(v), 1e-3, pattern_std, model14)
 
 
 def shoot_and_reference(name, monkeypatch):
@@ -87,7 +86,7 @@ def shoot_and_reference(name, monkeypatch):
 
     monkeypatch.setattr(shockprofile, "_shoot", recording_shoot)
     prof = nw.solve_profile(cfg.build_pattern(), cfg.gas)
-    y0, span, v_mid, v_stop, pattern, model, p_m = shot["args"]
+    y0, span, v_mid, v_stop, pattern, model = shot["args"]
 
     def ev_mid(_, y):
         return y[0] - v_mid
@@ -104,7 +103,7 @@ def shoot_and_reference(name, monkeypatch):
     ev_turn.direction = -1.0
 
     def rhs(_, y):
-        return shockprofile._rhs(float(y[0]), float(y[1]), pattern, model, p_m)
+        return shockprofile._rhs(float(y[0]), float(y[1]), pattern, model)
 
     ref = solve_ivp(rhs, (0.0, span), y0, method="RK45", rtol=shockprofile.RTOL,
                     atol=shockprofile.ATOL, events=(ev_mid, ev_arrive, ev_turn),
@@ -114,7 +113,7 @@ def shoot_and_reference(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["standard", "smoke"])
 def test_shot_matches_scipy_rk45(name, monkeypatch):
-    prof, (_, _, v_mid, v_stop, _, _, _), shot, ref = shoot_and_reference(name, monkeypatch)
+    prof, (_, _, v_mid, v_stop, _, _), shot, ref = shoot_and_reference(name, monkeypatch)
     xi_mid, xi_end, starts = shot[:3]
     assert ref.status == 1 and ref.t_events[2].size == 0
     # The two shots round differently (scipy sums the stages with BLAS), so
@@ -140,14 +139,14 @@ def test_shot_matches_scipy_rk45(name, monkeypatch):
 
 
 def test_shot_raises_when_the_slope_turns_negative(pattern_std, model14, monkeypatch):
-    monkeypatch.setattr(shockprofile, "_accel", lambda v, q, pattern, model, p_m: -1e-3)
+    monkeypatch.setattr(shockprofile, "_accel", lambda v, q, pattern, model: -1e-3)
     with pytest.raises(nw.MonotonicityError, match="slope crossed zero"):
         nw.solve_profile(pattern_std, model14)
 
 
 def test_shot_raises_when_the_span_ends_before_arrival(pattern_std, model14, monkeypatch):
     # v' stays at its small starting value, so v creeps up linearly
-    monkeypatch.setattr(shockprofile, "_accel", lambda v, q, pattern, model, p_m: 0.0)
+    monkeypatch.setattr(shockprofile, "_accel", lambda v, q, pattern, model: 0.0)
     with pytest.raises(nw.ProfileError, match="not reached within span"):
         nw.solve_profile(pattern_std, model14)
 

@@ -16,7 +16,7 @@ SMOKE_CFG = Path(__file__).resolve().parents[1] / "configs" / "smoke.cfg"
 
 
 def shift_rate(state, grid, composite):
-    return _shift_rate(state.t, state.X, state.u, grid, composite)
+    return _shift_rate(state.t, state.X, state.u, grid, composite, state.fan)
 
 
 def smoke_every_step(shift=True):
@@ -266,11 +266,12 @@ def test_shift_rate_is_the_full_grid_trapezoid(name, t, X, past_ends):
     lo, hi = grid.x[[0, -1]] - composite.pattern.sigma * t - X
     assert (lo < composite.profile.xi_lo, hi > composite.profile.xi_hi) == past_ends
     u = composite.eval_bar(t, grid.x, X)["u"] + 1e-3 * np.exp(-(grid.x - 10.0) ** 2 / 50.0)
-    got = _shift_rate(t, X, u, grid, composite)
+    fan = composite.rarefaction.eval(t, grid.x, order=0)
+    got = _shift_rate(t, X, u, grid, composite, fan)
     assert got == pytest.approx(full_grid_shift_rate(t, X, u, grid, composite), rel=1e-14)
     assert got != 0.0
-    fan = composite.rarefaction.eval(t, grid.x, order=0)
-    assert _shift_rate(t, X, u, grid, composite, fan) == got
+    # the background's order-1 fan holds the same v and u
+    assert _shift_rate(t, X, u, grid, composite, composite.eval_bar(t, grid.x, X)["fan"]) == got
 
 
 def test_shift_disabled_for_degenerate_shock(model14, right_state):
@@ -344,9 +345,6 @@ def test_shift_rate_reads_one_order_one_shock_stack(stack_traffic):
     state = solver.initial_data(cfg.grid, composite, cfg.perturbation)
     stack_traffic.clear()
     shift_rate(state, cfg.grid, composite)
-    assert stack_traffic == [("fan", 0), ("shock", 1), "volume"]
-    stack_traffic.clear()
-    _shift_rate(state.t, state.X, state.u, cfg.grid, composite, state.fan)
     assert stack_traffic == [("shock", 1), "volume"]
 
 
@@ -373,7 +371,9 @@ def test_record_xdot_is_the_uncached_shift_rate(monkeypatch, shift):
     for rec, (t, X, u, xdot) in zip(result.records, seen):
         assert (rec.t, rec.X) == (t, X)
         # with the shift off the records report the rate that was integrated
-        expected = _shift_rate(t, X, u, grid, composite) if shift else 0.0
+        expected = (_shift_rate(t, X, u, grid, composite,
+                                composite.rarefaction.eval(t, grid.x, order=0))
+                    if shift else 0.0)
         assert rec.Xdot == xdot == expected
     assert any(rec.Xdot != 0.0 for rec in result.records) == shift
 
@@ -407,14 +407,19 @@ def test_run_evaluates_the_fan_once_per_new_stage_time(monkeypatch, shift, per_s
         assert np.array_equal(np.reshape(x, (per_step, -1)), [nodes] * per_step)
 
 
-def test_step_from_a_state_without_its_fan():
+def test_step_from_a_state_without_its_fan(stack_traffic):
     cfg = nw.parse_config(SMOKE_CFG)
     grid, scheme = cfg.grid, cfg.scheme
     composite = nw.build_composite(cfg.build_pattern(), cfg.gas)
     state = nw.initial_data(grid, composite, cfg.perturbation)
     dt = nw.parabolic_dt(state, grid, cfg.gas, scheme.cfl)
+    stack_traffic.clear()
     given = nw.step(state, grid, composite, cfg.gas, scheme, dt)
+    assert stack_traffic.count(("fan", 0)) == 1
+    stack_traffic.clear()
     new = nw.step(dataclasses.replace(state, fan=None), grid, composite, cfg.gas, scheme, dt)
+    # one more order-0 fan, at t on the grid, for k1
+    assert stack_traffic.count(("fan", 0)) == 2
     assert (new.t, new.X, new.flux) == (given.t, given.X, given.flux) and new.X != 0.0
     for name in ("v", "u", "w"):
         assert np.array_equal(getattr(new, name), getattr(given, name))

@@ -50,6 +50,19 @@ def test_relative_quantity_identity_and_example(model14):
     assert thermo.relative_pressure(2.0, 1.0, nw.GasModel(2.0)) == pytest.approx(1.25)
 
 
+@pytest.mark.parametrize("shape", [(1000,), ()], ids=["array", "scalar"])
+def test_relative_quantities_are_their_defining_expressions(model14, shape):
+    """Each is, to the bit, its definition composed from the pointwise functions."""
+    rng = np.random.default_rng(7)
+    v, vbar = rng.uniform(0.1, 3.0, size=(2, *shape))
+    q = (thermo.internal_energy(v, model14) - thermo.internal_energy(vbar, model14)
+         + thermo.pressure(vbar, model14) * (v - vbar))
+    p = (thermo.pressure(v, model14) - thermo.pressure(vbar, model14)
+         - thermo.dpressure(vbar, model14) * (v - vbar))
+    assert np.array_equal(thermo.relative_internal_energy(v, vbar, model14), q)
+    assert np.array_equal(thermo.relative_pressure(v, vbar, model14), p)
+
+
 def test_relative_energy_taylor_limit(model14):
     # ratio to (1/2) Q''(1) h^2 tends to 1
     q2 = -thermo.dpressure(1.0, model14)
