@@ -145,7 +145,7 @@ def _cmd_simulate(config: RunConfig, out_dir: Path, seed: int) -> int:
 # -- verification suites ------------------------------------------------------------
 
 
-def _suite_relative_quantities(config, rng):
+def _suite_relative_quantities(config, rng, composite):
     model = config.gas
     v = rng.uniform(0.1, 3.0, size=4000)
     vbar = rng.uniform(0.1, 3.0, size=4000)
@@ -156,7 +156,7 @@ def _suite_relative_quantities(config, rng):
     assert np.all(q[far] > 0.0), "relative energy vanished off the diagonal"
 
 
-def _suite_pattern_roundtrip(config, rng):
+def _suite_pattern_roundtrip(config, rng, composite):
     model = config.gas
     pattern = config.build_pattern()
     from .riemann import solve_intermediate_state
@@ -165,7 +165,7 @@ def _suite_pattern_roundtrip(config, rng):
     assert abs(re_solved.mid.v - pattern.mid.v) < 1e-9, "intermediate state did not round-trip"
 
 
-def _suite_fan_identities(config, rng):
+def _suite_fan_identities(config, rng, composite):
     model = config.gas
     pattern = config.build_pattern()
     wave = RarefactionWave(pattern, model)
@@ -179,35 +179,30 @@ def _suite_fan_identities(config, rng):
     assert abs(norm1 - pattern.delta_R) < 1e-8, "fan velocity variation != strength"
 
 
-def _suite_profile(config, rng):
-    pattern = config.build_pattern()
-    if not pattern.has_shock:
+def _suite_profile(config, rng, composite):
+    profile = composite().profile
+    if profile is None:
         return
-    profile = solve_profile(pattern, config.gas)
     assert profile.self_residual() < 1e-8, "profile residual too large"
     assert abs(float(profile.volume(0.0)[0]) - 0.5 * (profile.v_m + profile.v_plus)) < 1e-10
 
 
-def _suite_forcing_cancellation(config, rng):
-    pattern = config.build_pattern()
-    composite = solver.build_composite(pattern, config.gas)
+def _suite_forcing_cancellation(config, rng, composite):
     x = np.linspace(-30.0, 30.0, 200)
-    q2a = composite.aux_defect(1.0, x, 0.0, 1.0)
-    q2b = composite.aux_defect(1.0, x, 0.0, 2.0)
+    q2a = composite().aux_defect(1.0, x, 0.0, 1.0)
+    q2b = composite().aux_defect(1.0, x, 0.0, 2.0)
     assert np.max(np.abs(q2b - 2.0 * q2a)) < 1e-13, "auxiliary forcing is not linear in the rate"
 
 
-def _suite_weight_bounds(config, rng):
-    pattern = config.build_pattern()
-    composite = solver.build_composite(pattern, config.gas)
+def _suite_weight_bounds(config, rng, composite):
     x = rng.uniform(-50.0, 50.0, size=2000)
-    bar = composite.eval_bar(2.0, x, 0.3)
+    bar = composite().eval_bar(2.0, x, 0.3)
     a = bar["a"]
     assert np.all(a >= 1.0 - 1e-14) and np.all(a <= 2.0 + 1e-14), "weight left [1, 2]"
     assert np.all(bar["a_x"] >= 0.0), "weight is not monotone"
 
 
-def _suite_hardy_legendre(config, rng):
+def _suite_hardy_legendre(config, rng, composite):
     y = np.linspace(0.0, 1.0, 2048)
     lhs, rhs = diagnostics.hardy_legendre_gap(y)
     assert abs(lhs - 1.0 / 12.0) < 1e-6 and abs(rhs - 1.0 / 12.0) < 1e-6
@@ -217,7 +212,7 @@ def _suite_hardy_legendre(config, rng):
         assert lhs <= rhs + 1e-6, "Poincare-type inequality violated"
 
 
-def _suite_scheme_equilibrium(config, rng):
+def _suite_scheme_equilibrium(config, rng, composite):
     model = config.gas
     pattern = config.build_pattern()
     grid = solver.Grid(-10.0, 10.0, 64)
@@ -241,12 +236,30 @@ VERIFY_SUITES = [
 
 
 def _cmd_verify(config: RunConfig, out_dir: Path, seed: int) -> int:
-    """Run every suite; a failed check or an error ``dispatch`` maps is a FAIL."""
+    """Run every suite; a failed check or an error ``dispatch`` maps is a FAIL.
+
+    Each suite gets ``composite()``, the config's composite wave: it is
+    built, with its shock profile, on the first call and shared by the
+    suites that need it.  When the build fails, the same error is raised
+    again to each of them, so each reports it.
+    """
+    built = []
+
+    def composite():
+        if not built:
+            try:
+                built.append(solver.build_composite(config.build_pattern(), config.gas))
+            except (*VALIDATION_ERRORS, *NUMERICAL_ERRORS) as exc:
+                built.append(exc)
+        if isinstance(built[0], Exception):
+            raise built[0]
+        return built[0]
+
     failures = 0
     for name, fn in VERIFY_SUITES:
         rng = np.random.default_rng(seed)
         try:
-            fn(config, rng)
+            fn(config, rng, composite)
         except (AssertionError, *VALIDATION_ERRORS, *NUMERICAL_ERRORS) as exc:
             print(f"FAIL {name}: {exc}")
             failures += 1

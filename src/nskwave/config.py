@@ -176,12 +176,14 @@ def parse_config(path) -> RunConfig:
 
     built = {}
     for section, cls in SECTIONS.items():
-        missing = [f.name for f in dataclasses.fields(cls)
-                   if f.default is dataclasses.MISSING
-                   and f.default_factory is dataclasses.MISSING
-                   and f.name not in values[section]]
-        errors += [f"missing required key {section}.{key}" for key in missing]
-        if not missing:
+        absent = [f.name for f in dataclasses.fields(cls)
+                  if f.default is dataclasses.MISSING
+                  and f.default_factory is dataclasses.MISSING
+                  and f.name not in values[section]]
+        # a key rejected on its line is present, and its line says why
+        errors += [f"missing required key {section}.{key}" for key in absent
+                   if (section, key) not in set_at]
+        if not absent:
             try:
                 built[section] = cls(**values[section])
             except (ConfigError, DomainError) as exc:

@@ -135,11 +135,21 @@ def _manifold(dv, lam, c2):
     return dv * (lam + c2 * dv), lam + 2.0 * c2 * dv, 2.0 * c2
 
 
-def _manifold_gap(xi, xi0, dv0, lam, c2):
-    """dv at xi on the solution of dv' = lam dv + c2 dv^2 through (xi0, dv0),
-    in closed form (a Bernoulli equation), to full relative precision."""
-    e = np.exp(lam * (xi - xi0))
-    return dv0 * e / (1.0 + (c2 / lam) * dv0 * (1.0 - e))
+def _manifold_gap(xi, xi0, dv0, lam, c2, out=None, work=None):
+    """dv at the array xi on the solution of dv' = lam dv + c2 dv^2 through
+    (xi0, dv0), in closed form (a Bernoulli equation), to full relative
+    precision: dv0 e / (1 + (c2 / lam) dv0 (1 - e)) with e = exp(lam (xi -
+    xi0)).  Written into ``out`` with ``work`` for the denominator when
+    given, else into new arrays."""
+    e = np.subtract(xi, xi0, out=out)
+    e *= lam
+    np.exp(e, out=e)
+    den = np.subtract(1.0, e, out=work)
+    den *= (c2 / lam) * dv0
+    den += 1.0
+    e *= dv0
+    e /= den
+    return e
 
 
 def _rhs(v, q, pattern: WavePattern, model: GasModel):
@@ -400,6 +410,48 @@ class ShockProfile:
         v[tail] = self.v_m + dv
         vp[tail] = q
         return v, vp
+
+    def volume_sorted(self, xi, v, vp, work, index):
+        """``volume`` at non-decreasing ``xi``, written into ``v`` and ``vp``.
+
+        The far field left of the table, the analytic tail, the body and
+        the far field right of it are then consecutive slices of ``xi``,
+        found by ``searchsorted`` at the table's ends and the switch, and
+        each is evaluated on its own slice.  The arithmetic is
+        ``volume``'s, the interval index and the Horner order included, so
+        v and v' equal its values bit for bit.  ``work`` (2, n) and the
+        integer ``index`` (n,) are scratch for the n points; nothing is
+        allocated per point.
+        """
+        lo, switch = (int(j) for j in xi.searchsorted((self.xi[0], self.xi_switch)))
+        hi = int(xi.searchsorted(self.xi[-1], side="right"))
+        v[:lo], vp[:lo] = self.v_m, 0.0
+        v[hi:], vp[hi:] = self.v_plus, 0.0
+        # the tail: v_m + dv and q(dv) = dv (lam + c2 dv)
+        dv = _manifold_gap(xi[lo:switch], self.xi_switch, TAIL_SWITCH * self.pattern.delta_S,
+                           self.growth_rate, self.manifold_c2,
+                           out=v[lo:switch], work=work[0, lo:switch])
+        q = np.multiply(dv, self.manifold_c2, out=vp[lo:switch])
+        q += self.growth_rate
+        q *= dv
+        dv += self.v_m
+        # the body: the interval index, then each interpolant in Horner order;
+        # every index is in range, and with mode="clip" ``take`` writes into
+        # ``out`` directly, where the default mode would buffer it
+        body = slice(switch, hi)
+        s, c, i = work[0, body], work[1, body], index[body]
+        np.subtract(xi[body], self._knots[0], out=s)
+        s /= self._h
+        i[...] = s                              # astype(np.intp): truncation
+        np.minimum(i, len(self._knots) - 2, out=i)
+        self._knots.take(i, out=c, mode="clip")
+        np.subtract(xi[body], c, out=s)
+        for coefficients, y in zip(self._cubics.transpose(1, 0, 2), (v[body], vp[body])):
+            coefficients[0].take(i, out=y, mode="clip")
+            for row in coefficients[1:]:
+                y *= s
+                row.take(i, out=c, mode="clip")
+                y += c
 
     def self_residual(self) -> float:
         """Max residual over the table's interior knots, with v'' from the

@@ -15,21 +15,29 @@ re-evaluated at every stage, and the boundary-flux integral of the mass
 audit ride along as two extra scalars.  The shift rate integrates over
 the shock's support only, the nodes where its table reaches: beyond it
 the integrand is exactly zero.
+
+The intermediates of a stage (the right-hand side's, the shift rate's,
+the stage fields and the stage sums) live in grid-sized scratch that
+persists across calls, so a stage allocates no grid-sized temporaries.
+No scratch array is returned: ``spatial_rhs`` with ``out=None`` still
+returns a new array, and so does ``step`` for the new state and its fan.
+The solver is single-threaded, and its scratch must not be shared across
+threads, so each thread gets scratch of its own.
 """
 from __future__ import annotations
 
 import logging
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from . import thermo
-from .composite import CompositeWave, entropy_weight, superpose
+from .composite import CompositeWave
 from .diagnostics import (DiagnosticsRecord, collect_record, discrete_gradient_w,
                           mass_defect, relative_entropy_density)
 from .errors import CflError, ConfigError, SolverError, VacuumError, check
-from .fd import first_derivative
+from .fd import _first_derivative_into, first_derivative
 from .rarefaction import RarefactionWave
 from .shockprofile import solve_profile
 from .thermo import GasModel
@@ -149,29 +157,62 @@ def initial_data(grid: Grid, composite: CompositeWave, perturbation: Perturbatio
                     fan=bar["fan"])
 
 
+# -- scratch -------------------------------------------------------------------
+
+class _Scratch:
+    """Work arrays of one grid size that persist across calls.
+
+    The seven rows of ``work`` hold the intermediates of ``_rhs_arrays``
+    and of ``_shift_rate``, which never run at the same time, and
+    ``index`` the shift rate's table intervals; ``_step_core`` keeps its
+    stage fields and its stage sums in ``U``, ``k`` and ``k_sum``, each
+    (3, n).  No scratch array is ever returned to a caller.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.work = np.empty((7, n))
+        self.U, self.k, self.k_sum = np.empty((3, 3, n))
+        self.index = np.empty(n, np.intp)
+
+
+_local = threading.local()
+
+
+def _scratch(n: int) -> _Scratch:
+    """This thread's scratch for n nodes.  It holds one grid size's buffers
+    and is replaced when n changes; a thread of its own gets its own."""
+    scratch = getattr(_local, "scratch", None)
+    if scratch is None or scratch.n != n:
+        scratch = _local.scratch = _Scratch(n)
+    return scratch
+
+
 # -- spatial operator ---------------------------------------------------------
 
 
 def _rhs_arrays(v, u, w, dx, model: GasModel, out=None):
     """Semidiscrete tendencies (v_t, u_t, w_t), the rows of one (3, n)
-    array (``out`` when given); boundary nodes are pinned."""
-    if np.min(v) < VACUUM_FLOOR:
+    array: ``out`` when given, else a new array; boundary nodes are pinned.
+    The intermediates are written into the scratch."""
+    if v.min() < VACUUM_FLOOR:
         raise VacuumError(f"volume fell below the vacuum floor {VACUUM_FLOOR}")
     g, a, b = model.gamma, model.alpha, model.beta
     h = 0.5 / dx
-    # the three powers of v from one logarithm
+    tmp, p, visc, cap, dcap_vx, visc_flux, q_minus_p = _scratch(v.size).work
+    # the three powers of v from one logarithm: p, mu(v)/v and sqrt(kappa)/v^(5/2)
     e = -0.5 * (b + 5.0)
-    log_v = np.log(v)
-    p = np.exp(-g * log_v)
-    visc = np.exp((-a - 1.0) * log_v)       # mu(v)/v
-    cap = np.exp(e * log_v)                 # sqrt(kappa)/v^(5/2)
-    dcap_vx = first_derivative(v, dx)       # cap'(v) D0 v = e cap / v D0 v
+    log_v = np.log(v, out=tmp)
+    for power, exponent in ((p, -g), (visc, -a - 1.0), (cap, e)):
+        np.multiply(log_v, exponent, out=power)
+        np.exp(power, out=power)
+    _first_derivative_into(v, dx, dcap_vx)  # cap'(v) D0 v = e cap / v D0 v
     dcap_vx *= cap
     dcap_vx /= v
     dcap_vx *= e
     # dx times twice the viscous flux at the faces, (visc_i + visc_i+1)(u_i+1 - u_i)
-    visc_flux = visc[:-1] + visc[1:]
-    visc_flux *= np.diff(u)
+    visc_flux = np.add(visc[:-1], visc[1:], out=visc_flux[:-1])
+    visc_flux *= np.subtract(u[1:], u[:-1], out=tmp[:-1])
 
     if out is None:
         out = np.empty((3, v.size))
@@ -186,15 +227,17 @@ def _rhs_arrays(v, u, w, dx, model: GasModel, out=None):
     np.subtract(vt[2:], vt[:-2], out=wti)
     wti *= cap[1:-1]
     wti *= h
-    wti += dcap_vx[1:-1] * vt[1:-1]
+    wti += np.multiply(dcap_vx[1:-1], vt[1:-1], out=tmp[1:-1])
     np.negative(wti, out=wti)
-    q_minus_p = first_derivative(cap * w, dx)
-    q_minus_p -= dcap_vx * w
+    _first_derivative_into(np.multiply(cap, w, out=tmp), dx, q_minus_p)
+    q_minus_p -= np.multiply(dcap_vx, w, out=tmp)
     q_minus_p -= p
     uti = ut[1:-1]
     np.subtract(q_minus_p[2:], q_minus_p[:-2], out=uti)
     uti *= h
-    uti += (visc_flux[1:] - visc_flux[:-1]) * (h / dx)
+    flux_diff = np.subtract(visc_flux[1:], visc_flux[:-1], out=tmp[:-2])
+    flux_diff *= h / dx
+    uti += flux_diff
     return out
 
 
@@ -230,12 +273,16 @@ def _shift_rate(t, X, u, grid: Grid, composite: CompositeWave, fan):
     """Instantaneous shift rate of the shock location.
 
     Weighted projection of the velocity perturbation onto the shock
-    gradient; identically zero for u = ubar and zero for degenerate shock
-    strength.  Beyond the shock's table vS' is exactly zero, and so is the
-    integrand, so it is evaluated on the nodes of the table's support only
-    and summed with the trapezoid weights of the whole grid.  ``fan`` is
-    the fan's stack at t on the grid; its v and u are sliced to those
-    nodes.
+    gradient: -M/delta_S times the integral of a psi (uS' + p'(vS) vS' /
+    sigma), with the weight a of ``entropy_weight`` and psi = u - ubar;
+    identically zero for u = ubar and zero for degenerate shock strength.
+    Beyond the shock's table vS' is exactly zero, and so is the integrand,
+    so it is evaluated on the nodes of the table's support only and summed
+    with the trapezoid weights of the whole grid.  Those nodes are one
+    increasing slice of the grid, so ``ShockProfile.volume_sorted`` gives
+    the shock on it region by region, with ``volume``'s values.  ``fan``
+    is the fan's stack at t on the grid; its u is sliced to the support.
+    Every intermediate is written into the scratch.
     """
     pattern, profile, x = composite.pattern, composite.profile, grid.x
     if not pattern.has_shock:
@@ -243,17 +290,39 @@ def _shift_rate(t, X, u, grid: Grid, composite: CompositeWave, fan):
     # the nodes with x - sigma t - X in [xi_lo, xi_hi], and one more on each
     # side against rounding
     c = pattern.sigma * t + X
-    i0 = max(int(np.searchsorted(x, c + profile.xi_lo)) - 1, 0)
-    i1 = min(int(np.searchsorted(x, c + profile.xi_hi, side="right")) + 1, x.size)
+    i0 = max(int(x.searchsorted(c + profile.xi_lo)) - 1, 0)
+    i1 = min(int(x.searchsorted(c + profile.xi_hi, side="right")) + 1, x.size)
     if i0 >= i1:
         return 0.0
-    part = slice(i0, i1)
-    fan = {"v": fan["v"][part], "u": fan["u"][part]}
-    shock = composite.shock_stack(t, x[part], X, order=1)
-    a = entropy_weight(pattern, shock["u"])
-    psi = u[part] - superpose(pattern, fan, shock)["u"]
-    factor = shock["ux"] + thermo.dpressure(shock["v"], composite.model) * shock["vx"] / pattern.sigma
-    y = a * psi * factor
+    part, m = slice(i0, i1), i1 - i0
+    scratch = _scratch(x.size)
+    uS, v, vx, ux, a, psi, factor = scratch.work[:, :m]
+    # the shock's order-1 stack: v and vx at xi = x - sigma t - X (in uS's
+    # row until uS is formed), then uS = u_m - sigma (v - v_m) and ux = -sigma vx
+    xi = np.subtract(x[part], pattern.sigma * t, out=uS)
+    xi -= X
+    profile.volume_sorted(xi, v, vx, scratch.work[3:5, :m], scratch.index[:m])
+    mid, sigma, g = pattern.mid, pattern.sigma, composite.model.gamma
+    np.subtract(v, mid.v, out=uS)
+    uS *= sigma
+    np.subtract(mid.u, uS, out=uS)
+    np.multiply(vx, -sigma, out=ux)
+    # the weight 1 + (u_m - uS) / sqrt(delta_S) and psi = u - (uS + (uR - u_m))
+    np.subtract(mid.u, uS, out=a)
+    a /= np.sqrt(pattern.delta_S)
+    a += 1.0
+    np.subtract(fan["u"][part], mid.u, out=psi)
+    psi += uS
+    np.subtract(u[part], psi, out=psi)
+    # ux + p'(v) vx / sigma, with p'(v) = -gamma v^(-gamma - 1) of volumes
+    # from the profile table, which need no validation
+    np.power(v, -g - 1.0, out=factor)
+    factor *= -g
+    factor *= vx
+    factor /= sigma
+    factor += ux
+    y = np.multiply(a, psi, out=a)
+    y *= factor
     # the trapezoid halves the weight of the grid's end nodes only
     total = y.sum() - 0.5 * ((y[0] if i0 == 0 else 0.0) + (y[-1] if i1 == x.size else 0.0))
     return -pattern.M / pattern.delta_S * float(total * grid.dx)
@@ -274,8 +343,9 @@ def _step_core(state: SimState, grid: Grid, composite: CompositeWave,
 
     The fields are the rows of one (3, n) array, and so are each stage's
     tendency k, its fields and the weighted sum k1 + 2 k2 + 2 k3 + k4, so
-    each Runge-Kutta combination is one array operation; the new state's
-    v, u and w are rows of one array.  With the shift on, the fan is
+    each Runge-Kutta combination is one array operation.  The fields, k
+    and the sum live in the scratch; the new state's v, u and w are rows
+    of one new array.  With the shift on, the fan is
     evaluated once per step, at both new stage times in one call: k1
     takes ``state.fan`` (evaluated at t when the state has none), k2 and
     k3 share the stack at t + dt/2, and the stack at t + dt drives k4 and
@@ -289,8 +359,11 @@ def _step_core(state: SimState, grid: Grid, composite: CompositeWave,
 
     shift_on = scheme.shift and composite.pattern.has_shock
     t, X = state.t, state.X
-    U = np.stack((state.v, state.u, state.w))
-    k, k_sum, stage = np.empty_like(U), np.empty_like(U), np.empty_like(U)
+    scratch = _scratch(grid.n)
+    U, k, k_sum = scratch.U, scratch.k, scratch.k_sum
+    U[0], U[1], U[2] = state.v, state.u, state.w
+    # the stages' fields, and at the end the new state's: a new array
+    stage = np.empty_like(U)
     fan_start = fan_half = fan_end = None
     if shift_on:
         fan_start = (state.fan if state.fan is not None
@@ -325,7 +398,7 @@ def _step_core(state: SimState, grid: Grid, composite: CompositeWave,
     sixth = dt / 6.0
     k_sum *= sixth
     np.add(U, k_sum, out=stage)
-    if not np.all(np.isfinite(stage)):
+    if not np.isfinite(stage).all():
         raise SolverError(f"non-finite field at t = {t + dt:.6g}; aborting")
     X_new = X + sixth * (xdot[0] + 2.0 * xdot[1] + 2.0 * xdot[2] + xdot[3])
     flux_new = state.flux + sixth * (flux[0] + 2.0 * flux[1] + 2.0 * flux[2] + flux[3])

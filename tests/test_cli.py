@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import nskwave as nw
-from nskwave import cli, composite
+from nskwave import cli, composite, solver
 from nskwave.config import parse_config
 
 STANDARD = Path(__file__).resolve().parents[1] / "configs" / "standard.cfg"
+SMOKE_FILE = STANDARD.with_name("smoke.cfg")
 
 SMOKE = """
 [gas]
@@ -153,7 +154,16 @@ def test_parse_rejects_a_float_that_is_not_finite(tmp_path, old, new, key):
     path = tmp_path / "bad.cfg"
     path.write_text(SMOKE.replace(old, new))
     line = SMOKE.splitlines().index(old) + 1
-    with pytest.raises(nw.ConfigError, match=f"line {line}: key '{key}' must be finite"):
+    with pytest.raises(nw.ConfigError, match=f"line {line}: key '{key}' must be finite") as err:
+        parse_config(path)
+    # the key is present, so a required one (x_lo) is not also reported missing
+    assert "missing required key" not in str(err.value)
+
+
+def test_parse_reports_an_absent_required_key(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text(SMOKE.replace("x_lo = -240.0\n", ""))
+    with pytest.raises(nw.ConfigError, match="missing required key grid.x_lo"):
         parse_config(path)
 
 
@@ -285,12 +295,36 @@ def test_verify_passes(smoke_cfg, capsys):
     assert "FAIL" not in out
 
 
-def test_verify_reports_a_suite_that_raises_and_runs_the_rest(tmp_path, capsys):
+def counted_profile_solves(monkeypatch):
+    """The calls of ``solve_profile``, through either module that looks it up."""
+    calls = []
+    real = nw.solve_profile
+
+    def counting(pattern, model):
+        calls.append(pattern)
+        return real(pattern, model)
+
+    monkeypatch.setattr(solver, "solve_profile", counting)
+    monkeypatch.setattr(cli, "solve_profile", counting)
+    return calls
+
+
+def test_verify_solves_the_profile_once(monkeypatch, capsys):
+    solves = counted_profile_solves(monkeypatch)
+    assert cli.dispatch("verify", parse_config(SMOKE_FILE), seed=0) == 0
+    assert len(solves) == 1
+    assert capsys.readouterr().out.count("PASS") == len(cli.VERIFY_SUITES)
+
+
+def test_verify_reports_a_suite_that_raises_and_runs_the_rest(tmp_path, capsys, monkeypatch):
     # inside the strength cap, but the shock's right end state is a spiral:
-    # every suite that solves the profile raises MonotonicityError
+    # every suite that needs the profile reports the MonotonicityError of
+    # its one solve
     path = tmp_path / "spiral.cfg"
     path.write_text(SMOKE.replace("v_m = 0.9\nv_minus = 0.88", "v_m = 0.76\nv_minus = 0.74"))
+    solves = counted_profile_solves(monkeypatch)
     assert cli.dispatch("verify", parse_config(path), seed=0) == 2
+    assert len(solves) == 1
     lines = capsys.readouterr().out.splitlines()
     failing = {"shock-profile", "forcing-cancellation", "weight-bounds"}
     assert len(lines) == len(cli.VERIFY_SUITES)

@@ -378,6 +378,38 @@ def test_volume_is_the_cubic_located_by_search(tail_profile):
         assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(np.abs(ref)))
 
 
+def sorted_volume(prof, xi):
+    """``ShockProfile.volume_sorted`` at the non-decreasing ``xi``."""
+    v, vp, work = np.empty_like(xi), np.empty_like(xi), np.empty((2, xi.size))
+    prof.volume_sorted(xi, v, vp, work, np.empty(xi.size, np.intp))
+    return v, vp
+
+
+@pytest.mark.parametrize("name", ["smoke", "standard"])
+def test_volume_on_sorted_grid_slices_is_volume(name):
+    cfg = parse_config(CONFIGS / f"{name}.cfg")
+    prof = nw.solve_profile(cfg.build_pattern(), cfg.gas)
+    x = cfg.grid.x
+    marks = np.array([prof.xi_lo, prof.xi_switch, prof.xi_hi])
+    # the grid as it is, and moved so that its ends fall in the tail or the body
+    shifts = (0.0, x[0] - 0.5 * (prof.xi_lo + prof.xi_switch),
+              x[-1] - 0.5 * (prof.xi_switch + prof.xi_hi))
+    regions = set()
+    for c in shifts:
+        xi = x - c
+        edges = np.searchsorted(xi, marks)
+        slices = [xi, xi[edges[0]:edges[2]], xi[edges[0] + 1:edges[2] - 1]]
+        slices += [xi[max(j - 3, 0):j + 3] for j in edges]
+        # the table's ends and the switch as points of the slice
+        slices.append(np.sort(np.concatenate([xi, marks])))
+        for part in slices:
+            got, ref = sorted_volume(prof, part), prof.volume(part)
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+            regions.update(np.searchsorted(marks, part, side="right"))
+    # nodes left of the table, in the tail, in the body and right of it
+    assert regions == {0, 1, 2, 3}
+
+
 def test_switch_is_continuous(tail_profile):
     xs = tail_profile.xi_switch
     xi = xs + np.array([-1e-9, 0.0, 1e-9])

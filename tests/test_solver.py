@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -334,18 +336,21 @@ def stack_traffic(monkeypatch):
     log(RarefactionWave, "eval", lambda self, t, x, order=1: ("fan", order))
     log(CompositeWave, "shock_stack", lambda self, t, x, X, order: ("shock", order))
     log(ShockProfile, "volume", lambda self, xi: "volume")
+    log(ShockProfile, "volume_sorted", lambda self, *args: "volume_sorted")
     log(shockprofile, "_accel", lambda *args: "_accel")
     log(shockprofile, "_accel_grad", lambda *args: "_accel_grad")
     return calls
 
 
 def test_shift_rate_reads_one_order_one_shock_stack(stack_traffic):
+    """The shift rate reads v and vx of the shock once, on its support, and
+    evaluates no fan and no stack of order 2 or more."""
     cfg = nw.parse_config(SMOKE_CFG)
     composite = nw.build_composite(cfg.build_pattern(), cfg.gas)
     state = solver.initial_data(cfg.grid, composite, cfg.perturbation)
     stack_traffic.clear()
     shift_rate(state, cfg.grid, composite)
-    assert stack_traffic == [("shock", 1), "volume"]
+    assert stack_traffic == ["volume_sorted"]
 
 
 def test_background_reads_order_one_stacks(stack_traffic, composite_std):
@@ -425,6 +430,64 @@ def test_step_from_a_state_without_its_fan(stack_traffic):
         assert np.array_equal(getattr(new, name), getattr(given, name))
     assert new.fan.keys() == given.fan.keys()
     assert all(np.array_equal(new.fan[k], given.fan[k]) for k in new.fan)
+
+
+def test_results_do_not_share_the_scratch():
+    """A state that ``step`` returned, its fan included, stays as it was
+    while later steps run, and each ``spatial_rhs`` call without ``out``
+    returns an array of its own."""
+    cfg = nw.parse_config(SMOKE_CFG)
+    grid, scheme = cfg.grid, cfg.scheme
+    composite = nw.build_composite(cfg.build_pattern(), cfg.gas)
+    state = nw.initial_data(grid, composite, cfg.perturbation)
+    dt = nw.parabolic_dt(state, grid, cfg.gas, scheme.cfl)
+    held = nw.step(state, grid, composite, cfg.gas, scheme, dt)
+    rows = {name: getattr(held, name).copy() for name in ("v", "u", "w")}
+    fan = {k: a.copy() for k, a in held.fan.items()}
+    later = held
+    for _ in range(2):
+        later = nw.step(later, grid, composite, cfg.gas, scheme, dt)
+    assert not np.array_equal(later.v, held.v)
+    for name, copy in rows.items():
+        assert np.array_equal(getattr(held, name), copy)
+    assert held.fan.keys() == fan.keys()
+    assert all(np.array_equal(held.fan[k], fan[k]) for k in fan)
+    first = nw.spatial_rhs(held.v, held.u, held.w, grid.dx, cfg.gas)
+    kept = first.copy()
+    second = nw.spatial_rhs(later.v, later.u, later.w, grid.dx, cfg.gas)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept) and not np.array_equal(first, second)
+
+
+def test_threads_do_not_share_the_scratch(model14):
+    """Right-hand sides of different fields on one grid, computed at once in
+    several threads, equal the ones computed one at a time."""
+    grid = nw.Grid(-20.0, 20.0, 513)
+    fields = [(1.0 + 0.1 * np.cos(k * grid.x), 0.1 * np.sin(k * grid.x),
+               0.01 * np.cos(2.0 * k * grid.x)) for k in (1.0, 1.5, 2.0, 2.5)]
+    expected = [nw.spatial_rhs(*f, grid.dx, model14) for f in fields]
+    got = [None] * len(fields)
+
+    def work(i):
+        for _ in range(200):
+            rhs = nw.spatial_rhs(*fields[i], grid.dx, model14)
+            if not np.array_equal(rhs, expected[i]):
+                got[i] = rhs
+                return
+        got[i] = expected[i]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(fields))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(g is e for g, e in zip(got, expected))
 
 
 def test_step_preserves_boundaries_and_mass(tw_setup, model14):
