@@ -310,13 +310,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = parse_config(args.config)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError, ConfigError) as exc:
+        print(f"error: {args.config}: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    try:
+        return dispatch(args.subcommand, config, out_dir=args.out, seed=args.seed)
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    return dispatch(args.subcommand, config, out_dir=args.out, seed=args.seed)
 
 
 if __name__ == "__main__":

@@ -126,7 +126,7 @@ class RunConfig:
 
 def parse_config(path) -> RunConfig:
     """Read, type-check and validate a configuration file."""
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     values: dict[str, dict] = {section: {} for section in SECTIONS}
     set_at: dict[tuple, int] = {}    # (section, key) -> the line that set it
     errors: list[str] = []

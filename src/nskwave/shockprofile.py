@@ -9,9 +9,13 @@ adaptive Dormand-Prince 5(4) integrator (``_shoot``), translate so the
 midpoint volume sits at xi = 0, and tabulate the profile at uniform knots
 xi_lo + k h: the analytic left tail (below) up to the shot's start, its
 dense output up to its arrival and the linearized node flow beyond, so
-that both table ends reach the far-field states to 1e-12.  ``volume``
-interpolates the table with cubic Hermite polynomials, on the interval
-it finds by arithmetic on the knots.
+that both table ends reach the far-field states to 1e-12.
+
+``ShockProfile._evaluate`` is the one evaluator of v, v', v'' and v''':
+left of the table, in the tail, in the body (cubic Hermite interpolants
+and the residual equation) and right of it.  ``volume`` takes points in
+any order, ``volume_sorted`` sorted points and scratch, and
+``eval_profile`` is the stack of ``volume``'s derivatives.
 
 The left tail, where v - v_m is below ``TAIL_SWITCH`` times the shock
 strength, is analytic.  There the shooting's absolute error (about
@@ -19,11 +23,11 @@ strength, is analytic.  There the shooting's absolute error (about
 residual equation for v'' and v''' would amplify it, and v - v_m formed
 from v would carry the rounding of v.  Instead the manifold's expansion
 q(v) = growth_rate dv + manifold_c2 dv^2 (dv = v - v_m) gives the slope,
-and dv(xi) is the exact solution of dv' = q(dv), which ``volume`` and
-``eval_profile`` evaluate from xi alone.  The shot starts at the switch,
-``xi_switch``, on the same expansion, so v and v' are continuous there;
-the residual equation holds for the expansion to O(dv^3), so v'' and v'''
-agree there to O(dv^2) and the rounding of the residual equation.
+and dv(xi) is the exact solution of dv' = q(dv), which the evaluator
+computes from xi alone.  The shot starts at the switch, ``xi_switch``,
+on the same expansion, so v and v' are continuous there; the residual
+equation holds for the expansion to O(dv^3), so v'' and v''' agree there
+to O(dv^2) and the rounding of the residual equation.
 """
 from __future__ import annotations
 
@@ -129,10 +133,14 @@ def _manifold_c2(lam, pattern: WavePattern, model: GasModel):
     return (A2 + B1 * lam + C0 * lam * lam) / (3.0 * lam - B0)
 
 
-def _manifold(dv, lam, c2):
-    """Slope q = lam dv + c2 dv^2 on the unstable manifold, with dq/dv and
-    d^2q/dv^2.  Along the manifold v' = q, v'' = q' q, v''' = (q'' q + q'^2) q."""
-    return dv * (lam + c2 * dv), lam + 2.0 * c2 * dv, 2.0 * c2
+def _manifold_slope(dv, lam, c2, out=None):
+    """Slope q = (c2 dv + lam) dv on the unstable manifold, written into
+    ``out`` when given.  Along the manifold v' = q, v'' = q' q and v''' =
+    (q'' q + q'^2) q, with q' = lam + 2 c2 dv and q'' = 2 c2."""
+    q = np.multiply(dv, c2, out=out)
+    q += lam
+    q *= dv
+    return q
 
 
 def _manifold_gap(xi, xi0, dv0, lam, c2, out=None, work=None):
@@ -374,66 +382,40 @@ class ShockProfile:
     def xi_hi(self) -> float:
         return float(self.xi[-1])
 
-    def _tail(self, xi):
-        """The analytic left tail at ``xi``: the mask of the points in it and,
-        at those points, dv = v - v_m, the manifold slope q, dq/dv and
-        d^2q/dv^2."""
-        tail = (xi >= self.xi[0]) & (xi < self.xi_switch)
+    def _evaluate(self, xi, out, work, index, ends=None):
+        """v, v' and, for three or four rows of ``out``, v'' and v''' at the
+        points ``xi``, written into ``out`` (order + 1, n); ``work`` (2, n)
+        and the integer ``index`` (n,) are scratch.
+
+        ``ends`` = (lo, switch, hi) makes [:lo], [lo:switch], [switch:hi]
+        and [hi:] the points left of the table, in the tail, in the body and
+        right of it; without it the points are non-decreasing, a NaN last,
+        and ``searchsorted`` finds the ends.  In the tail v = v_m + dv, v' =
+        q(dv), v'' = q' q and v''' = (q'' q + q'^2) q.  In the body v and v'
+        interpolate the tabulated (v, v') and (v', v'') by cubic Hermite
+        polynomials on one interval, the integer part of the offset in knot
+        spacings from the knot at or below the switch (within rounding of a
+        knot, either neighbour: the C^1 interpolants agree to a few ulp);
+        v'' and v''' solve the residual equation and its derivative.
+        """
+        if ends is None:
+            ends = (*xi.searchsorted((self.xi[0], self.xi_switch)),
+                    xi.searchsorted(self.xi[-1], side="right"))
+        lo, switch, hi = ends
+        order = len(out) - 1
+        out[0, :lo], out[0, hi:] = self.v_m, self.v_plus
+        out[1:, :lo] = out[1:, hi:] = 0.0
+        # the tail, with dv in v's row until v_m is added
+        tail = slice(lo, switch)
+        lam, c2 = self.growth_rate, self.manifold_c2
         dv = _manifold_gap(xi[tail], self.xi_switch, TAIL_SWITCH * self.pattern.delta_S,
-                           self.growth_rate, self.manifold_c2)
-        return (tail, dv, *_manifold(dv, self.growth_rate, self.manifold_c2))
-
-    def volume(self, xi):
-        """v and v' at arbitrary xi (end-state constants beyond the table).
-
-        From ``xi_switch`` on, v and v' are the cubic Hermite interpolants
-        of the tabulated (v, v') and (v', v''), on the table interval found
-        once for both: the integer part of the point's offset, in knot
-        spacings, to the knot at or below the switch.  A point within
-        rounding of a knot may land in the interval on its other side,
-        where the C^1 interpolant agrees to a few ulp.  In the analytic
-        left tail, below ``xi_switch``, they are v_m + dv and q(dv), and no
-        interpolant is evaluated.
-        """
-        xi = np.asarray(xi, dtype=float)
-        body = (xi >= self.xi_switch) & (xi <= self.xi[-1])
-        tail, dv, q, _, _ = self._tail(xi)
-        v = np.where(xi < self.xi_switch, self.v_m, self.v_plus)
-        vp = np.zeros_like(v)
-        s = xi[body]
-        # truncation toward 0 is the floor: s - knots[0] > -h
-        i = ((s - self._knots[0]) / self._h).astype(np.intp)
-        np.minimum(i, len(self._knots) - 2, out=i)
-        s -= self._knots[i]
-        c = self._cubics.take(i, axis=2)
-        v[body], vp[body] = ((c[0] * s + c[1]) * s + c[2]) * s + c[3]
-        v[tail] = self.v_m + dv
-        vp[tail] = q
-        return v, vp
-
-    def volume_sorted(self, xi, v, vp, work, index):
-        """``volume`` at non-decreasing ``xi``, written into ``v`` and ``vp``.
-
-        The far field left of the table, the analytic tail, the body and
-        the far field right of it are then consecutive slices of ``xi``,
-        found by ``searchsorted`` at the table's ends and the switch, and
-        each is evaluated on its own slice.  The arithmetic is
-        ``volume``'s, the interval index and the Horner order included, so
-        v and v' equal its values bit for bit.  ``work`` (2, n) and the
-        integer ``index`` (n,) are scratch for the n points; nothing is
-        allocated per point.
-        """
-        lo, switch = (int(j) for j in xi.searchsorted((self.xi[0], self.xi_switch)))
-        hi = int(xi.searchsorted(self.xi[-1], side="right"))
-        v[:lo], vp[:lo] = self.v_m, 0.0
-        v[hi:], vp[hi:] = self.v_plus, 0.0
-        # the tail: v_m + dv and q(dv) = dv (lam + c2 dv)
-        dv = _manifold_gap(xi[lo:switch], self.xi_switch, TAIL_SWITCH * self.pattern.delta_S,
-                           self.growth_rate, self.manifold_c2,
-                           out=v[lo:switch], work=work[0, lo:switch])
-        q = np.multiply(dv, self.manifold_c2, out=vp[lo:switch])
-        q += self.growth_rate
-        q *= dv
+                           lam, c2, out=out[0, tail], work=work[0, tail])
+        q = _manifold_slope(dv, lam, c2, out=out[1, tail])
+        if order >= 2:
+            dq = lam + 2.0 * c2 * dv
+            out[2, tail] = dq * q
+            if order == 3:
+                out[3, tail] = (2.0 * c2 * q + dq * dq) * q
         dv += self.v_m
         # the body: the interval index, then each interpolant in Horner order;
         # every index is in range, and with mode="clip" ``take`` writes into
@@ -442,16 +424,54 @@ class ShockProfile:
         s, c, i = work[0, body], work[1, body], index[body]
         np.subtract(xi[body], self._knots[0], out=s)
         s /= self._h
-        i[...] = s                              # astype(np.intp): truncation
+        i[...] = s                  # truncation toward 0 is the floor: s > -1
         np.minimum(i, len(self._knots) - 2, out=i)
         self._knots.take(i, out=c, mode="clip")
         np.subtract(xi[body], c, out=s)
-        for coefficients, y in zip(self._cubics.transpose(1, 0, 2), (v[body], vp[body])):
+        for coefficients, y in zip(self._cubics.transpose(1, 0, 2), out[:2, body]):
             coefficients[0].take(i, out=y, mode="clip")
             for row in coefficients[1:]:
                 y *= s
                 row.take(i, out=c, mode="clip")
                 y += c
+        if order >= 2:
+            v, vx = out[0, body], out[1, body]
+            vxx = out[2, body] = _accel(v, vx, self.pattern, self.model)
+            if order == 3:
+                gv, gq = _accel_grad(v, vx, self.pattern, self.model)
+                out[3, body] = gv * vx + gq * vxx
+
+    def volume(self, xi, order: int = 1):
+        """v and v' at arbitrary xi, plus v'' from order 2 on and v''' at
+        order 3, each of xi's shape (``_evaluate``).  Points out of order are
+        grouped by region with boolean masks, evaluated and scattered back,
+        so each point gets the same bits in any order."""
+        if order not in (1, 2, 3):
+            raise DomainError(f"unsupported derivative order {order}")
+        xi = np.asarray(xi, dtype=float)
+        flat = xi.ravel()
+        out, work = np.empty((order + 1, flat.size)), np.empty((2, flat.size))
+        index = np.empty(flat.size, np.intp)
+        if np.all(flat[1:] >= flat[:-1]):
+            self._evaluate(flat, out, work, index)
+        else:
+            # the regions are differences of nested masks; a NaN is in none
+            left, below, inside = (flat < self.xi[0], flat < self.xi_switch,
+                                   flat <= self.xi[-1])
+            groups = [np.flatnonzero(m) for m in (left, below ^ left, inside ^ below, ~inside)]
+            grouped = np.concatenate(groups)
+            self._evaluate(flat[grouped], out, work, index,
+                           np.cumsum([g.size for g in groups[:3]]))
+            for row in out:
+                work[0] = row
+                row[grouped] = work[0]
+        return tuple(out.reshape((order + 1,) + xi.shape))
+
+    def volume_sorted(self, xi, out, work, index):
+        """``volume`` at the non-decreasing 1-D ``xi``, to the order the rows of
+        ``out`` (order + 1, n) hold, written into them bit for bit; with the
+        scratch ``work`` (2, n) and integer ``index`` (n,) nothing is allocated."""
+        self._evaluate(xi, out, work, index)
 
     def self_residual(self) -> float:
         """Max residual over the table's interior knots, with v'' from the
@@ -489,7 +509,7 @@ def solve_profile(pattern: WavePattern, model: GasModel) -> ShockProfile:
 
     # shoot from the switch on the manifold; left of it the tail is analytic
     d0 = TAIL_SWITCH * delta_S
-    y0 = (v_m + d0, float(_manifold(d0, lam_plus, c2)[0]))
+    y0 = (v_m + d0, float(_manifold_slope(d0, lam_plus, c2)))
     # stop while the slope is still far above the integrator noise floor,
     # then close the last stretch with the linearized node flow
     gap_stop = max(TAIL_CUT, 1000.0 * ATOL)
@@ -517,7 +537,7 @@ def solve_profile(pattern: WavePattern, model: GasModel) -> ShockProfile:
     step = np.searchsorted(starts, s, side="right") - 1
     v_shot, q_shot = _dense(starts, sizes, states, stages, step, s)
     v = np.concatenate([v_m + dv_tail, v_shot])
-    q = np.concatenate([_manifold(dv_tail, lam_plus, c2)[0], q_shot])
+    q = np.concatenate([_manifold_slope(dv_tail, lam_plus, c2), q_shot])
     # extend the right tail with the linearized node flow down to the cut level
     d_last = v_p - v[-1]
     if d_last > TAIL_CUT:
@@ -572,30 +592,6 @@ def stack_from_volume(pattern: WavePattern, model: GasModel, v, vx, vxx=None, vx
 
 
 def eval_profile(profile: ShockProfile, xi, order: int = 3) -> dict:
-    """Profile fields at xi: their ``stack_from_volume`` of order ``order``.
-
-    v and v' come from ``ShockProfile.volume``; order 1 needs nothing else.
-    From the switch on, v'' is the residual equation solved for it
-    (differentiated once for v''' at order 3), so the derivatives satisfy
-    the traveling-wave system to the accuracy of the table itself.  In the
-    analytic left tail, v'' = q' q and v''' = (q'' q + q'^2) q from the same
-    manifold expansion q(dv) that gives ``volume`` its v' there.  Beyond
-    the table the far-field constants are returned with zero derivatives.
-    """
-    if order not in (1, 2, 3):
-        raise DomainError(f"unsupported derivative order {order}")
-    xi = np.asarray(xi, dtype=float)
-    p, model = profile.pattern, profile.model
-    v, vx = profile.volume(xi)
-    if order == 1:
-        return stack_from_volume(p, model, v, vx)
-    inside = (xi >= profile.xi_lo) & (xi <= profile.xi_hi)
-    vxx = np.where(inside, _accel(v, vx, p, model), 0.0)
-    tail, _, q, dq, ddq = profile._tail(xi)
-    vxx[tail] = dq * q
-    if order == 2:
-        return stack_from_volume(p, model, v, vx, vxx)
-    gv, gq = _accel_grad(v, vx, p, model)
-    vxxx = np.where(inside, gv * vx + gq * vxx, 0.0)
-    vxxx[tail] = (ddq * q + dq * dq) * q
-    return stack_from_volume(p, model, v, vx, vxx, vxxx)
+    """Profile fields at xi: the ``stack_from_volume`` of order ``order`` of
+    ``ShockProfile.volume`` at that order."""
+    return stack_from_volume(profile.pattern, profile.model, *profile.volume(xi, order))

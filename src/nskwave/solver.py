@@ -117,8 +117,8 @@ class SimState:
     X: float = 0.0
     #: integral of the boundary flux since t = 0, the mass that left the interior
     flux: float = 0.0
-    #: the fan's stack at t on the grid; None when the shift is off or the
-    #: state was built by hand, and ``step`` evaluates it then if it needs it
+    #: the fan's stack at t on the grid: ``initial_data`` sets it and ``step``
+    #: carries it while the shift is on; without it ``step`` evaluates it
     fan: dict | None = None
 
 
@@ -301,7 +301,7 @@ def _shift_rate(t, X, u, grid: Grid, composite: CompositeWave, fan):
     # row until uS is formed), then uS = u_m - sigma (v - v_m) and ux = -sigma vx
     xi = np.subtract(x[part], pattern.sigma * t, out=uS)
     xi -= X
-    profile.volume_sorted(xi, v, vx, scratch.work[3:5, :m], scratch.index[:m])
+    profile.volume_sorted(xi, scratch.work[1:3, :m], scratch.work[3:5, :m], scratch.index[:m])
     mid, sigma, g = pattern.mid, pattern.sigma, composite.model.gamma
     np.subtract(v, mid.v, out=uS)
     uS *= sigma

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import os
 import stat
 from pathlib import Path
@@ -353,6 +354,35 @@ def test_main_entry(smoke_cfg, tmp_path, capsys):
     assert rc == 0
     rc = cli.main(["riemann", "--config", str(tmp_path / "missing.cfg")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("case", ["directory", "unreadable", "not-utf-8"])
+def test_main_exits_1_on_a_config_it_cannot_read(tmp_path, capsys, monkeypatch, case):
+    path = tmp_path / "bad.cfg"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-utf-8":
+        path.write_bytes(b"\xff" + SMOKE.encode())
+    else:
+        # a permission bit does not stop a privileged user, so the read is refused here
+        def refused(p):
+            raise PermissionError(errno.EACCES, "Permission denied", str(p))
+        monkeypatch.setattr(cli, "parse_config", refused)
+    assert cli.main(["profile", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "under-a-file"])
+def test_main_exits_1_on_an_output_dir_it_cannot_make(smoke_cfg, tmp_path, capsys, below):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("x\n")
+    out = blocker / "out" if below else blocker
+    assert cli.main(["profile", "--config", str(smoke_cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert blocker.read_text() == "x\n"
+    # no temporary file is left behind either
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["blocker", "smoke.cfg"]
 
 
 def test_partial_output_flushed_on_abort(smoke_cfg, tmp_path, monkeypatch):

@@ -380,9 +380,9 @@ def test_volume_is_the_cubic_located_by_search(tail_profile):
 
 def sorted_volume(prof, xi):
     """``ShockProfile.volume_sorted`` at the non-decreasing ``xi``."""
-    v, vp, work = np.empty_like(xi), np.empty_like(xi), np.empty((2, xi.size))
-    prof.volume_sorted(xi, v, vp, work, np.empty(xi.size, np.intp))
-    return v, vp
+    out, work = np.empty((2, xi.size)), np.empty((2, xi.size))
+    prof.volume_sorted(xi, out, work, np.empty(xi.size, np.intp))
+    return out
 
 
 @pytest.mark.parametrize("name", ["smoke", "standard"])
@@ -408,6 +408,65 @@ def test_volume_on_sorted_grid_slices_is_volume(name):
             regions.update(np.searchsorted(marks, part, side="right"))
     # nodes left of the table, in the tail, in the body and right of it
     assert regions == {0, 1, 2, 3}
+
+
+def test_volume_in_any_order_is_the_sorted_evaluation(tail_profile):
+    """Points in any order or shape get the bits of the same points sorted,
+    which go through the regions' slices unpermuted."""
+    prof = tail_profile
+    rng = np.random.default_rng(17)
+    # points in every region, every knot, the table's ends and the switch
+    xi = np.concatenate([rng.uniform(prof.xi_lo - 5.0, prof.xi_hi + 5.0, 3000), prof.xi,
+                         [prof.xi_lo, prof.xi_switch, prof.xi_hi]])
+    rng.shuffle(xi)
+    by_value = np.argsort(xi)
+    m = 2 * (xi.size // 2)
+    for order in (1, 2, 3):
+        got, got_2d = prof.volume(xi, order), prof.volume(xi[:m].reshape(-1, 2), order)
+        assert len(got) == order + 1
+        for k, ref in enumerate(prof.volume(xi[by_value], order)):
+            mapped = np.empty_like(ref)
+            mapped[by_value] = ref
+            assert np.array_equal(got[k], mapped), (order, k)
+            assert np.array_equal(got_2d[k], mapped[:m].reshape(-1, 2)), (order, k)
+        # a NaN point gets the right far field, alone or among others
+        for points in (np.array([np.nan]), np.array([0.0, np.nan, prof.xi_lo - 1.0])):
+            got = prof.volume(points, order)
+            nan = np.isnan(points)
+            assert np.all(got[0][nan] == prof.v_plus)
+            assert all(np.all(g[nan] == 0.0) for g in got[1:])
+            for k, g in enumerate(got):
+                assert np.array_equal(g[~nan], [prof.volume(p, order)[k] for p in points[~nan]])
+
+
+def test_eval_profile_solves_the_tail_once_and_the_residual_on_the_body(tail_profile,
+                                                                       monkeypatch):
+    """Each call solves the manifold once, on the tail's points, and hands the
+    residual equation's v'' and v''' only the body's points."""
+    prof = tail_profile
+    xi = np.sort(np.append(np.linspace(prof.xi_lo - 5.0, prof.xi_hi + 5.0, 1001),
+                           prof.xi_switch))
+    tail = int(np.count_nonzero((xi >= prof.xi_lo) & (xi < prof.xi_switch)))
+    body = int(np.count_nonzero((xi >= prof.xi_switch) & (xi <= prof.xi_hi)))
+    calls = []
+
+    def log(name):
+        real = getattr(shockprofile, name)
+
+        def logged(*args, **kwargs):
+            calls.append((name, np.size(args[0])))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(shockprofile, name, logged)
+
+    for name in ("_manifold_gap", "_accel", "_accel_grad"):
+        log(name)
+    residual = {1: [], 2: [("_accel", body)], 3: [("_accel", body), ("_accel_grad", body)]}
+    for points in (xi, np.random.default_rng(3).permutation(xi)):
+        for order, expected in residual.items():
+            calls.clear()
+            nw.eval_profile(prof, points, order)
+            assert calls == [("_manifold_gap", tail)] + expected, order
 
 
 def test_switch_is_continuous(tail_profile):
@@ -454,7 +513,9 @@ def test_tail_matches_an_accurate_resolve(tail_profile):
     xi = np.linspace(prof.xi_lo, prof.xi_switch, 2001)[:-1]
     xi = xi[xi > shift]
     dv_ref, q_ref = sol.sol(xi - shift)
-    tail, dv, _, _, _ = prof._tail(xi)
+    tail = (xi >= prof.xi_lo) & (xi < prof.xi_switch)
+    dv = shockprofile._manifold_gap(xi, prof.xi_switch, shockprofile.TAIL_SWITCH * pat.delta_S,
+                                    prof.growth_rate, prof.manifold_c2)
     st = nw.eval_profile(prof, xi)
     assert tail.all()
     # measured: 5e-11, 1e-10 and 5e-10 on both patterns

@@ -335,7 +335,7 @@ def stack_traffic(monkeypatch):
 
     log(RarefactionWave, "eval", lambda self, t, x, order=1: ("fan", order))
     log(CompositeWave, "shock_stack", lambda self, t, x, X, order: ("shock", order))
-    log(ShockProfile, "volume", lambda self, xi: "volume")
+    log(ShockProfile, "volume", lambda self, xi, order=1: ("volume", order))
     log(ShockProfile, "volume_sorted", lambda self, *args: "volume_sorted")
     log(shockprofile, "_accel", lambda *args: "_accel")
     log(shockprofile, "_accel_grad", lambda *args: "_accel_grad")
@@ -355,7 +355,7 @@ def test_shift_rate_reads_one_order_one_shock_stack(stack_traffic):
 
 def test_background_reads_order_one_stacks(stack_traffic, composite_std):
     composite_std.eval_bar(2.0, np.linspace(-30.0, 30.0, 301), 0.1)
-    assert stack_traffic == [("fan", 1), ("shock", 1), "volume"]
+    assert stack_traffic == [("fan", 1), ("shock", 1), ("volume", 1)]
 
 
 @pytest.mark.parametrize("shift", [True, False])
