@@ -38,7 +38,7 @@ import numpy as np
 
 from . import thermo
 from .errors import DomainError, MonotonicityError, ProfileError
-from .riemann import DEGENERATE_STRENGTH, WavePattern
+from .riemann import WavePattern
 from .thermo import GasModel
 
 #: both table ends reach their far-field value to this tolerance
@@ -52,6 +52,13 @@ RESIDUAL_TOL = 1e-8
 #: the standard pattern): there the expansion's truncation error, about
 #: (16 dv)^2 relative, is far below the shot slope's ATOL / (growth_rate dv)
 TAIL_SWITCH = 2e-5
+#: weakest shock the shot resolves; it also refuses the degenerate strengths
+#: below riemann's DEGENERATE_STRENGTH.  Below it the slope near arrival
+#: sinks toward ATOL and the shot turns non-monotone (``MonotonicityError``)
+#: or, far below, takes minutes.  Swept over gamma in {1.2, 1.4, 5/3} and
+#: beta in {0, 1} with v_plus = 1: every case solves from delta_S = 1.9e-3
+#: on, and gamma = 1.2, beta = 0 fails up to 1.8e-3
+MIN_STRENGTH = 2.5e-3
 
 
 def _rankine_hugoniot_gap(v, pattern: WavePattern, model: GasModel):
@@ -60,9 +67,15 @@ def _rankine_hugoniot_gap(v, pattern: WavePattern, model: GasModel):
     p(v_m) is ``pattern.p_m``.  The pressure p(v) is evaluated with
     ``np.power``, the ufunc that ``thermo.pressure`` uses, but without its
     validation: the callers own the volume check.  A scalar ``v`` goes
-    through the same ufunc loop as an array, so the shot's right-hand side
-    and the tabulated stack agree to the bit (plain ``**`` on a float may
-    differ by one ulp).
+    through the same ufunc loop as an array, so p(v) in the shot
+    (``_shot_accel``) and in the tabulated stack agree to the bit; plain
+    ``**`` on a float differs from that loop in about 5 % of values.  The
+    other powers of ``_accel`` do not agree: on floats they are Python's
+    ``**``, on arrays numpy's, and scalar and array ``_accel`` differ at
+    about 8 % of random (v, q) on ``configs/standard.cfg`` (1,545 of
+    20,000 with v in [v_m, v_plus] and q in [0, 1e-3]).  p(v) stays a
+    numpy call so that the shot keeps the bits of ``thermo.pressure``, the
+    reference its tests solve with.
     """
     return pattern.sigma ** 2 * (v - pattern.mid.v) + np.power(v, -model.gamma) - pattern.p_m
 
@@ -160,12 +173,37 @@ def _manifold_gap(xi, xi0, dv0, lam, c2, out=None, work=None):
     return e
 
 
-def _rhs(v, q, pattern: WavePattern, model: GasModel):
-    """(v', v'') of the shot at (v, v') = (v, q), on plain floats."""
-    # scalar check: thermo's array validation would cost more than the closure
-    if not thermo.VOLUME_FLOOR < v < np.inf:
-        raise DomainError(f"profile solve left the volume domain (v = {v!r})")
-    return q, float(_accel(v, q, pattern, model))
+def _shot_accel(pattern: WavePattern, model: GasModel):
+    """The shot's v'' as a function of (v, v') = (v, q), on plain floats,
+    with the pattern's constants bound once; the shot's right-hand side is
+    (q, v'').
+
+    It is ``_accel``'s arithmetic term by term: the powers other than p(v)
+    are Python's ``**`` on floats, as in ``_accel`` on a scalar, and p(v) is
+    ``np.power`` on one-element arrays, the ufunc loop an array takes
+    (``_rankine_hugoniot_gap``).  The shot is the one caller; this
+    module-level factory is the seam its tests replace.
+    """
+    sigma, v_m, p_m = float(pattern.sigma), float(pattern.mid.v), float(pattern.p_m)
+    sigma2 = float(pattern.sigma ** 2)
+    a, b = model.alpha, model.beta
+    e_gap, e_drag, c_cap = 5.0 + b, 4.0 + b - a, 0.5 * (5.0 + b)
+    floor, inf, power = thermo.VOLUME_FLOOR, math.inf, np.power
+    # input, exponent and output apart: an output that overlaps an input
+    # sends numpy to its scalar pow loop, whose bits differ from the array
+    # loop's
+    arg, exponent, p = np.empty(1), np.full(1, -model.gamma), np.empty(1)
+
+    def accel(v, q):
+        # scalar check: thermo's array validation would cost more than this
+        if not floor < v < inf:
+            raise DomainError(f"profile solve left the volume domain (v = {v!r})")
+        arg[0] = v
+        power(arg, exponent, p)
+        gap = sigma2 * (v - v_m) + p.item() - p_m
+        return -v ** e_gap * gap - sigma * v ** e_drag * q + c_cap * q * q / v
+
+    return accel
 
 
 # Dormand-Prince 5(4), the coefficients of scipy's RK45: stage coefficients,
@@ -218,7 +256,7 @@ def _crossing(t0, h, y0, k, level, sign):
 
 
 def _shoot(y0, span, v_mid, v_stop, pattern: WavePattern, model: GasModel):
-    """Integrate (v, v')' = ``_rhs`` from xi = 0 until v rises to ``v_stop``.
+    """Integrate (v, v')' = (v', ``_shot_accel``) from xi = 0 until v rises to ``v_stop``.
 
     Dormand-Prince 5(4) with local extrapolation, with the step control of
     scipy's RK45 at ``RTOL``/``ATOL``: Hairer's initial step, the RMS error
@@ -230,22 +268,34 @@ def _shoot(y0, span, v_mid, v_stop, pattern: WavePattern, model: GasModel):
     negative first raises ``MonotonicityError``, a span passed first
     ``ProfileError``.
     """
+    accel = _shot_accel(pattern, model)
+    # the tableau as locals: one step reads them 52 times
+    a21 = _A2
+    a31, a32 = _A3
+    a41, a42, a43 = _A4
+    a51, a52, a53, a54 = _A5
+    a61, a62, a63, a64, a65 = _A6
+    b1, b3, b4, b5, b6 = _B
+    e1, e3, e4, e5, e6, e7 = _E
     v, q = y0
     span = float(span)
-    fv, fq = _rhs(v, q, pattern, model)
+    fv, fq = q, accel(v, q)
     # initial step of Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4,
     # for the error estimator's order 4
     sv, sq = ATOL + abs(v) * RTOL, ATOL + abs(q) * RTOL
     d0, d1 = _rms(v / sv, q / sq), _rms(fv / sv, fq / sq)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    gv, gq = _rhs(v + h0 * fv, q + h0 * fq, pattern, model)
+    gv = q + h0 * fq
+    gq = accel(v + h0 * fv, gv)
     d2 = _rms((gv - fv) / sv, (gq - fq) / sq) / h0
     h1 = (max(1e-6, 1e-3 * h0) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** 0.2)
     h_abs = min(100.0 * h0, h1, span)
 
     t, xi_mid = 0.0, None
-    starts, sizes, states, stages = [], [], [], []
+    # per accepted step: start, size, v, v', then the seven stages of v and
+    # those of v'; a stage of v is the v' it is taken at
+    steps = []
     while True:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -257,31 +307,21 @@ def _shoot(y0, span, v_mid, v_stop, pattern: WavePattern, model: GasModel):
             t_new = min(t + h_abs, span)
             h = t_new - t
             h_abs = h
-            k2v, k2q = _rhs(v + h * (_A2 * fv), q + h * (_A2 * fq), pattern, model)
-            a = _A3
-            k3v, k3q = _rhs(v + h * (a[0] * fv + a[1] * k2v),
-                            q + h * (a[0] * fq + a[1] * k2q), pattern, model)
-            a = _A4
-            k4v, k4q = _rhs(v + h * (a[0] * fv + a[1] * k2v + a[2] * k3v),
-                            q + h * (a[0] * fq + a[1] * k2q + a[2] * k3q), pattern, model)
-            a = _A5
-            k5v, k5q = _rhs(v + h * (a[0] * fv + a[1] * k2v + a[2] * k3v + a[3] * k4v),
-                            q + h * (a[0] * fq + a[1] * k2q + a[2] * k3q + a[3] * k4q),
-                            pattern, model)
-            a = _A6
-            k6v, k6q = _rhs(
-                v + h * (a[0] * fv + a[1] * k2v + a[2] * k3v + a[3] * k4v + a[4] * k5v),
-                q + h * (a[0] * fq + a[1] * k2q + a[2] * k3q + a[3] * k4q + a[4] * k5q),
-                pattern, model)
-            b = _B
-            v_new = v + h * (b[0] * fv + b[1] * k3v + b[2] * k4v + b[3] * k5v + b[4] * k6v)
-            q_new = q + h * (b[0] * fq + b[1] * k3q + b[2] * k4q + b[3] * k5q + b[4] * k6q)
-            k7v, k7q = _rhs(v_new, q_new, pattern, model)
-            e = _E
-            err_v = h * (e[0] * fv + e[1] * k3v + e[2] * k4v + e[3] * k5v + e[4] * k6v
-                         + e[5] * k7v)
-            err_q = h * (e[0] * fq + e[1] * k3q + e[2] * k4q + e[3] * k5q + e[4] * k6q
-                         + e[5] * k7q)
+            k2v = q + h * (a21 * fq)
+            k2q = accel(v + h * (a21 * fv), k2v)
+            k3v = q + h * (a31 * fq + a32 * k2q)
+            k3q = accel(v + h * (a31 * fv + a32 * k2v), k3v)
+            k4v = q + h * (a41 * fq + a42 * k2q + a43 * k3q)
+            k4q = accel(v + h * (a41 * fv + a42 * k2v + a43 * k3v), k4v)
+            k5v = q + h * (a51 * fq + a52 * k2q + a53 * k3q + a54 * k4q)
+            k5q = accel(v + h * (a51 * fv + a52 * k2v + a53 * k3v + a54 * k4v), k5v)
+            k6v = q + h * (a61 * fq + a62 * k2q + a63 * k3q + a64 * k4q + a65 * k5q)
+            k6q = accel(v + h * (a61 * fv + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v), k6v)
+            v_new = v + h * (b1 * fv + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
+            q_new = q + h * (b1 * fq + b3 * k3q + b4 * k4q + b5 * k5q + b6 * k6q)
+            k7v, k7q = q_new, accel(v_new, q_new)
+            err_v = h * (e1 * fv + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v)
+            err_q = h * (e1 * fq + e3 * k3q + e4 * k4q + e5 * k5q + e6 * k6q + e7 * k7q)
             err = _rms(err_v / (ATOL + max(abs(v), abs(v_new)) * RTOL),
                        err_q / (ATOL + max(abs(q), abs(q_new)) * RTOL))
             if err < 1.0:
@@ -293,18 +333,16 @@ def _shoot(y0, span, v_mid, v_stop, pattern: WavePattern, model: GasModel):
 
         kv = (fv, k2v, k3v, k4v, k5v, k6v, k7v)
         kq = (fq, k2q, k3q, k4q, k5q, k6q, k7q)
-        starts.append(t)
-        sizes.append(h)
-        states.append((v, q))
-        stages.append((kv, kq))
+        steps += (t, h, v, q, *kv, *kq)
         if xi_mid is None and v <= v_mid <= v_new:
             xi_mid = _crossing(t, h, v, kv, v_mid, 1.0)
         xi_end = _crossing(t, h, v, kv, v_stop, 1.0) if v <= v_stop <= v_new else None
         if q_new <= 0.0 <= q and (xi_end is None or _crossing(t, h, q, kq, 0.0, -1.0) < xi_end):
             raise MonotonicityError("monotonicity violated: profile slope crossed zero before arrival")
         if xi_end is not None:
-            return (xi_mid, xi_end, np.array(starts), np.array(sizes), np.array(states),
-                    np.array(stages))
+            table = np.array(steps).reshape(-1, 18)
+            return (xi_mid, xi_end, table[:, 0].copy(), table[:, 1].copy(),
+                    table[:, 2:4].copy(), table[:, 4:].reshape(-1, 2, 7).copy())
         if t_new == span:
             raise ProfileError(
                 f"profile solve failed: right state not reached within span {span:.1f} "
@@ -491,8 +529,9 @@ class ShockProfile:
 def solve_profile(pattern: WavePattern, model: GasModel) -> ShockProfile:
     """Compute the traveling-wave table for the fast shock of ``pattern``."""
     delta_S = pattern.delta_S
-    if delta_S < DEGENERATE_STRENGTH:
-        raise ProfileError("degenerate shock strength: equal end states admit no profile")
+    if delta_S < MIN_STRENGTH:
+        raise ProfileError(f"shock strength delta_S = {delta_S:.3g} is below the profile "
+                           f"solve's floor MIN_STRENGTH = {MIN_STRENGTH:g}")
     v_m, v_p = pattern.mid.v, pattern.right.v
 
     A_m, B_m, disc_m = _saddle_rate(v_m, pattern, model)

@@ -188,3 +188,89 @@ def test_a_domain_at_the_valve_leaves_the_others_converged(monkeypatch, caplog):
     assert [rec.getMessage() for rec in caplog.records] == [valve.replace("domain 0", "domain 1")]
     assert equal(together, alone)
     assert together[0] == pytest.approx([math.e - 1.0], rel=1e-8)
+
+
+def refine_alone(f, bp, abs_tol, rel_tol):
+    """One domain refined on its own with arrays of its own: the per-domain
+    implementation the flat table replaced, kept as the reference for its
+    bits.  Returns the (k,) integrals, the levels refined and whether the
+    valve fired; the rules are those of ``adaptive_simpson``."""
+    pts = np.unique(np.asarray(bp, dtype=float))
+    total_len = pts[-1] - pts[0]
+    a, b = pts[:-1], pts[1:]
+    m = 0.5 * (pts[:-1] + pts[1:])
+    n = a.size
+    first = np.atleast_2d(f(np.concatenate([pts, m])))
+    fa, fb, fm = first[:, :n], first[:, 1:n + 1], first[:, n + 1:]
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    result, accepted_err = np.zeros(first.shape[0]), np.zeros(first.shape[0])
+    for level in range(quadrature.MAX_LEVELS):
+        ml, mr = 0.5 * (a + m), 0.5 * (m + b)
+        fmid = np.atleast_2d(f(np.concatenate([ml, mr])))
+        fml, fmr = fmid[:, :a.size], fmid[:, a.size:]
+        h = b - a
+        s_left = h / 12.0 * (fa + 4.0 * fml + fm)
+        s_right = h / 12.0 * (fm + 4.0 * fmr + fb)
+        s2 = s_left + s_right
+        diff = np.abs(s2 - whole)
+        err = diff / 15.0
+        richardson = s2 + (s2 - whole) / 15.0
+        global_scale = np.abs(result) + np.sum(np.abs(s2), axis=1)
+        share = h / total_len
+        tol = np.maximum(abs_tol * share,
+                         rel_tol * np.maximum(np.abs(s2), global_scale[:, None] * share))
+        done = np.all(err <= tol, axis=0)
+        result += np.sum(richardson[:, done], axis=1)
+        accepted_err += np.sum(err[:, done], axis=1)
+        keep = ~done
+        open_err = np.maximum(np.sum(err[:, keep], axis=1),
+                              np.sqrt(np.sum(diff[:, keep] ** 2, axis=1)))
+        if not keep.any() or np.all(accepted_err + open_err
+                                    <= np.maximum(rel_tol * global_scale, abs_tol)):
+            return result + np.sum(richardson[:, keep], axis=1), level + 1, False
+        if np.count_nonzero(keep) > quadrature.MAX_INTERVALS or level == quadrature.MAX_LEVELS - 1:
+            return result + np.sum(s2[:, keep], axis=1), level + 1, True
+        a, b = np.concatenate([a[keep], m[keep]]), np.concatenate([m[keep], b[keep]])
+        fa = np.concatenate([fa[:, keep], fm[:, keep]], axis=1)
+        fb = np.concatenate([fm[:, keep], fb[:, keep]], axis=1)
+        m = np.concatenate([ml[keep], mr[keep]])
+        fm = np.concatenate([fml[:, keep], fmr[:, keep]], axis=1)
+        whole = np.concatenate([s_left[:, keep], s_right[:, keep]], axis=1)
+
+
+NINE = DOMAINS + [
+    (lambda x: np.cos(200.0 * x), [0.0, 20.0]),
+    (np.arctan, [0.0, 1.0]),
+    (lambda x: 1.0 / (1.0 + x * x), [-50.0, 0.0, 50.0]),
+    (lambda x: np.exp(-0.2 * x), [0.0, 2000.0]),
+]
+
+
+def rows(g, k):
+    """k rows of one refinement from ``g``: g itself for k = 1, else g times
+    k smooth factors."""
+    if k == 1:
+        return g
+    return lambda x: np.array([g(x) * (1.0 + 0.1 * j * np.tanh(x)) for j in range(k)])
+
+
+@pytest.mark.parametrize("k", [1, 7])
+def test_nine_domains_in_lockstep_keep_the_bits_of_each_alone(k, monkeypatch, caplog):
+    """Nine domains that stop at different levels, one at the valve, with
+    one or seven rows: numpy sums a boolean selection of k > 1 rows in
+    another order than one row, so each layout is checked to the bit."""
+    monkeypatch.setattr(quadrature, "MAX_INTERVALS", 1024)
+    tol = {"abs_tol": 1e-13, "rel_tol": 1e-11}
+    fs = [rows(g, k) for g, _ in NINE]
+    breakpoints = [bp for _, bp in NINE]
+    alone = [refine_alone(f, bp, **tol) for f, bp in zip(fs, breakpoints)]
+    levels = [level for _, level, _ in alone]
+    assert len(set(levels)) >= 4
+    assert [valve for _, _, valve in alone] == [i == 5 for i in range(9)]
+    with caplog.at_level("WARNING", logger="nskwave.quadrature"):
+        together = adaptive_simpson(lockstep(fs, []), breakpoints, **tol)
+    assert all(val.shape == (k,) for val in together)
+    assert equal(together, [val for val, _, _ in alone])
+    (valve,) = [rec.getMessage() for rec in caplog.records]
+    assert valve.startswith("adaptive_simpson: domain 5 on [0, 20]: ")
+    assert f"intervals still open (cap 1024) after {levels[5]} levels" in valve

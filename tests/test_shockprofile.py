@@ -1,4 +1,5 @@
 import dataclasses
+import time
 from pathlib import Path
 
 import numpy as np
@@ -40,14 +41,16 @@ def validated_gap(v, pattern, model):
 
 
 def solve_profile_validated(pattern, model, monkeypatch):
-    """solve_profile with the right-hand side fed numpy scalars and the
-    validated gap: the reference for the scalar right-hand side."""
-    def reference_rhs(v, q, pattern, model):
-        return q, float(shockprofile._accel(np.float64(v), np.float64(q), pattern, model))
+    """solve_profile with the shot's v'' from ``_accel`` fed numpy scalars
+    and the validated gap: the reference for the shot's bound-float v''."""
+    def reference_accel(pattern, model):
+        def accel(v, q):
+            return float(shockprofile._accel(np.float64(v), np.float64(q), pattern, model))
+        return accel
 
     with monkeypatch.context() as m:
         m.setattr(shockprofile, "_rankine_hugoniot_gap", validated_gap)
-        m.setattr(shockprofile, "_rhs", reference_rhs)
+        m.setattr(shockprofile, "_shot_accel", reference_accel)
         return nw.solve_profile(pattern, model)
 
 
@@ -67,11 +70,12 @@ def test_profile_table_matches_validated_rhs(name, monkeypatch):
 
 def test_profile_rhs_rejects_volumes_outside_the_domain(pattern_std, model14):
     v_m = pattern_std.mid.v
-    rate = shockprofile._rhs(v_m, 0.0, pattern_std, model14)[1]
+    accel = shockprofile._shot_accel(pattern_std, model14)
+    rate = accel(v_m, 0.0)
     assert rate == pytest.approx(0.0, abs=1e-15)
     for v in (0.0, np.nan, np.inf, -1.0, 0.5 * thermo.VOLUME_FLOOR):
         with pytest.raises(nw.DomainError):
-            shockprofile._rhs(float(v), 1e-3, pattern_std, model14)
+            accel(float(v), 1e-3)
 
 
 def shoot_and_reference(name, monkeypatch):
@@ -102,8 +106,10 @@ def shoot_and_reference(name, monkeypatch):
     ev_turn.terminal = True
     ev_turn.direction = -1.0
 
+    accel = shockprofile._shot_accel(pattern, model)
+
     def rhs(_, y):
-        return shockprofile._rhs(float(y[0]), float(y[1]), pattern, model)
+        return y[1], accel(float(y[0]), float(y[1]))
 
     ref = solve_ivp(rhs, (0.0, span), y0, method="RK45", rtol=shockprofile.RTOL,
                     atol=shockprofile.ATOL, events=(ev_mid, ev_arrive, ev_turn),
@@ -139,14 +145,14 @@ def test_shot_matches_scipy_rk45(name, monkeypatch):
 
 
 def test_shot_raises_when_the_slope_turns_negative(pattern_std, model14, monkeypatch):
-    monkeypatch.setattr(shockprofile, "_accel", lambda v, q, pattern, model: -1e-3)
+    monkeypatch.setattr(shockprofile, "_shot_accel", lambda pattern, model: lambda v, q: -1e-3)
     with pytest.raises(nw.MonotonicityError, match="slope crossed zero"):
         nw.solve_profile(pattern_std, model14)
 
 
 def test_shot_raises_when_the_span_ends_before_arrival(pattern_std, model14, monkeypatch):
     # v' stays at its small starting value, so v creeps up linearly
-    monkeypatch.setattr(shockprofile, "_accel", lambda v, q, pattern, model: 0.0)
+    monkeypatch.setattr(shockprofile, "_shot_accel", lambda pattern, model: lambda v, q: 0.0)
     with pytest.raises(nw.ProfileError, match="not reached within span"):
         nw.solve_profile(pattern_std, model14)
 
@@ -209,6 +215,25 @@ def test_degenerate_strength_rejected(model14, right_state):
     pat = nw.pattern_from_intermediate(1.0, right_state, model14)
     with pytest.raises(nw.ProfileError):
         nw.solve_profile(pat, model14)
+
+
+@pytest.mark.parametrize("delta_S", [1e-6, 1e-4])
+def test_shock_below_the_strength_floor_rejected_at_once(model14, right_state, delta_S):
+    # without the floor, 1e-6 ran for over a minute and 1e-4 raised a
+    # MonotonicityError although the profile is monotone
+    pat = nw.pattern_from_intermediate(1.0 - delta_S, right_state, model14)
+    started = time.perf_counter()
+    with pytest.raises(nw.ProfileError, match="below the profile solve's floor") as caught:
+        nw.solve_profile(pat, model14)
+    assert time.perf_counter() - started < 1.0
+    assert not isinstance(caught.value, nw.MonotonicityError)
+
+
+def test_shock_just_above_the_strength_floor_solves(model14, right_state):
+    delta_S = 1.01 * shockprofile.MIN_STRENGTH
+    prof = nw.solve_profile(nw.pattern_from_intermediate(1.0 - delta_S, right_state, model14),
+                            model14)
+    assert np.all(np.diff(prof.v) > 0.0) and prof.self_residual() < shockprofile.RESIDUAL_TOL
 
 
 def test_oscillatory_regime_rejected(model14, right_state):
