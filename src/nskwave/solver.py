@@ -20,7 +20,7 @@ The intermediates of a stage (the right-hand side's, the shift rate's,
 the stage fields and the stage sums) live in grid-sized scratch that
 persists across calls, so a stage allocates no grid-sized temporaries.
 No scratch array is returned: ``spatial_rhs`` with ``out=None`` still
-returns a new array, and so does ``step`` for the new state and its fan.
+returns a new array, and so does ``step`` for the new state.
 The solver is single-threaded, and its scratch must not be shared across
 threads, so each thread gets scratch of its own.
 """
@@ -110,6 +110,9 @@ class SchemeConfig:
 
 @dataclass
 class SimState:
+    """The fields at time t, the shift X and the boundary-flux integral,
+    and nothing else: ``step`` evaluates whatever else it needs at t."""
+
     v: np.ndarray
     u: np.ndarray
     w: np.ndarray
@@ -117,9 +120,6 @@ class SimState:
     X: float = 0.0
     #: integral of the boundary flux since t = 0, the mass that left the interior
     flux: float = 0.0
-    #: the fan's stack at t on the grid: ``initial_data`` sets it and ``step``
-    #: carries it while the shift is on; without it ``step`` evaluates it
-    fan: dict | None = None
 
 
 @dataclass
@@ -153,8 +153,7 @@ def initial_data(grid: Grid, composite: CompositeWave, perturbation: Perturbatio
     if np.any(v0 <= 0.0):
         raise ConfigError("perturbed initial volume is not positive")
     w0 = discrete_gradient_w(v0, grid.dx, composite.model)
-    return SimState(v=np.asarray(v0, float), u=np.asarray(u0, float), w=w0, t=0.0, X=0.0,
-                    fan=bar["fan"])
+    return SimState(v=np.asarray(v0, float), u=np.asarray(u0, float), w=w0, t=0.0, X=0.0)
 
 
 # -- scratch -------------------------------------------------------------------
@@ -269,7 +268,7 @@ def parabolic_dt(state: SimState, grid: Grid, model: GasModel, cfl: float) -> fl
 # -- shift dynamics ----------------------------------------------------------
 
 
-def _shift_rate(t, X, u, grid: Grid, composite: CompositeWave, fan):
+def _shift_rate(t, X, u, grid: Grid, composite: CompositeWave, fan_u):
     """Instantaneous shift rate of the shock location.
 
     Weighted projection of the velocity perturbation onto the shock
@@ -280,8 +279,8 @@ def _shift_rate(t, X, u, grid: Grid, composite: CompositeWave, fan):
     so it is evaluated on the nodes of the table's support only and summed
     with the trapezoid weights of the whole grid.  Those nodes are one
     increasing slice of the grid, so ``ShockProfile.volume_sorted`` gives
-    the shock on it region by region, with ``volume``'s values.  ``fan``
-    is the fan's stack at t on the grid; its u is sliced to the support.
+    the shock on it region by region, with ``volume``'s values.  ``fan_u``
+    is the fan's u at t on the grid, sliced here to the support.
     Every intermediate is written into the scratch.
     """
     pattern, profile, x = composite.pattern, composite.profile, grid.x
@@ -311,7 +310,7 @@ def _shift_rate(t, X, u, grid: Grid, composite: CompositeWave, fan):
     np.subtract(mid.u, uS, out=a)
     a /= np.sqrt(pattern.delta_S)
     a += 1.0
-    np.subtract(fan["u"][part], mid.u, out=psi)
+    np.subtract(fan_u[part], mid.u, out=psi)
     psi += uS
     np.subtract(u[part], psi, out=psi)
     # ux + p'(v) vx / sigma, with p'(v) = -gamma v^(-gamma - 1) of volumes
@@ -345,11 +344,9 @@ def _step_core(state: SimState, grid: Grid, composite: CompositeWave,
     tendency k, its fields and the weighted sum k1 + 2 k2 + 2 k3 + k4, so
     each Runge-Kutta combination is one array operation.  The fields, k
     and the sum live in the scratch; the new state's v, u and w are rows
-    of one new array.  With the shift on, the fan is
-    evaluated once per step, at both new stage times in one call: k1
-    takes ``state.fan`` (evaluated at t when the state has none), k2 and
-    k3 share the stack at t + dt/2, and the stack at t + dt drives k4 and
-    becomes the new state's ``fan``.
+    of one new array.  With the shift on, one order-0 call evaluates the
+    fan's u at the three stage times t, t + dt/2 and t + dt, one row each:
+    k1 reads the first, k2 and k3 share the second, and k4 reads the third.
     """
     nu = _parabolic_coefficient(state.v, model)
     if dt > scheme.cfl * grid.dx ** 2 / nu * (1.0 + 1e-9):
@@ -364,24 +361,19 @@ def _step_core(state: SimState, grid: Grid, composite: CompositeWave,
     U[0], U[1], U[2] = state.v, state.u, state.w
     # the stages' fields, and at the end the new state's: a new array
     stage = np.empty_like(U)
-    fan_start = fan_half = fan_end = None
+    times = (t, t + 0.5 * dt, t + dt)
     if shift_on:
-        fan_start = (state.fan if state.fan is not None
-                     else composite.rarefaction.eval(t, grid.x, order=0))
-        fans = composite.rarefaction.eval(np.array([[t + 0.5 * dt], [t + dt]]),
-                                          np.broadcast_to(grid.x, (2, grid.n)), order=0)
-        fan_half = {"v": fans["v"][0], "u": fans["u"][0]}
-        # copied, so that the new state does not hold the half-step row too
-        fan_end = {"v": fans["v"][1].copy(), "u": fans["u"][1].copy()}
+        fan_u = composite.rarefaction.eval(np.reshape(times, (3, 1)),
+                                           np.broadcast_to(grid.x, (3, grid.n)), order=0)["u"]
 
-    # stage i at time t + c dt; the next stage's fields are U + a dt k
+    # stage i at time times[j], with the fan's row j; the next stage's
+    # fields are U + a dt k
     xdot, flux = [0.0] * 4, [0.0] * 4
     rows, X_stage = U, X
-    for i, (c, a, fan) in enumerate(zip((0.0, 0.5, 0.5, 1.0), (0.5, 0.5, 1.0, None),
-                                        (fan_start, fan_half, fan_half, fan_end))):
+    for i, (j, a) in enumerate(zip((0, 1, 1, 2), (0.5, 0.5, 1.0, None))):
         _rhs_arrays(*rows, grid.dx, model, out=k)
         if shift_on:
-            xdot[i] = _shift_rate(t + c * dt, X_stage, rows[1], grid, composite, fan)
+            xdot[i] = _shift_rate(times[j], X_stage, rows[1], grid, composite, fan_u[j])
         flux[i] = _boundary_flux(rows[1])
         if a is not None:
             np.multiply(k, a * dt, out=stage)
@@ -403,8 +395,7 @@ def _step_core(state: SimState, grid: Grid, composite: CompositeWave,
     X_new = X + sixth * (xdot[0] + 2.0 * xdot[1] + 2.0 * xdot[2] + xdot[3])
     flux_new = state.flux + sixth * (flux[0] + 2.0 * flux[1] + 2.0 * flux[2] + flux[3])
     v, u, w = stage
-    return SimState(v=v, u=u, w=w, t=t + dt, X=float(X_new), flux=float(flux_new),
-                    fan=fan_end)
+    return SimState(v=v, u=u, w=w, t=t + dt, X=float(X_new), flux=float(flux_new))
 
 
 step = _step_core
@@ -471,7 +462,7 @@ def run(config) -> RunResult:
         nonlocal a_min, a_max, ceiling_hit
         bar = composite.eval_bar(state.t, grid.x, state.X)
         # the rate the stages integrate, from this record's own fan
-        xdot = (_shift_rate(state.t, state.X, state.u, grid, composite, bar["fan"])
+        xdot = (_shift_rate(state.t, state.X, state.u, grid, composite, bar["fan"]["u"])
                 if shift_on else 0.0)
         rec = collect_record(grid, state, bar, pattern, model, xdot,
                              mass_defect=mass_defect(state, start, grid))

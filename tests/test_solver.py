@@ -18,7 +18,8 @@ SMOKE_CFG = Path(__file__).resolve().parents[1] / "configs" / "smoke.cfg"
 
 
 def shift_rate(state, grid, composite):
-    return _shift_rate(state.t, state.X, state.u, grid, composite, state.fan)
+    fan_u = composite.rarefaction.eval(state.t, grid.x, order=0)["u"]
+    return _shift_rate(state.t, state.X, state.u, grid, composite, fan_u)
 
 
 def smoke_every_step(shift=True):
@@ -268,12 +269,13 @@ def test_shift_rate_is_the_full_grid_trapezoid(name, t, X, past_ends):
     lo, hi = grid.x[[0, -1]] - composite.pattern.sigma * t - X
     assert (lo < composite.profile.xi_lo, hi > composite.profile.xi_hi) == past_ends
     u = composite.eval_bar(t, grid.x, X)["u"] + 1e-3 * np.exp(-(grid.x - 10.0) ** 2 / 50.0)
-    fan = composite.rarefaction.eval(t, grid.x, order=0)
-    got = _shift_rate(t, X, u, grid, composite, fan)
+    fan_u = composite.rarefaction.eval(t, grid.x, order=0)["u"]
+    got = _shift_rate(t, X, u, grid, composite, fan_u)
     assert got == pytest.approx(full_grid_shift_rate(t, X, u, grid, composite), rel=1e-14)
     assert got != 0.0
-    # the background's order-1 fan holds the same v and u
-    assert _shift_rate(t, X, u, grid, composite, composite.eval_bar(t, grid.x, X)["fan"]) == got
+    # the background's order-1 fan holds the same u
+    fan_u = composite.eval_bar(t, grid.x, X)["fan"]["u"]
+    assert _shift_rate(t, X, u, grid, composite, fan_u) == got
 
 
 def test_shift_disabled_for_degenerate_shock(model14, right_state):
@@ -348,8 +350,9 @@ def test_shift_rate_reads_one_order_one_shock_stack(stack_traffic):
     cfg = nw.parse_config(SMOKE_CFG)
     composite = nw.build_composite(cfg.build_pattern(), cfg.gas)
     state = solver.initial_data(cfg.grid, composite, cfg.perturbation)
+    fan_u = composite.rarefaction.eval(state.t, cfg.grid.x, order=0)["u"]
     stack_traffic.clear()
-    shift_rate(state, cfg.grid, composite)
+    _shift_rate(state.t, state.X, state.u, cfg.grid, composite, fan_u)
     assert stack_traffic == ["volume_sorted"]
 
 
@@ -377,17 +380,17 @@ def test_record_xdot_is_the_uncached_shift_rate(monkeypatch, shift):
         assert (rec.t, rec.X) == (t, X)
         # with the shift off the records report the rate that was integrated
         expected = (_shift_rate(t, X, u, grid, composite,
-                                composite.rarefaction.eval(t, grid.x, order=0))
+                                composite.rarefaction.eval(t, grid.x, order=0)["u"])
                     if shift else 0.0)
         assert rec.Xdot == xdot == expected
     assert any(rec.Xdot != 0.0 for rec in result.records) == shift
 
 
-@pytest.mark.parametrize("shift, per_step", [(True, 2), (False, 0)])
-def test_run_evaluates_the_fan_once_per_new_stage_time(monkeypatch, shift, per_step):
-    """One order-0 call per step carries the ``per_step`` new stage times,
-    t + dt/2 and t + dt, on every node: k1 reuses the fan the previous step
-    ended on, k2 and k3 share the one at t + dt/2, and records read their
+@pytest.mark.parametrize("shift", [True, False])
+def test_run_evaluates_the_fan_once_per_new_stage_time(monkeypatch, shift):
+    """With the shift on, one order-0 call per step carries its three stage
+    times, t, t + dt/2 and t + dt, on every node, and with it off there is
+    none: k2 and k3 share the row at t + dt/2, and records read their
     background's fan."""
     order0, steps = [], []
     real_eval, real_step = RarefactionWave.eval, solver._step_core
@@ -405,37 +408,32 @@ def test_run_evaluates_the_fan_once_per_new_stage_time(monkeypatch, shift, per_s
     monkeypatch.setattr(solver, "_step_core", stepping)
     result = nw.run(smoke_every_step(shift))
     assert len(steps) == result.summary["steps"] > 2
-    assert len(order0) == (len(steps) if per_step else 0)
+    assert len(order0) == (len(steps) if shift else 0)
     for (t, x), (t0, dt, nodes) in zip(order0, steps):
-        times = np.full((per_step, nodes.size), [[t0 + 0.5 * dt], [t0 + dt]])
-        assert np.array_equal(np.reshape(t, (per_step, -1)), times)
-        assert np.array_equal(np.reshape(x, (per_step, -1)), [nodes] * per_step)
+        assert np.array_equal(t, np.full((3, nodes.size), [[t0], [t0 + 0.5 * dt], [t0 + dt]]))
+        assert np.array_equal(x, [nodes] * 3)
 
 
-def test_step_from_a_state_without_its_fan(stack_traffic):
+def test_a_state_is_its_fields():
+    """``step`` reads nothing but a state's fields: a state moved from
+    ``initial_data`` to t = 5 steps as one built from the same fields."""
     cfg = nw.parse_config(SMOKE_CFG)
     grid, scheme = cfg.grid, cfg.scheme
     composite = nw.build_composite(cfg.build_pattern(), cfg.gas)
-    state = nw.initial_data(grid, composite, cfg.perturbation)
-    dt = nw.parabolic_dt(state, grid, cfg.gas, scheme.cfl)
-    stack_traffic.clear()
-    given = nw.step(state, grid, composite, cfg.gas, scheme, dt)
-    assert stack_traffic.count(("fan", 0)) == 1
-    stack_traffic.clear()
-    new = nw.step(dataclasses.replace(state, fan=None), grid, composite, cfg.gas, scheme, dt)
-    # one more order-0 fan, at t on the grid, for k1
-    assert stack_traffic.count(("fan", 0)) == 2
+    moved = dataclasses.replace(nw.initial_data(grid, composite, cfg.perturbation), t=5.0)
+    built = nw.SimState(v=moved.v.copy(), u=moved.u.copy(), w=moved.w.copy(), t=moved.t,
+                        X=moved.X, flux=moved.flux)
+    dt = nw.parabolic_dt(moved, grid, cfg.gas, scheme.cfl)
+    new, given = (nw.step(s, grid, composite, cfg.gas, scheme, dt) for s in (moved, built))
     assert (new.t, new.X, new.flux) == (given.t, given.X, given.flux) and new.X != 0.0
     for name in ("v", "u", "w"):
         assert np.array_equal(getattr(new, name), getattr(given, name))
-    assert new.fan.keys() == given.fan.keys()
-    assert all(np.array_equal(new.fan[k], given.fan[k]) for k in new.fan)
 
 
 def test_results_do_not_share_the_scratch():
-    """A state that ``step`` returned, its fan included, stays as it was
-    while later steps run, and each ``spatial_rhs`` call without ``out``
-    returns an array of its own."""
+    """A state that ``step`` returned stays as it was while later steps
+    run, and each ``spatial_rhs`` call without ``out`` returns an array of
+    its own."""
     cfg = nw.parse_config(SMOKE_CFG)
     grid, scheme = cfg.grid, cfg.scheme
     composite = nw.build_composite(cfg.build_pattern(), cfg.gas)
@@ -443,15 +441,12 @@ def test_results_do_not_share_the_scratch():
     dt = nw.parabolic_dt(state, grid, cfg.gas, scheme.cfl)
     held = nw.step(state, grid, composite, cfg.gas, scheme, dt)
     rows = {name: getattr(held, name).copy() for name in ("v", "u", "w")}
-    fan = {k: a.copy() for k, a in held.fan.items()}
     later = held
     for _ in range(2):
         later = nw.step(later, grid, composite, cfg.gas, scheme, dt)
     assert not np.array_equal(later.v, held.v)
     for name, copy in rows.items():
         assert np.array_equal(getattr(held, name), copy)
-    assert held.fan.keys() == fan.keys()
-    assert all(np.array_equal(held.fan[k], fan[k]) for k in fan)
     first = nw.spatial_rhs(held.v, held.u, held.w, grid.dx, cfg.gas)
     kept = first.copy()
     second = nw.spatial_rhs(later.v, later.u, later.w, grid.dx, cfg.gas)
