@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from numbers import Integral
+
 
 class DomainError(ValueError):
     """Input outside the physical domain (non-positive volume, bad exponent)."""
@@ -39,3 +41,9 @@ def check(exc_type, rules):
     failed = [message for holds, message in rules if not holds]
     if failed:
         raise exc_type("; ".join(failed))
+
+
+def check_order(order, lo: int, hi: int):
+    """Raise ``DomainError`` unless ``order`` is an integer in [lo, hi]."""
+    if not (isinstance(order, Integral) and lo <= order <= hi):
+        raise DomainError(f"unsupported derivative order {order!r}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import thermo
-from .errors import DomainError
+from .errors import DomainError, check_order
 from .quadrature import adaptive_simpson
 from .riemann import WavePattern
 from .thermo import GasModel
@@ -77,69 +77,47 @@ class RarefactionWave:
     # -- implicit characteristic solve ------------------------------------
 
     def burgers_state(self, tau, x):
-        """Invert x = x0 + w0(x0) tau; returns (speed, foot point).
+        """Foot points x0 of x = x0 + w0(x0) tau; the speed there is
+        ``center + half_width * tanh(x0)``.
 
         ``tau`` is one time offset or an array of them that broadcasts to
-        ``x``; it is broadcast to one offset per point.  The map is a
-        strictly monotone perturbation of the identity (1 + w0' tau >= 1),
-        so a bracketed Newton iteration always converges.  Each point is
-        frozen at the first iterate whose residual meets the tolerance.
-        This is needed, not only cheaper: a converged point has a last step
-        of about 0, so the contraction guard below would throw it to the
-        middle of its bracket, from where it creeps back by bisection while
-        the rest of the array waits.  Frozen points keep their iterate until
-        they are at least half of the points still iterated; then they (and
-        their offsets) are dropped from the arrays.
+        ``x``; it is broadcast to one offset per point.  With
+        a = half_width tau and s = x - center tau the equation reads
+        g(x0) = x0 + a tanh(x0) = s, where g is odd, increasing and concave
+        for x0 > 0.  Newton from x0 = 0 first lands at s / (1 + a), where
+        the iteration starts, on the near side of the root, since g lies
+        below its tangent at 0; g also lies below its tangent at every later
+        iterate, so each step stays on that side and climbs monotonically to
+        the root (the mirror image for s < 0).  The iteration cap is the
+        only safeguard.  A point leaves
+        the iteration, and its arrays, at its first iterate whose residual
+        meets the tolerance, keeping the Newton step from that iterate: its
+        bits do not depend on the other points of the call, and the foot
+        point is at rounding.
         """
         x = np.asarray(x, dtype=float)
         tau = _time_offsets(tau)
         if not np.all(np.isfinite(x)):
             raise DomainError("position must be finite")
-        if self.degenerate or self.half_width == 0.0:
-            x0 = x - self.w_m * tau
-            return np.full_like(x0, self.w_m), x0
-
         xs = x.ravel()
         tau = np.broadcast_to(tau, x.shape).ravel()
         foot = np.empty_like(xs)
         live = np.arange(xs.size)
-        lo = xs - self.w_m * tau - 1.0
-        hi = xs - self.w_minus * tau + 1.0
-        x0 = xs - self.center * tau
-        dxold = hi - lo
+        a = self.half_width * tau
+        s = xs - self.center * tau
         tol = 1e-13 * np.maximum(1.0, np.abs(xs) + np.abs(self.w_m) * tau)
+        x0 = s / (1.0 + a)
         for _ in range(120):
             T = np.tanh(x0)
-            res = x0 + (self.center + self.half_width * T) * tau - xs
+            res = x0 + a * T - s
+            x0 = x0 - res / (1.0 + a * (1.0 - T * T))
             done = np.abs(res) <= tol
-            n_done = np.count_nonzero(done)
-            if n_done == done.size:
-                foot[live] = x0
-                break
-            if 2 * n_done >= done.size:
-                foot[live[done]] = x0[done]
-                keep = ~done
-                live, xs, x0, T, res = live[keep], xs[keep], x0[keep], T[keep], res[keep]
-                lo, hi, dxold, tol, tau = lo[keep], hi[keep], dxold[keep], tol[keep], tau[keep]
-                done = None
-            up = res > 0.0
-            hi = np.where(up, x0, hi)
-            lo = np.where(up, lo, x0)
-            slope = 1.0 + self.half_width * (1.0 - T * T) * tau
-            cand = x0 - res / slope
-            # fall back to bisection when the step leaves the bracket or the
-            # residual is not contracting (Newton two-cycles across the fan)
-            bisect = (cand < lo) | (cand > hi) | (np.abs(2.0 * res) > np.abs(dxold * slope))
-            new = np.where(bisect, 0.5 * (lo + hi), cand)
-            if done is not None:
-                new = np.where(done, x0, new)
-            dxold = np.abs(new - x0)
-            x0 = new
-        else:
-            raise DomainError("characteristic foot-point iteration did not converge")
-        foot = foot.reshape(x.shape)
-        w = self.center + self.half_width * np.tanh(foot)
-        return w, foot
+            foot[live[done]] = x0[done]
+            keep = ~done
+            live, x0, a, s, tol = live[keep], x0[keep], a[keep], s[keep], tol[keep]
+            if not live.size:
+                return foot.reshape(x.shape)
+        raise DomainError("characteristic foot-point iteration did not converge")
 
     # -- field evaluation --------------------------------------------------
 
@@ -216,8 +194,7 @@ class RarefactionWave:
         (v_minus, u_minus) or (v_m, u_m) anyway.  Derivatives in the far
         field are tiny but not zero, so orders 1-4 evaluate every node.
         """
-        if not 0 <= order <= 4:
-            raise DomainError(f"unsupported derivative order {order}")
+        check_order(order, 0, 4)
         x = np.asarray(x, dtype=float)
         t = _time_offsets(t)
         tau = 1.0 + t
@@ -229,7 +206,7 @@ class RarefactionWave:
                 out["u" + name] = zeros
             return out
         if order > 0:
-            _, x0 = self.burgers_state(tau, x)
+            x0 = self.burgers_state(tau, x)
             return self._stack_from_x0(tau, x0, order)
         # checked here: the window would send inf and nan to an end state
         if not np.all(np.isfinite(x)):
@@ -241,7 +218,7 @@ class RarefactionWave:
         u = np.where(left, self.u_minus, self.u_m)
         if inside.any():
             tau_in = np.broadcast_to(tau, x.shape)[inside]
-            _, x0 = self.burgers_state(tau_in, x[inside])
+            x0 = self.burgers_state(tau_in, x[inside])
             fan = self._stack_from_x0(tau_in, x0, 0)
             v[inside] = fan["v"]
             u[inside] = fan["u"]
@@ -277,14 +254,12 @@ class RarefactionWave:
             raise DomainError(f"unknown field {field!r}")
         t = float(_time_offsets(t))
         orders = tuple(orders)
-        if self.degenerate:
-            return {j: 0.0 for j in orders}
-        if not all(1 <= j <= 4 for j in orders):
-            raise DomainError(f"unsupported derivative order in {orders}")
-        if not (p >= 1 or np.isinf(p)):
+        for j in orders:
+            check_order(j, 1, 4)
+        if not p >= 1:
             raise DomainError("Lebesgue exponent must be >= 1 or inf")
-        if not orders:
-            return {}
+        if self.degenerate or not orders:
+            return {j: 0.0 for j in orders}
         tau = 1.0 + t
         top = max(orders)
         if np.isinf(p):

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import thermo
-from .errors import DomainError, MonotonicityError, ProfileError
+from .errors import DomainError, MonotonicityError, ProfileError, check_order
 from .riemann import WavePattern
 from .thermo import GasModel
 
@@ -484,8 +484,7 @@ class ShockProfile:
         order 3, each of xi's shape (``_evaluate``).  Points out of order are
         grouped by region with boolean masks, evaluated and scattered back,
         so each point gets the same bits in any order."""
-        if order not in (1, 2, 3):
-            raise DomainError(f"unsupported derivative order {order}")
+        check_order(order, 1, 3)
         xi = np.asarray(xi, dtype=float)
         flat = xi.ravel()
         out, work = np.empty((order + 1, flat.size)), np.empty((2, flat.size))

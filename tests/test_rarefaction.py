@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import nskwave as nw
 from nskwave import thermo
 from nskwave.rarefaction import X0_WINDOW, RarefactionWave
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -24,9 +28,15 @@ def bisection_foot_point(wave, tau, x, iters=200):
     return 0.5 * (lo + hi)
 
 
+def fan_speed(wave, x0):
+    """The characteristic speed w0(x0) carried from the foot point x0."""
+    return wave.center + wave.half_width * np.tanh(x0)
+
+
 def test_burgers_identity_at_t0(wave):
     x = np.linspace(-5, 5, 11)
-    w, x0 = wave.burgers_state(0.0, x)
+    x0 = wave.burgers_state(0.0, x)
+    w = fan_speed(wave, x0)
     assert np.allclose(x0, x)
     assert np.allclose(w, wave.center + wave.half_width * np.tanh(x))
 
@@ -35,14 +45,14 @@ def test_burgers_far_field_saturation(wave):
     t = 7.0
     for x, target in ((50.0 + abs(wave.w_m) * t, wave.w_m),
                       (-50.0 - abs(wave.w_minus) * t, wave.w_minus)):
-        w, _ = wave.burgers_state(t, np.array([x]))
+        w = fan_speed(wave, wave.burgers_state(t, np.array([x])))
         assert abs(w[0] - target) < 1e-12
 
 
 def test_burgers_interior_against_bisection(wave):
     t = 10.0
     x = t * wave.center
-    w, _ = wave.burgers_state(t, np.array([x]))
+    w = fan_speed(wave, wave.burgers_state(t, np.array([x])))
     x0 = bisection_foot_point(wave, t, x)
     w_oracle = wave.center + wave.half_width * np.tanh(x0)
     assert abs(w[0] - w_oracle) < 1e-12
@@ -51,9 +61,9 @@ def test_burgers_interior_against_bisection(wave):
 @pytest.mark.parametrize("times", [(1.0,), (200.0,), (1.0, 200.0)],
                          ids=["1.0", "200.0", "per-point"])
 def test_burgers_frozen_points_keep_their_positions(wave, times):
-    """Points converge at different iterations (at t = 200 the fan interior
-    takes up to 11 and many need bisection); each must be returned at its
-    own position of a 2-D input that interleaves both far fields with it.
+    """Points converge at different iterations (at t = 200 from 2 near the
+    fan's centre to 7 inside it); each must be returned at its own
+    position of a 2-D input that interleaves both far fields with it.
     With several times each point carries its own time offset, which the
     iteration compacts with the live points."""
     x, tau = [], []
@@ -69,7 +79,8 @@ def test_burgers_frozen_points_keep_their_positions(wave, times):
     order = np.random.default_rng(5).permutation(sum(len(x_t) for x_t in x))
     x = np.concatenate(x)[order].reshape(-1, 8)
     tau = np.concatenate(tau)[order].reshape(x.shape)
-    w, x0 = wave.burgers_state(tau if len(times) > 1 else 1.0 + times[0], x)
+    x0 = wave.burgers_state(tau if len(times) > 1 else 1.0 + times[0], x)
+    w = fan_speed(wave, x0)
     assert w.shape == x0.shape == x.shape
     oracle = np.vectorize(lambda xi, ti: bisection_foot_point(wave, ti, xi))(x, tau)
     w_oracle = wave.center + wave.half_width * np.tanh(oracle)
@@ -80,8 +91,61 @@ def test_burgers_frozen_points_keep_their_positions(wave, times):
     if len(times) > 1:
         for t in times:
             at_t = tau == 1.0 + t
-            w_t, x0_t = wave.burgers_state(1.0 + t, x[at_t])
+            x0_t = wave.burgers_state(1.0 + t, x[at_t])
+            w_t = fan_speed(wave, x0_t)
             assert np.array_equal(w[at_t], w_t) and np.array_equal(x0[at_t], x0_t)
+
+
+def long_double_foot_point(wave, tau, x, iters=60):
+    """Newton from 0 on x = x0 + w0(x0) tau in long double, with the double
+    inputs taken as exact; g(x0) = x0 + half_width tanh(x0) tau is concave
+    for x0 > 0 (convex below), so the iteration climbs to the root."""
+    X = np.asarray(x, dtype=np.longdouble)
+    T = np.broadcast_to(np.asarray(tau, dtype=np.longdouble), X.shape)
+    c, h = np.longdouble(wave.center), np.longdouble(wave.half_width)
+    y = np.zeros_like(X)
+    for _ in range(iters):
+        th = np.tanh(y)
+        y = y - (y + (c + h * th) * T - X) / (1 + h * (1 - th * th) * T)
+    return y
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+def test_burgers_foot_point_is_at_rounding():
+    """The foot point is within 4 ulps of |x| + |w_m| tau of the long-double
+    root on the standard.cfg grid, at one time per call and one per point;
+    the error left is that of rounding s = x - center tau and a tanh."""
+    cfg = nw.parse_config(CONFIGS / "standard.cfg")
+    wave = RarefactionWave(cfg.build_pattern(), cfg.gas)
+    x = cfg.grid.x
+    times = (0.0, 1.0, 20.0, 200.0)
+    per_point = np.random.default_rng(3).choice(times, x.size)
+    for tau in [1.0 + t for t in times] + [1.0 + per_point]:
+        x0 = wave.burgers_state(tau, x)
+        err = np.abs(x0 - long_double_foot_point(wave, tau, x))
+        assert np.all(err <= 4.0 * np.spacing(np.abs(x) + abs(wave.w_m) * tau))
+
+
+@pytest.mark.parametrize("tau", [1.0, 201.0, 1e3, 1e4])
+def test_burgers_residual_within_tolerance(wave, tau):
+    """The plain Newton iteration converges far beyond the simulated times,
+    on the far fields out to |x| = 1e6 and across the fan interior."""
+    x = np.concatenate([np.linspace(-1e6, 1e6, 2001),
+                        np.linspace(*wave.support(tau - 1.0), 2001)])
+    x0 = wave.burgers_state(tau, x)
+    res = x0 + fan_speed(wave, x0) * tau - x
+    assert np.all(np.abs(res) <= 1e-13 * np.maximum(1.0, np.abs(x) + abs(wave.w_m) * tau))
+
+
+def test_burgers_on_a_zero_width_fan_transports_rigidly(model14, right_state):
+    """With half_width = 0 the foot point is x - w_m tau, to the bit."""
+    pat = nw.pattern_from_intermediate(0.9, right_state, model14)
+    wave = RarefactionWave(pat, model14)
+    assert wave.half_width == 0.0
+    x = np.linspace(-500.0, 500.0, 1001)
+    for tau in (1.0, 4.0, 201.0):
+        assert np.array_equal(wave.burgers_state(tau, x), x - wave.w_m * tau)
 
 
 def test_burgers_rejects_bad_input(wave):
@@ -104,7 +168,7 @@ def test_eval_far_field(wave):
 
 def unwindowed_stack(wave, t, x, order):
     """Reference for RarefactionWave.eval: the characteristic solve on every node."""
-    return wave._stack_from_x0(1.0 + t, wave.burgers_state(1.0 + t, x)[1], order)
+    return wave._stack_from_x0(1.0 + t, wave.burgers_state(1.0 + t, x), order)
 
 
 @pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 200.0])
@@ -211,8 +275,9 @@ def test_w0_derivatives_stop_at_the_order(wave, order):
 
 
 def test_eval_rejects_bad_order(wave):
-    with pytest.raises(nw.DomainError):
-        wave.eval(0.0, np.array([0.0]), order=5)
+    for order in (5, 1.5, 1.0):
+        with pytest.raises(nw.DomainError):
+            wave.eval(0.0, np.array([0.0]), order=order)
 
 
 def test_pointwise_gradient_identities(wave, model14):
@@ -222,7 +287,7 @@ def test_pointwise_gradient_identities(wave, model14):
     t = 3.0
     x = np.linspace(*wave.support(t), 1000)
     st = wave.eval(t, x, order=1)
-    w, x0 = wave.burgers_state(1.0 + t, x)
+    x0 = wave.burgers_state(1.0 + t, x)
     w1 = wave.half_width * (1.0 - np.tanh(x0) ** 2)
     wx = w1 / (1.0 + w1 * (1.0 + t))
     assert np.max(np.abs(st["ux"] - 2.0 * st["v"] / (g + 1.0) * wx)) < 1e-12
@@ -293,6 +358,21 @@ def test_degenerate_fan(model14, right_state):
 def test_derivative_norms_reject_bad_times(wave, t, p):
     with pytest.raises(nw.DomainError, match="time must be finite and nonnegative"):
         wave.derivative_norms(t, p)
+
+
+@pytest.mark.parametrize("degenerate", [False, True], ids=["fan", "degenerate"])
+def test_derivative_norms_reject_bad_exponents_and_orders(wave, model14, right_state,
+                                                          degenerate):
+    """The exponent and the orders are checked before a degenerate fan
+    returns its zeros; -inf and nan are not exponents, 1.5 is no order."""
+    if degenerate:
+        wave = RarefactionWave(nw.pattern_from_intermediate(0.9, right_state, model14), model14)
+    for p in (-np.inf, -3, np.nan, 0.5):
+        with pytest.raises(nw.DomainError):
+            wave.derivative_norms(1.0, p)
+    for orders in ((0,), (5,), (1.5,)):
+        with pytest.raises(nw.DomainError):
+            wave.derivative_norms(1.0, 2, orders=orders)
 
 
 def test_velocity_variation_equals_strength(wave, pattern_std):

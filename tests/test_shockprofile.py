@@ -403,6 +403,12 @@ def test_volume_is_the_cubic_located_by_search(tail_profile):
         assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(np.abs(ref)))
 
 
+def test_volume_rejects_bad_order(profile_std):
+    for order in (0, 4, 2.0, 1.5):
+        with pytest.raises(nw.DomainError):
+            profile_std.volume(np.array([0.0]), order)
+
+
 def sorted_volume(prof, xi):
     """``ShockProfile.volume_sorted`` at the non-decreasing ``xi``."""
     out, work = np.empty((2, xi.size)), np.empty((2, xi.size))
