@@ -85,9 +85,10 @@ def _cmd_riemann(config: RunConfig, out_dir: Path, seed: int) -> int:
 def _cmd_profile(config: RunConfig, out_dir: Path, seed: int) -> int:
     pattern = config.build_pattern()
     profile = solve_profile(pattern, config.gas)
-    stack = eval_profile(profile, profile.xi)
+    xi = profile.span_knots()
+    stack = eval_profile(profile, xi)
     header = ["xi", "v", "u", "w", "vx", "ux", "wx", "vxx", "vxxx"]
-    rows = zip(profile.xi.tolist(), *(stack[k].tolist() for k in header[1:]))
+    rows = zip(xi.tolist(), *(stack[k].tolist() for k in header[1:]))
     write_csv(out_dir / "profile.csv", header, rows)
     return EXIT_OK
 

@@ -196,6 +196,9 @@ class RarefactionWave:
         """
         check_order(order, 0, 4)
         x = np.asarray(x, dtype=float)
+        # first: a degenerate fan and the order-0 window send inf and nan to an end state
+        if not np.all(np.isfinite(x)):
+            raise DomainError("position must be finite")
         t = _time_offsets(t)
         tau = 1.0 + t
         if self.degenerate:
@@ -208,9 +211,6 @@ class RarefactionWave:
         if order > 0:
             x0 = self.burgers_state(tau, x)
             return self._stack_from_x0(tau, x0, order)
-        # checked here: the window would send inf and nan to an end state
-        if not np.all(np.isfinite(x)):
-            raise DomainError("position must be finite")
         lo, hi = self.support(t, pad=X0_WINDOW)
         left = x < lo
         inside = ~left & (x <= hi)
@@ -252,7 +252,9 @@ class RarefactionWave:
         """
         if field not in ("u", "pair"):
             raise DomainError(f"unknown field {field!r}")
-        t = float(_time_offsets(t))
+        t = _time_offsets(t)
+        if t.ndim:
+            raise DomainError("derivative_norms takes one time")
         orders = tuple(orders)
         for j in orders:
             check_order(j, 1, 4)

@@ -275,8 +275,8 @@ def _shift_rate(t, X, u, grid: Grid, composite: CompositeWave, fan_u):
     gradient: -M/delta_S times the integral of a psi (uS' + p'(vS) vS' /
     sigma), with the weight a of ``entropy_weight`` and psi = u - ubar;
     identically zero for u = ubar and zero for degenerate shock strength.
-    Beyond the shock's table vS' is exactly zero, and so is the integrand,
-    so it is evaluated on the nodes of the table's support only and summed
+    Beyond the shock's span [xi_lo, xi_hi] vS' is exactly zero, and so is
+    the integrand, so it is evaluated on the nodes of the span only and summed
     with the trapezoid weights of the whole grid.  Those nodes are one
     increasing slice of the grid, so ``ShockProfile.volume_sorted`` gives
     the shock on it region by region, with ``volume``'s values.  ``fan_u``

@@ -269,8 +269,10 @@ def test_criterion_6_scheme_verification(model14, right_state):
     prof = nw.solve_profile(pat, model14)
     comp = nw.CompositeWave(RarefactionWave(pat, model14), prof, pat, model14)
     T = 1.0
-    xi_l = float(prof.xi[np.searchsorted(prof.v, prof.v_m + 1e-7)])
-    xi_r = float(prof.xi[np.searchsorted(prof.v, prof.v_plus - 1e-7)])
+    knots = prof.span_knots()
+    v_knots = prof.volume(knots)[0]
+    xi_l = float(knots[np.searchsorted(v_knots, prof.v_m + 1e-7)])
+    xi_r = float(knots[np.searchsorted(v_knots, prof.v_plus - 1e-7)])
     lo, hi = xi_l - 4.0, xi_r + 4.0 + pat.sigma * T
     n = int(round((hi - lo) / 0.01)) + 1
     grid = nw.Grid(lo, hi, n)

@@ -361,6 +361,26 @@ def test_derivative_norms_reject_bad_times(wave, t, p):
 
 
 @pytest.mark.parametrize("degenerate", [False, True], ids=["fan", "degenerate"])
+def test_eval_rejects_positions_that_are_not_finite(wave, model14, right_state, degenerate):
+    """A degenerate fan checks its positions as a fan with width does,
+    before it returns the end state."""
+    if degenerate:
+        wave = RarefactionWave(nw.pattern_from_intermediate(0.9, right_state, model14), model14)
+    for x, order in (([np.nan, np.inf], 0), ([np.nan], 2)):
+        with pytest.raises(nw.DomainError, match="position must be finite"):
+            wave.eval(1.0, np.array(x), order=order)
+
+
+@pytest.mark.parametrize("degenerate", [False, True], ids=["fan", "degenerate"])
+def test_derivative_norms_take_one_time(wave, model14, right_state, degenerate):
+    if degenerate:
+        wave = RarefactionWave(nw.pattern_from_intermediate(0.9, right_state, model14), model14)
+    for t in (np.array([1.0, 2.0]), np.array([1.0])):
+        with pytest.raises(nw.DomainError, match="takes one time"):
+            wave.derivative_norms(t, 2)
+
+
+@pytest.mark.parametrize("degenerate", [False, True], ids=["fan", "degenerate"])
 def test_derivative_norms_reject_bad_exponents_and_orders(wave, model14, right_state,
                                                           degenerate):
     """The exponent and the orders are checked before a degenerate fan

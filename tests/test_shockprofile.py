@@ -123,21 +123,22 @@ def test_shot_matches_scipy_rk45(name, monkeypatch):
     xi_mid, xi_end, starts = shot[:3]
     assert ref.status == 1 and ref.t_events[2].size == 0
     # The two shots round differently (scipy sums the stages with BLAS), so
-    # their step sizes part from the third step on.  Measured: 832 and 666
+    # their step sizes part from the third step on.  Measured: 791 and 640
     # steps on both sides.
     assert abs(len(starts) - (len(ref.t) - 1)) <= 3
     # Near the saddle a rounding difference in the state is a shift along
     # the orbit: xi_mid differs by 4.2e-9 and 3.4e-10, while both are 2.0e-6
     # and 7.4e-7 from a DOP853 solve at rtol 1e-13.
     assert abs(xi_mid - ref.t_events[0][0]) < 1e-8
-    # The arrival, where v' is about 1e-11, turns a v difference of 1e-14
-    # into 1e-3 in xi (xi_end differs by 3.0e-4 and 7.0e-4), so it is
-    # compared in v: scipy's solution at this shot's arrival and midpoint
-    # (measured 2.3e-15 and 1.2e-14; 3.9e-12 and 1.3e-12, the shift above).
+    # The arrival, at the right switch, where v' is 7.8e-8 and 3.5e-7: xi_end
+    # differs by 9.3e-9 and 1.3e-9, and scipy's solution at this shot's
+    # arrival and midpoint by 7.8e-16 and 4.4e-16; 3.9e-12 and 1.3e-12, the
+    # shift above.
+    assert abs(xi_end - ref.t_events[1][0]) < 1e-7
     assert abs(ref.sol(xi_end)[0] - v_stop) < 1e-13
     assert abs(ref.sol(xi_mid)[0] - v_mid) < 1e-11
     # the shot's table against scipy's dense output, each at its own
-    # midpoint: measured 2.8e-14 and 1.5e-13 in v, 3.2e-14 and 1.6e-13 in v'
+    # midpoint: measured 6.0e-15 and 8.9e-16 in v, 6.2e-15 and 2.3e-16 in v'
     body = (prof.xi >= prof.xi_switch) & (prof.xi <= xi_end - xi_mid)
     v_ref, vp_ref = ref.sol(prof.xi[body] + ref.t_events[0][0])
     assert np.max(np.abs(prof.v[body] - v_ref)) < 5e-13
@@ -207,8 +208,27 @@ def test_profile_monotone_and_normalized(profile_std):
 
 
 def test_profile_reaches_far_field(profile_std):
-    assert abs(profile_std.v[0] - profile_std.v_m) < 1e-10
-    assert abs(profile_std.v[-1] - profile_std.v_plus) < 1e-10
+    prof = profile_std
+    d0 = shockprofile.TAIL_SWITCH * prof.pattern.delta_S
+    # the body runs from one switch gap to within one knot of the other
+    assert abs(prof.v[0] - prof.v_m - d0) <= np.spacing(prof.v_m)
+    assert d0 <= prof.v_plus - prof.v[-1] <= d0 * np.exp(-prof.decay_rate * (prof.xi[1] - prof.xi[0]))
+    # each closed-form tail is TAIL_CUT from its far-field state where the
+    # span ends, and the profile is that state beyond
+    v = prof.volume(np.array([prof.xi_lo - 1.0, prof.xi_lo, prof.xi_hi, prof.xi_hi + 1.0]))[0]
+    assert v[0] == prof.v_m and v[3] == prof.v_plus
+    assert abs(v[1] - prof.v_m - shockprofile.TAIL_CUT) <= np.spacing(prof.v_m)
+    assert abs(prof.v_plus - v[2] - shockprofile.TAIL_CUT) <= np.spacing(prof.v_plus)
+
+
+def test_span_knots_continue_the_table(profile_std):
+    prof = profile_std
+    xi = prof.span_knots()
+    h = prof.xi[1] - prof.xi[0]
+    assert prof.xi_lo <= xi[0] < prof.xi_lo + h and prof.xi_hi - h < xi[-1] <= prof.xi_hi
+    np.testing.assert_allclose(np.diff(xi), h, rtol=1e-9)
+    first = int(np.searchsorted(xi, prof.xi[0] - 0.5 * h))
+    np.testing.assert_allclose(xi[first:first + len(prof.xi)], prof.xi, rtol=0.0, atol=1e-9)
 
 
 def test_degenerate_strength_rejected(model14, right_state):
@@ -337,7 +357,8 @@ def relative_second_differences(f):
 def tail_window(prof, lo, hi):
     """xi at spacing 0.01 where v - v_m runs from about lo to about hi (on the
     standard pattern, xi in [-223, -190])."""
-    xi_lo, xi_hi = np.interp([lo, hi], prof.v - prof.v_m, prof.xi)
+    knots = prof.span_knots()
+    xi_lo, xi_hi = np.interp([lo, hi], prof.volume(knots)[0] - prof.v_m, knots)
     return np.arange(xi_lo, xi_hi, 0.01)
 
 
@@ -378,8 +399,8 @@ def searched_volume(prof, xi):
     """``volume`` with each body point's interval found by np.searchsorted
     on the knots, the lookup the uniform table's arithmetic replaced."""
     v, vp = (f.copy() for f in prof.volume(xi))
-    body = (xi >= prof.xi_switch) & (xi <= prof.xi_hi)
-    knots = prof._knots            # the knots of the interpolated intervals
+    knots = prof.xi
+    body = (xi >= knots[0]) & (xi <= knots[-1])
     i = np.minimum(np.searchsorted(knots, xi[body], side="right") - 1, len(knots) - 2)
     s = xi[body] - knots[i]
     c = prof._cubics.take(i, axis=2)
@@ -393,12 +414,12 @@ def test_volume_is_the_cubic_located_by_search(tail_profile):
     # off the knots the interval, and so every bit, is the searched one
     xi = np.concatenate([rng.uniform(prof.xi_lo - 5.0, prof.xi_hi + 5.0, 20000),
                          [prof.xi_lo - 10.0, prof.xi_lo - 1e-9, prof.xi_hi + 1e-9,
-                          prof.xi_hi + 10.0]])
+                          prof.xi_hi + 10.0, prof.xi[0] - 1e-9, prof.xi[-1] + 1e-9]])
     for got, ref in zip(prof.volume(xi), searched_volume(prof, xi)):
         assert np.array_equal(got, ref)
     # at a knot the arithmetic may land in the neighbouring interval, whose
     # C^1 cubic meets the knot's value to rounding
-    knots = np.concatenate([prof.xi, [prof.xi_switch]])
+    knots = prof.xi
     for got, ref in zip(prof.volume(knots), searched_volume(prof, knots)):
         assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(np.abs(ref)))
 
@@ -421,24 +442,25 @@ def test_volume_on_sorted_grid_slices_is_volume(name):
     cfg = parse_config(CONFIGS / f"{name}.cfg")
     prof = nw.solve_profile(cfg.build_pattern(), cfg.gas)
     x = cfg.grid.x
-    marks = np.array([prof.xi_lo, prof.xi_switch, prof.xi_hi])
-    # the grid as it is, and moved so that its ends fall in the tail or the body
+    marks = np.array([prof.xi_lo, prof.xi_switch, prof.xi[-1], prof.xi_hi])
+    # the grid as it is, and moved so that its ends fall in a tail or the body
     shifts = (0.0, x[0] - 0.5 * (prof.xi_lo + prof.xi_switch),
-              x[-1] - 0.5 * (prof.xi_switch + prof.xi_hi))
+              x[-1] - 0.5 * (prof.xi_switch + prof.xi[-1]),
+              x[-1] - 0.5 * (prof.xi[-1] + prof.xi_hi))
     regions = set()
     for c in shifts:
         xi = x - c
         edges = np.searchsorted(xi, marks)
         slices = [xi, xi[edges[0]:edges[2]], xi[edges[0] + 1:edges[2] - 1]]
         slices += [xi[max(j - 3, 0):j + 3] for j in edges]
-        # the table's ends and the switch as points of the slice
+        # the span's ends and the body's as points of the slice
         slices.append(np.sort(np.concatenate([xi, marks])))
         for part in slices:
             got, ref = sorted_volume(prof, part), prof.volume(part)
             assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
             regions.update(np.searchsorted(marks, part, side="right"))
-    # nodes left of the table, in the tail, in the body and right of it
-    assert regions == {0, 1, 2, 3}
+    # nodes left of the span, in either tail, in the body and right of it
+    assert regions == {0, 1, 2, 3, 4}
 
 
 def test_volume_in_any_order_is_the_sorted_evaluation(tail_profile):
@@ -446,9 +468,9 @@ def test_volume_in_any_order_is_the_sorted_evaluation(tail_profile):
     which go through the regions' slices unpermuted."""
     prof = tail_profile
     rng = np.random.default_rng(17)
-    # points in every region, every knot, the table's ends and the switch
+    # points in every region, every knot, and the span's and the body's ends
     xi = np.concatenate([rng.uniform(prof.xi_lo - 5.0, prof.xi_hi + 5.0, 3000), prof.xi,
-                         [prof.xi_lo, prof.xi_switch, prof.xi_hi]])
+                         [prof.xi_lo, prof.xi_switch, prof.xi[-1], prof.xi_hi]])
     rng.shuffle(xi)
     by_value = np.argsort(xi)
     m = 2 * (xi.size // 2)
@@ -472,13 +494,14 @@ def test_volume_in_any_order_is_the_sorted_evaluation(tail_profile):
 
 def test_eval_profile_solves_the_tail_once_and_the_residual_on_the_body(tail_profile,
                                                                        monkeypatch):
-    """Each call solves the manifold once, on the tail's points, and hands the
-    residual equation's v'' and v''' only the body's points."""
+    """Each call solves each tail's manifold once, on that tail's points, and
+    hands the residual equation's v'' and v''' only the body's points."""
     prof = tail_profile
     xi = np.sort(np.append(np.linspace(prof.xi_lo - 5.0, prof.xi_hi + 5.0, 1001),
-                           prof.xi_switch))
-    tail = int(np.count_nonzero((xi >= prof.xi_lo) & (xi < prof.xi_switch)))
-    body = int(np.count_nonzero((xi >= prof.xi_switch) & (xi <= prof.xi_hi)))
+                           [prof.xi_switch, prof.xi[-1]]))
+    left = int(np.count_nonzero((xi >= prof.xi_lo) & (xi < prof.xi_switch)))
+    body = int(np.count_nonzero((xi >= prof.xi_switch) & (xi <= prof.xi[-1])))
+    right = int(np.count_nonzero((xi > prof.xi[-1]) & (xi <= prof.xi_hi)))
     calls = []
 
     def log(name):
@@ -497,7 +520,7 @@ def test_eval_profile_solves_the_tail_once_and_the_residual_on_the_body(tail_pro
         for order, expected in residual.items():
             calls.clear()
             nw.eval_profile(prof, points, order)
-            assert calls == [("_manifold_gap", tail)] + expected, order
+            assert calls == [("_manifold_gap", left), ("_manifold_gap", right)] + expected, order
 
 
 def test_switch_is_continuous(tail_profile):
@@ -553,3 +576,102 @@ def test_tail_matches_an_accurate_resolve(tail_profile):
     assert np.max(np.abs(dv / dv_ref - 1.0)) < 1e-9
     assert np.max(np.abs(st["vx"] / q_ref - 1.0)) < 1e-9
     assert np.max(np.abs(st["vxx"] / accel(dv_ref, q_ref) - 1.0)) < 5e-9
+
+
+# -- the closed-form right tail -----------------------------------------------------
+
+
+def test_last_knot_is_continuous(tail_profile):
+    prof = tail_profile
+    xi = prof.xi[-1] + np.array([-1e-9, 0.0, 1e-9])
+    st = nw.eval_profile(prof, xi)
+    # the gap to v_plus: 1.0e-9 and 2.1e-9 relative from the last knot to the
+    # tail on the two patterns, against 8e-11 and 1.7e-10 for its slope
+    gap = prof.v_plus - st["v"]
+    assert abs(gap[2] / gap[1] - 1.0) < 1e-8
+    # The derivatives jump by the body's error at the shot's stop, its
+    # absolute tolerance on v': measured 7.1e-14, 8.7e-14 and 1.0e-13 in v',
+    # v'' and v''' on the standard pattern (relative 9.1e-7, 1.4e-5 and
+    # 2.1e-4 there, where v' is 7.8e-8), 4.1e-16 and less on the other.
+    # The tail itself meets an accurate re-solve to 1.6e-10 (below).
+    for key in ("vx", "vxx", "vxxx"):
+        assert abs(st[key][2] - st[key][1]) < 2.0 * shockprofile.ATOL, key
+        assert abs(st[key][1] - st[key][0]) < 2.0 * shockprofile.ATOL, key
+
+
+def test_right_tail_matches_an_accurate_resolve(tail_profile):
+    """The profile ODE solved in (v - v_plus, v') with DOP853 at atol 1e-30
+    and the Rankine-Hugoniot gap free of cancellation, from the body's knot
+    where v_plus - v is about 0.01 delta_S, shifted to reach the switch gap
+    at xi_stop."""
+    prof = tail_profile
+    pat, model = prof.pattern, prof.model
+    a, b, g, s, v_p = model.alpha, model.beta, model.gamma, pat.sigma, pat.right.v
+    d0 = shockprofile.TAIL_SWITCH * pat.delta_S
+
+    def accel(dv, q):
+        v = v_p + dv
+        gap = s * s * dv + v_p ** -g * np.expm1(-g * np.log1p(dv / v_p))
+        return -v ** (5.0 + b) * gap - s * v ** (4.0 + b - a) * q + 0.5 * (5.0 + b) * q * q / v
+
+    def at_switch(_, y):
+        return y[0] + d0
+
+    k = int(np.searchsorted(prof.v, v_p - 0.01 * pat.delta_S))
+    sol = solve_ivp(lambda _, y: [y[1], accel(y[0], y[1])], (0.0, prof.xi_hi - prof.xi[k] + 1.0),
+                    [prof.v[k] - v_p, prof.vp[k]], method="DOP853", rtol=1e-13, atol=1e-30,
+                    events=at_switch, dense_output=True)
+    shift = prof.xi_stop - sol.t_events[0][0]
+    xi = np.linspace(prof.xi[-1], prof.xi_hi, 2001)[1:]
+    dv_ref, q_ref = sol.sol(xi - shift)
+    dv = shockprofile._manifold_gap(xi, prof.xi_stop, -d0, prof.decay_rate, prof.node_c2)
+    st = nw.eval_profile(prof, xi)
+    # measured: 2.7e-11, 6.4e-11 and 4.2e-10 on the standard pattern,
+    # 8.2e-11, 1.6e-10 and 6.5e-10 on the other
+    assert np.max(np.abs(dv / dv_ref - 1.0)) < 1e-9
+    assert np.max(np.abs(st["vx"] / q_ref - 1.0)) < 1e-9
+    assert np.max(np.abs(st["vxx"] / accel(dv_ref, q_ref) - 1.0)) < 5e-9
+
+
+# -- weak shocks --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("v_plus, delta_S", [
+    (2.0, 2.6e-3), (2.0, 3e-3), (2.0, 5e-3),
+    pytest.param(4.0, 2.6e-3, marks=pytest.mark.slow),
+    pytest.param(4.0, 6e-3, marks=pytest.mark.slow)])
+def test_weak_shock_far_from_unit_volume_solves(v_plus, delta_S):
+    # gamma = 1.2 without a fan: with both tails tabulated down to 1e-12,
+    # neighbouring knots rounded to equal volumes and each of these raised
+    # MonotonicityError
+    model = nw.GasModel(1.2)
+    pat = nw.pattern_from_intermediate(v_plus - delta_S, nw.EndState(v_plus, 0.0), model)
+    prof = nw.solve_profile(pat, model)
+    assert np.all(np.diff(prof.v) > 0.0) and np.all(prof.vp > 0.0)
+    assert prof.self_residual() < shockprofile.RESIDUAL_TOL
+    assert float(prof.volume(0.0)[0]) == pytest.approx(0.5 * (prof.v_m + v_plus), abs=1e-10)
+    v, vx = prof.volume(prof.span_knots())
+    assert np.all(np.diff(v) >= 0.0) and np.all(vx > 0.0)
+
+
+# measured sup |v - logistic| / delta_S^2 over delta_S = 0.01 to 0.001:
+# 1.86 to 1.77 at v_plus = 0.5, 0.107 to 0.105 at 1, 0.0041 to 0.0039 at 2
+LOGISTIC_CONSTANT = {0.5: 2.0, 1.0: 0.12, 2.0: 0.005}
+
+
+@pytest.mark.parametrize("delta_S", [0.01, 0.005, 0.002, 0.001])
+@pytest.mark.parametrize("v_plus", [0.5, 1.0, 2.0])
+def test_weak_profile_tends_to_the_logistic(model14, v_plus, delta_S, monkeypatch):
+    """As delta_S -> 0 the residual equation reduces to sigma v^(-alpha-1) v'
+    = -F(v) with F about p''(vbar) (v - v_m) (v - v_plus) / 2, whose solution
+    is the logistic v_m + delta_S / (1 + exp(-c delta_S xi)), c = vbar^(alpha+1)
+    p''(vbar) / (2 sigma) at the midpoint vbar; the profile is within
+    C delta_S^2 of it over the whole span."""
+    monkeypatch.setattr(shockprofile, "MIN_STRENGTH", 0.0)
+    pat = nw.pattern_from_intermediate(v_plus - delta_S, nw.EndState(v_plus, 0.0), model14)
+    prof = nw.solve_profile(pat, model14)
+    vbar = 0.5 * (prof.v_m + v_plus)
+    c = vbar ** (model14.alpha + 1.0) * float(thermo.d2pressure(vbar, model14)) / (2.0 * pat.sigma)
+    xi = np.linspace(prof.xi_lo, prof.xi_hi, 20001)
+    logistic = prof.v_m + delta_S / (1.0 + np.exp(-c * delta_S * xi))
+    assert np.max(np.abs(prof.volume(xi)[0] - logistic)) <= LOGISTIC_CONSTANT[v_plus] * delta_S ** 2
