@@ -14,7 +14,7 @@ import numpy as np
 
 from . import thermo
 from .errors import DomainError, check_order
-from .quadrature import adaptive_simpson
+from .quadrature import gauss_kronrod
 from .riemann import WavePattern
 from .thermo import GasModel
 
@@ -248,7 +248,9 @@ class RarefactionWave:
         the exact jacobian 1 + w0' tau, which keeps the integration window
         fixed for all times; the discarded tails are below 1e-20 by the
         tanh envelope.  The integrals of all ``orders`` refine in lockstep,
-        one stack evaluation per level.
+        one stack evaluation per level, each to 1e-10 of itself with no
+        absolute floor, since the norms fall by decades with t and with
+        the order.
         """
         if field not in ("u", "pair"):
             raise DomainError(f"unknown field {field!r}")
@@ -275,5 +277,5 @@ class RarefactionWave:
             return mag ** p * jac
 
         breaks = [-X0_WINDOW, -12.0, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0, 12.0, X0_WINDOW]
-        vals = adaptive_simpson(integrand, [breaks] * len(orders), abs_tol=1e-14, rel_tol=1e-10)
+        vals = gauss_kronrod(integrand, [breaks] * len(orders), abs_tol=0.0, rel_tol=1e-10)
         return {j: float(max(float(val[0]), 0.0) ** (1.0 / p)) for j, val in zip(orders, vals)}

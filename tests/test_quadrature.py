@@ -5,18 +5,38 @@ import pytest
 from scipy.integrate import quad
 
 from nskwave import quadrature
-from nskwave.quadrature import adaptive_simpson
+from nskwave.quadrature import gauss_kronrod
 
 
 def integral(f, bp, **tol):
     """The (k,) integrals of ``f(x)`` over the one domain ``bp``."""
-    (val,) = adaptive_simpson(lambda x, domain: f(x), [bp], **tol)
+    (val,) = gauss_kronrod(lambda x, domain: f(x), [bp], **tol)
     return val
 
 
+def test_rule_is_qk21():
+    # the Gauss nodes and weights are Gauss-Legendre's; the Kronrod rule is
+    # exact on the monomials to degree 31 and not on degree 32
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    np.testing.assert_allclose(quadrature.NODES[1::2], nodes, rtol=0.0, atol=2e-16)
+    wg = np.concatenate([quadrature._WG, quadrature._WG[::-1]])
+    np.testing.assert_allclose(wg, weights, rtol=0.0, atol=3e-16)
+    wk = np.concatenate([quadrature._WK, quadrature._WK[-2::-1]])
+    moments = [wk @ quadrature.NODES ** d - (1.0 - (-1.0) ** (d + 1)) / (d + 1) for d in range(33)]
+    assert np.max(np.abs(moments[:32])) < 1e-15
+    assert abs(moments[32]) > 1e-13
+
+
 def test_polynomial_exact():
-    (val,) = integral(lambda x: x ** 3 - 2 * x, [0.0, 2.0])
-    assert val == pytest.approx(0.0, abs=1e-12)
+    # the Gauss rule is exact to degree 19, so K - G vanishes and one call of
+    # 21 points returns the Kronrod sum; the Kronrod sums are exact to
+    # degree 31 on every panel, however the refinement splits them
+    for degree in (19, 31):
+        calls = []
+        (val,) = integral(counted(lambda x: x ** degree - 2 * x, calls), [0.0, 2.0])
+        assert val == pytest.approx(2.0 ** (degree + 1) / (degree + 1) - 4.0, rel=1e-15)
+        if degree == 19:
+            assert calls == [quadrature.POINTS]
 
 
 def test_against_scipy_quad():
@@ -55,20 +75,27 @@ def test_requires_two_breakpoints():
         integral(lambda x: x, [1.0])
 
 
-def test_interval_cap_logs_a_warning(monkeypatch, caplog):
+def test_point_budget_logs_a_warning(monkeypatch, caplog):
     def f(x):
         return np.exp(-x * x / 1e-4)
 
     exact = np.sqrt(np.pi * 1e-4)
-    assert integral(f, [-1.0, 1.0], abs_tol=1e-14, rel_tol=1e-12) == pytest.approx([exact])
+    calls = []
+    assert integral(counted(f, calls), [-1.0, 1.0], abs_tol=1e-14,
+                    rel_tol=1e-12) == pytest.approx([exact])
     assert not caplog.records
-    monkeypatch.setattr(quadrature, "MAX_INTERVALS", 4)
+    # a budget the converged refinement passes: the valve stops the domain
+    # before its next level would pass it
+    assert sum(calls) > 150
+    monkeypatch.setattr(quadrature, "MAX_POINTS", 150)
+    calls.clear()
     with caplog.at_level("WARNING", logger="nskwave.quadrature"):
-        (val,) = integral(f, [-1.0, 1.0], abs_tol=1e-14, rel_tol=1e-12)
+        (val,) = integral(counted(f, calls), [-1.0, 1.0], abs_tol=1e-14, rel_tol=1e-12)
     assert np.isfinite(val)
+    assert sum(calls) <= 150
     (rec,) = caplog.records
     assert rec.levelname == "WARNING"
-    assert "intervals still open (cap 4)" in rec.getMessage()
+    assert f"and {sum(calls)} points (budget 150)" in rec.getMessage()
 
 
 def test_rows_of_a_vector_integrand_share_one_refinement():
@@ -102,7 +129,7 @@ def test_small_jump_converges_without_the_valve(caplog):
     exact = np.sqrt(np.pi) * math.erf(6.0) + 1e-4 * 5.7
     assert val == pytest.approx(exact, rel=1e-8)
     assert not caplog.records
-    # 17 calls; refining the jump down to MAX_LEVELS would take 61
+    # 12 calls; refining the jump down to MAX_LEVELS would take 60
     assert len(calls) < 30
 
 
@@ -135,8 +162,8 @@ DOMAINS = [
 def test_domains_in_lockstep_keep_their_single_domain_results():
     fs, breakpoints = zip(*DOMAINS)
     calls, alone_calls = [], []
-    together = adaptive_simpson(lockstep(fs, calls), list(breakpoints),
-                                abs_tol=1e-13, rel_tol=1e-11)
+    together = gauss_kronrod(lockstep(fs, calls), list(breakpoints),
+                             abs_tol=1e-13, rel_tol=1e-11)
     alone = []
     for f, bp in DOMAINS:
         alone_calls.append([])
@@ -149,7 +176,7 @@ def test_domains_in_lockstep_keep_their_single_domain_results():
     assert sum(calls) == sum(map(sum, alone_calls))
     # a list of one domain is the one-domain case
     f, bp = DOMAINS[0]
-    assert equal(adaptive_simpson(lockstep([f], []), [bp], abs_tol=1e-13, rel_tol=1e-11),
+    assert equal(gauss_kronrod(lockstep([f], []), [bp], abs_tol=1e-13, rel_tol=1e-11),
                  alone[:1])
 
 
@@ -159,14 +186,14 @@ def test_vector_integrands_in_lockstep():
 
     fs = [rows(1.0), rows(3.0), rows(0.5)]
     breakpoints = [[-30.0, 0.0, 30.0], [-1.0, 2.0], [0.0, 5.0, 40.0]]
-    together = adaptive_simpson(lockstep(fs, []), breakpoints, abs_tol=1e-13, rel_tol=1e-11)
+    together = gauss_kronrod(lockstep(fs, []), breakpoints, abs_tol=1e-13, rel_tol=1e-11)
     for f, bp, val in zip(fs, breakpoints, together):
         alone = integral(f, bp, abs_tol=1e-13, rel_tol=1e-11)
         assert val.shape == (2,) and np.array_equal(val, alone)
 
 
 def test_a_domain_at_the_valve_leaves_the_others_converged(monkeypatch, caplog):
-    monkeypatch.setattr(quadrature, "MAX_INTERVALS", 4)
+    monkeypatch.setattr(quadrature, "MAX_POINTS", 150)
     domains = [(np.exp, [0.0, 1.0]),
                (lambda x: np.exp(-x * x / 1e-4), [-1.0, 1.0]),
                (lambda x: x ** 3 - 2.0 * x, [0.0, 2.0])]
@@ -179,11 +206,11 @@ def test_a_domain_at_the_valve_leaves_the_others_converged(monkeypatch, caplog):
         warnings.append([rec.getMessage() for rec in caplog.records])
     assert warnings[0] == warnings[2] == []
     (valve,) = warnings[1]
-    assert "domain 0 on [-1, 1]: " in valve and "intervals still open (cap 4)" in valve
+    assert "domain 0 on [-1, 1]: " in valve and "points (budget 150)" in valve
     caplog.clear()
     fs, breakpoints = zip(*domains)
     with caplog.at_level("WARNING", logger="nskwave.quadrature"):
-        together = adaptive_simpson(lockstep(fs, []), list(breakpoints), **tol)
+        together = gauss_kronrod(lockstep(fs, []), list(breakpoints), **tol)
     # the same warning, naming the valve's place in the lockstep
     assert [rec.getMessage() for rec in caplog.records] == [valve.replace("domain 0", "domain 1")]
     assert equal(together, alone)
@@ -191,51 +218,40 @@ def test_a_domain_at_the_valve_leaves_the_others_converged(monkeypatch, caplog):
 
 
 def refine_alone(f, bp, abs_tol, rel_tol):
-    """One domain refined on its own with arrays of its own: the per-domain
-    implementation the flat table replaced, kept as the reference for its
+    """One domain refined on its own with arrays of its own: a per-domain
+    implementation of the flat table's rules, kept as the reference for its
     bits.  Returns the (k,) integrals, the levels refined and whether the
-    valve fired; the rules are those of ``adaptive_simpson``."""
+    valve fired; the rules are those of ``gauss_kronrod``, and the panel
+    rule is its own, which works element by element."""
     pts = np.unique(np.asarray(bp, dtype=float))
     total_len = pts[-1] - pts[0]
     a, b = pts[:-1], pts[1:]
-    m = 0.5 * (pts[:-1] + pts[1:])
-    n = a.size
-    first = np.atleast_2d(f(np.concatenate([pts, m])))
-    fa, fb, fm = first[:, :n], first[:, 1:n + 1], first[:, n + 1:]
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    result, accepted_err = np.zeros(first.shape[0]), np.zeros(first.shape[0])
+    result = accepted_err = None
+    spent = 0
     for level in range(quadrature.MAX_LEVELS):
-        ml, mr = 0.5 * (a + m), 0.5 * (m + b)
-        fmid = np.atleast_2d(f(np.concatenate([ml, mr])))
-        fml, fmr = fmid[:, :a.size], fmid[:, a.size:]
-        h = b - a
-        s_left = h / 12.0 * (fa + 4.0 * fml + fm)
-        s_right = h / 12.0 * (fm + 4.0 * fmr + fb)
-        s2 = s_left + s_right
-        diff = np.abs(s2 - whole)
-        err = diff / 15.0
-        richardson = s2 + (s2 - whole) / 15.0
-        global_scale = np.abs(result) + np.sum(np.abs(s2), axis=1)
-        share = h / total_len
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        fx = np.atleast_2d(f((mid + np.multiply.outer(quadrature.NODES, half)).ravel()))
+        if result is None:
+            result, accepted_err = np.zeros(fx.shape[0]), np.zeros(fx.shape[0])
+        kronrod, gauss = quadrature._rules(fx.reshape(fx.shape[0], quadrature.POINTS, a.size), half)
+        err = np.abs(kronrod - gauss)
+        global_scale = np.abs(result) + np.sum(np.abs(kronrod), axis=1)
+        share = (b - a) / total_len
         tol = np.maximum(abs_tol * share,
-                         rel_tol * np.maximum(np.abs(s2), global_scale[:, None] * share))
+                         rel_tol * np.maximum(np.abs(kronrod), global_scale[:, None] * share))
         done = np.all(err <= tol, axis=0)
-        result += np.sum(richardson[:, done], axis=1)
+        result += np.sum(kronrod[:, done], axis=1)
         accepted_err += np.sum(err[:, done], axis=1)
         keep = ~done
-        open_err = np.maximum(np.sum(err[:, keep], axis=1),
-                              np.sqrt(np.sum(diff[:, keep] ** 2, axis=1)))
-        if not keep.any() or np.all(accepted_err + open_err
+        spent += quadrature.POINTS * a.size
+        if not keep.any() or np.all(accepted_err + np.sum(err[:, keep], axis=1)
                                     <= np.maximum(rel_tol * global_scale, abs_tol)):
-            return result + np.sum(richardson[:, keep], axis=1), level + 1, False
-        if np.count_nonzero(keep) > quadrature.MAX_INTERVALS or level == quadrature.MAX_LEVELS - 1:
-            return result + np.sum(s2[:, keep], axis=1), level + 1, True
-        a, b = np.concatenate([a[keep], m[keep]]), np.concatenate([m[keep], b[keep]])
-        fa = np.concatenate([fa[:, keep], fm[:, keep]], axis=1)
-        fb = np.concatenate([fm[:, keep], fb[:, keep]], axis=1)
-        m = np.concatenate([ml[keep], mr[keep]])
-        fm = np.concatenate([fml[:, keep], fmr[:, keep]], axis=1)
-        whole = np.concatenate([s_left[:, keep], s_right[:, keep]], axis=1)
+            return result + np.sum(kronrod[:, keep], axis=1), level + 1, False
+        if (spent + 2 * quadrature.POINTS * np.count_nonzero(keep) > quadrature.MAX_POINTS
+                or level == quadrature.MAX_LEVELS - 1):
+            return result + np.sum(kronrod[:, keep], axis=1), level + 1, True
+        a, b = (np.stack([a[keep], mid[keep]], axis=1).ravel(),
+                np.stack([mid[keep], b[keep]], axis=1).ravel())
 
 
 NINE = DOMAINS + [
@@ -254,12 +270,17 @@ def rows(g, k):
     return lambda x: np.array([g(x) * (1.0 + 0.1 * j * np.tanh(x)) for j in range(k)])
 
 
+#: a budget below the 21,483 points cos(200 x) takes to converge, above
+#: what each other domain takes
+BUDGET = 4096
+
+
 @pytest.mark.parametrize("k", [1, 7])
 def test_nine_domains_in_lockstep_keep_the_bits_of_each_alone(k, monkeypatch, caplog):
     """Nine domains that stop at different levels, one at the valve, with
     one or seven rows: numpy sums a boolean selection of k > 1 rows in
     another order than one row, so each layout is checked to the bit."""
-    monkeypatch.setattr(quadrature, "MAX_INTERVALS", 1024)
+    monkeypatch.setattr(quadrature, "MAX_POINTS", BUDGET)
     tol = {"abs_tol": 1e-13, "rel_tol": 1e-11}
     fs = [rows(g, k) for g, _ in NINE]
     breakpoints = [bp for _, bp in NINE]
@@ -268,9 +289,10 @@ def test_nine_domains_in_lockstep_keep_the_bits_of_each_alone(k, monkeypatch, ca
     assert len(set(levels)) >= 4
     assert [valve for _, _, valve in alone] == [i == 5 for i in range(9)]
     with caplog.at_level("WARNING", logger="nskwave.quadrature"):
-        together = adaptive_simpson(lockstep(fs, []), breakpoints, **tol)
+        together = gauss_kronrod(lockstep(fs, []), breakpoints, **tol)
     assert all(val.shape == (k,) for val in together)
     assert equal(together, [val for val, _, _ in alone])
     (valve,) = [rec.getMessage() for rec in caplog.records]
-    assert valve.startswith("adaptive_simpson: domain 5 on [0, 20]: ")
-    assert f"intervals still open (cap 1024) after {levels[5]} levels" in valve
+    assert valve.startswith("gauss_kronrod: domain 5 on [0, 20]: ")
+    assert f"still open after {levels[5]} levels and " in valve
+    assert valve.endswith(f"points (budget {BUDGET}); returning the unconverged estimate")

@@ -421,6 +421,54 @@ def test_norms_against_dense_simpson_oracle(wave):
     assert mine == pytest.approx(oracle, rel=1e-6)
 
 
+def variation_norms(wave, tau):
+    """The L1 norms of u^(j), j = 1..4, the x-derivatives of u, as total
+    variations: the L1 norm of u^(j) is the sum of the jumps of u^(j - 1)
+    between the zeros of u^(j).  |u^(j)| has kinks there, which a fixed
+    grid resolves to second order only."""
+    from scipy.optimize import brentq
+    keys = ["u", "ux", "uxx", "uxxx", "uxxxx"]
+
+    def derivative(x0, j):
+        return wave._stack_from_x0(tau, np.atleast_1d(np.asarray(x0, dtype=float)), 4)[keys[j]]
+
+    grid = np.linspace(-X0_WINDOW, X0_WINDOW, 20_001)
+    norms = {}
+    for j in (1, 2, 3, 4):
+        sign = np.sign(derivative(grid, j))
+        zeros = [brentq(lambda z: derivative(z, j)[0], grid[i], grid[i + 1], xtol=1e-15)
+                 for i in np.flatnonzero(sign[:-1] * sign[1:] < 0)]
+        ends = np.array([-X0_WINDOW, *zeros, X0_WINDOW])
+        norms[j] = float(np.sum(np.abs(np.diff(derivative(ends, j - 1)))))
+    return norms
+
+
+@pytest.mark.parametrize("t", [0.0, 20.0])
+def test_derivative_norms_against_a_fixed_grid(wave, t):
+    """Every order, exponent and field against composite Simpson on a fixed
+    grid of the foot-point window, where the jacobian 1 + w0' tau is exact;
+    the L1 norms of u's derivatives against their total variations."""
+    tau = 1.0 + t
+    n = 200_000
+    x0 = np.linspace(-X0_WINDOW, X0_WINDOW, n + 1)
+    weights = np.full(n + 1, 2.0)
+    weights[1::2] = 4.0
+    weights[0] = weights[-1] = 1.0
+    weights *= (x0[1] - x0[0]) / 3.0
+    weights *= 1.0 + wave._w0_derivatives(x0, 4)[2] * tau
+    stack = wave._stack_from_x0(tau, x0, 4)
+    for p in (1, 2, 3.5):
+        for field in ("u", "pair"):
+            if (p, field) == (1, "u"):
+                ref = variation_norms(wave, tau)
+            else:
+                ref = {j: float(weights @ wave._magnitude(stack, j, field) ** p) ** (1.0 / p)
+                       for j in (1, 2, 3, 4)}
+            mine = wave.derivative_norms(t, p, field=field)
+            for j in (1, 2, 3, 4):
+                assert mine[j] == pytest.approx(ref[j], rel=1e-9, abs=0.0), (p, field, j)
+
+
 def test_exponential_tails(wave):
     """Two-sided tail decay at rate 2 in the shifted frame."""
     for t in (0.0, 5.0):
