@@ -178,3 +178,64 @@ def test_record_row_matches_column_order(small_setup, composite_std):
     assert row[0] == rec.t and row[-1] == rec.mass_defect
     d = rec.as_dict()
     assert list(d) == diagnostics.CSV_COLUMNS
+
+
+def test_record_columns_recomputed_by_hand(composite_std):
+    """Every column of one record, against plain numpy written out here: a
+    perturbed state with phi, psi and omega all nonzero and a nonzero shift."""
+    model, pattern = composite_std.model, composite_std.pattern
+    grid = nw.Grid(-60.0, 60.0, 700)
+    x, dx, t, X = grid.x, grid.dx, 2.0, 0.3
+    bar = composite_std.eval_bar(t, x, X)
+    v = bar["v"] + gaussian(x, 4e-3, 1.5, 5.0)
+    u = bar["u"] + gaussian(x, -3e-3, -4.0, 6.0)
+    w = np.asarray(bar["w"]) + gaussian(x, 2e-3, 2.5, 4.0)
+    state = nw.SimState(v=v, u=u, w=w, t=t, X=X)
+    rec = diagnostics.collect_record(grid, state, bar, pattern, model,
+                                     xdot=-0.07, mass_defect=3e-15).as_dict()
+
+    g = model.gamma
+    vb, ub, wb = bar["v"], bar["u"], np.asarray(bar["w"])
+    phi, psi, om = v - vb, u - ub, w - wb
+
+    def integral(f):
+        return dx * (np.sum(f) - 0.5 * (f[0] + f[-1]))
+
+    def d1(f):
+        return np.gradient(f, dx, edge_order=2)
+
+    def d2(f):
+        inner = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / dx ** 2
+        return np.concatenate([inner[:1], inner, inner[-1:]])
+
+    q = v ** (1.0 - g) / (g - 1.0) - vb ** (1.0 - g) / (g - 1.0) + vb ** (-g) * (v - vb)
+    eta = 0.5 * psi ** 2 + q + 0.5 * om ** 2
+    abs_ax = np.abs(bar["a_x"])
+    abs_usx = np.abs(bar["shock"]["ux"])
+    want = {
+        "t": t, "X": X, "Xdot": -0.07,
+        "L2_phi": np.sqrt(integral(phi ** 2)),
+        "L2_psi": np.sqrt(integral(psi ** 2)),
+        "L2_omega": np.sqrt(integral(om ** 2)),
+        "H1_psi": np.sqrt(integral(psi ** 2) + integral(d1(psi) ** 2)),
+        "H1_omega": np.sqrt(integral(om ** 2) + integral(d1(om) ** 2)),
+        "W1inf_phi": max(np.max(np.abs(phi)), np.max(np.abs(d1(phi)))),
+        "Linf_psi": np.max(np.abs(psi)),
+        "eta_weighted": integral(bar["a"] * eta),
+        "G1": integral(abs_ax * (v ** -g - vb ** -g - psi / (2.0 * pattern.C1)) ** 2),
+        "G3": integral(abs_ax * om ** 2),
+        "GSu": integral(abs_usx * psi ** 2),
+        "GSv": integral(abs_usx * phi ** 2),
+        "GR": integral(bar["fan"]["ux"] * phi ** 2),
+        "Gw": integral(om ** 2),
+        "Du1": integral(d1(psi) ** 2),
+        "Du2": integral(d2(psi) ** 2),
+        "Dw1": integral(d1(om) ** 2),
+        "Dw2": integral(d2(om) ** 2),
+        "constraint_defect": np.max(np.abs(w + v ** (-0.5 * (model.beta + 5.0)) * d1(v))),
+        "mass_defect": 3e-15,
+    }
+    assert set(want) == set(rec)
+    for key, val in want.items():
+        assert val != 0.0, key
+        assert rec[key] == pytest.approx(val, rel=1e-12, abs=0.0), key
