@@ -10,9 +10,8 @@ functionals and inequalities that govern the composite wave's stability.
 from .composite import CompositeWave
 from .config import Output, RunConfig, States, parse_config
 from .diagnostics import (CSV_COLUMNS, DiagnosticsRecord, collect_record,
-                          constraint_defect, good_terms, hardy_legendre_gap,
-                          mass_defect, perturbation_norms, relative_entropy_density,
-                          weighted_relative_entropy)
+                          constraint_defect, hardy_legendre_gap, mass_defect,
+                          relative_entropy_density, weighted_relative_entropy)
 from .errors import (CflError, ConfigError, DomainError, MonotonicityError,
                      PatternError, ProfileError, SolverError, VacuumError)
 from .rarefaction import RarefactionWave

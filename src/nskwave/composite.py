@@ -222,8 +222,8 @@ class CompositeWave:
         The auxiliary forcing is linear in the shift rate; its norm is
         given per unit rate.  All seven at one time come from one adaptive
         quadrature whose integrand evaluates the fan and the shock stack
-        once per point, to ``NORM_REL_TOL`` of each integral or, for an
-        integral below the square of ``NORM_FLOOR``, of that square.  The
+        once per point, to ``NORM_REL_TOL`` of each integral or, for the
+        integral of |f|^p below ``NORM_FLOOR`` ** p, of that row's floor.  The
         quadratures of all times refine in lockstep: each level makes one
         integrand call on the points of every time still open.
         """
@@ -247,8 +247,9 @@ class CompositeWave:
                 row **= p
             return rows
 
-        # the integral of a squared norm at the floor, to the relative tolerance
+        # each row's integral at its floor, to the relative tolerance
+        floors = NORM_FLOOR ** np.array([p for _, p in NORMS], dtype=float)
         vals = adaptive_simpson(integrand, [self._breakpoints(t) for t in times],
-                                abs_tol=NORM_REL_TOL * NORM_FLOOR ** 2, rel_tol=NORM_REL_TOL)
+                                abs_tol=NORM_REL_TOL * floors, rel_tol=NORM_REL_TOL)
         return [{key: max(float(val), 0.0) ** (1.0 / p)
                  for key, val, (_, p) in zip(keys, row, NORMS)} for row in vals]

@@ -88,80 +88,27 @@ def mass_defect(state, start, grid) -> float:
 
 def relative_entropy_density(v, u, w, vbar, ubar, wbar, model):
     """Pointwise distance functional: kinetic + internal + capillary parts."""
-    return (0.5 * (np.asarray(u) - ubar) ** 2
-            + thermo.relative_internal_energy(v, vbar, model)
-            + 0.5 * (np.asarray(w) - wbar) ** 2)
+    return _gap_density(v, vbar, np.asarray(u) - ubar, np.asarray(w) - wbar, model)
 
 
-def weighted_relative_entropy(grid, state, bar, model):
-    """Trapezoid integral of a * eta over the solver grid, against the
-    background ``bar`` (``CompositeWave.eval_bar`` at the state's time)."""
-    eta = relative_entropy_density(state.v, state.u, state.w,
-                                   bar["v"], bar["u"], bar["w"], model)
-    return float(np.trapezoid(bar["a"] * eta, dx=grid.dx))
+def _gap_density(v, vbar, psi, omega, model):
+    """``relative_entropy_density`` from the volumes and the gaps psi = u - ubar
+    and omega = w - wbar."""
+    return 0.5 * psi ** 2 + thermo.relative_internal_energy(v, vbar, model) + 0.5 * omega ** 2
 
 
-def good_terms(grid, state, bar, pattern, model) -> dict:
-    """Sign-definite ledger of the weighted-entropy balance against the
-    background ``bar``.
-
-    Discrete derivatives use the same stencils as the solver so the
-    ledger reflects what the scheme sees.
-    """
-    dx = grid.dx
-    a_x = bar["a_x"]
-
-    phi = state.v - bar["v"]
-    psi = state.u - bar["u"]
-    omega = state.w - bar["w"]
-    dp_gap = thermo.pressure(state.v, model) - thermo.pressure(bar["v"], model)
-
-    def tz(f):
-        return float(np.trapezoid(f, dx=dx))
-
-    psi_x = first_derivative(psi, dx)
-    psi_xx = second_derivative(psi, dx)
-    omega_x = first_derivative(omega, dx)
-    omega_xx = second_derivative(omega, dx)
-
-    abs_usx = np.abs(bar["shock"]["ux"])
-    return {
-        "G1": tz(np.abs(a_x) * (dp_gap - psi / (2.0 * pattern.C1)) ** 2),
-        "G3": tz(np.abs(a_x) * omega ** 2),
-        "GSu": tz(abs_usx * psi ** 2),
-        "GSv": tz(abs_usx * phi ** 2),
-        "GR": tz(bar["fan"]["ux"] * phi ** 2),
-        "Gw": tz(omega ** 2),
-        "Du1": tz(psi_x ** 2),
-        "Du2": tz(psi_xx ** 2),
-        "Dw1": tz(omega_x ** 2),
-        "Dw2": tz(omega_xx ** 2),
-    }
+def weighted_relative_entropy(a, v, vbar, psi, omega, dx, model) -> float:
+    """Trapezoid integral of a * eta on a grid of spacing ``dx``, with eta
+    from the volumes and the gaps psi = u - ubar and omega = w - wbar."""
+    return float(np.trapezoid(a * _gap_density(v, vbar, psi, omega, model), dx=dx))
 
 
-def perturbation_norms(grid, state, bar) -> dict:
-    """Discrete L2/H1/sup norms of the deviation from the background ``bar``."""
-    dx = grid.dx
-    phi = state.v - bar["v"]
-    psi = state.u - bar["u"]
-    omega = state.w - bar["w"]
-
-    def l2(f):
-        return float(np.sqrt(np.trapezoid(f ** 2, dx=dx)))
-
-    l2_phi, l2_psi, l2_omega = l2(phi), l2(psi), l2(omega)
-    psi_x = first_derivative(psi, dx)
-    omega_x = first_derivative(omega, dx)
+def sup_norms(phi, psi, dx):
+    """(W1inf(phi), Linf(psi)); their sum is the sup-norm of the stability
+    clauses."""
     phi_x = first_derivative(phi, dx)
-    return {
-        "L2_phi": l2_phi,
-        "L2_psi": l2_psi,
-        "L2_omega": l2_omega,
-        "H1_psi": float(np.sqrt(l2_psi ** 2 + l2(psi_x) ** 2)),
-        "H1_omega": float(np.sqrt(l2_omega ** 2 + l2(omega_x) ** 2)),
-        "W1inf_phi": float(max(np.max(np.abs(phi)), np.max(np.abs(phi_x)))),
-        "Linf_psi": float(np.max(np.abs(psi))),
-    }
+    return (float(max(np.max(np.abs(phi)), np.max(np.abs(phi_x)))),
+            float(np.max(np.abs(psi))))
 
 
 def hardy_legendre_gap(f):
@@ -190,11 +137,42 @@ def hardy_legendre_gap(f):
 def collect_record(grid, state, bar, pattern, model, xdot: float,
                    mass_defect: float = 0.0) -> DiagnosticsRecord:
     """One full time sample of the diagnostic ledger, against the background
-    ``bar`` of the state's time, with the shift rate ``xdot`` there."""
+    ``bar`` of the state's time, with the shift rate ``xdot`` there.
+
+    The deviation phi, psi, omega from ``bar``, its squares and its
+    derivatives are formed once, with the solver's stencils, so the ledger
+    reflects what the scheme sees; each integral is taken once.
+    """
+    dx = grid.dx
+    phi = state.v - bar["v"]
+    psi = state.u - bar["u"]
+    omega = state.w - bar["w"]
+    phi2, psi2, omega2 = phi ** 2, psi ** 2, omega ** 2
+    abs_ax, abs_usx = np.abs(bar["a_x"]), np.abs(bar["shock"]["ux"])
+    dp_gap = thermo.pressure(state.v, model) - thermo.pressure(bar["v"], model)
+
+    def tz(f):
+        return float(np.trapezoid(f, dx=dx))
+
+    gw = tz(omega2)
+    du1 = tz(first_derivative(psi, dx) ** 2)
+    dw1 = tz(first_derivative(omega, dx) ** 2)
+    l2_psi, l2_omega = float(np.sqrt(tz(psi2))), float(np.sqrt(gw))
+    w1inf_phi, linf_psi = sup_norms(phi, psi, dx)
     return DiagnosticsRecord(
         t=state.t, X=state.X, Xdot=float(xdot),
-        eta_weighted=weighted_relative_entropy(grid, state, bar, model),
+        L2_phi=float(np.sqrt(tz(phi2))), L2_psi=l2_psi, L2_omega=l2_omega,
+        H1_psi=float(np.sqrt(l2_psi ** 2 + np.sqrt(du1) ** 2)),
+        H1_omega=float(np.sqrt(l2_omega ** 2 + np.sqrt(dw1) ** 2)),
+        W1inf_phi=w1inf_phi, Linf_psi=linf_psi,
+        eta_weighted=weighted_relative_entropy(bar["a"], state.v, bar["v"], psi, omega,
+                                               dx, model),
+        G1=tz(abs_ax * (dp_gap - psi / (2.0 * pattern.C1)) ** 2),
+        G3=tz(abs_ax * omega2),
+        GSu=tz(abs_usx * psi2),
+        GSv=tz(abs_usx * phi2),
+        GR=tz(bar["fan"]["ux"] * phi2),
+        Gw=gw, Du1=du1, Du2=tz(second_derivative(psi, dx) ** 2),
+        Dw1=dw1, Dw2=tz(second_derivative(omega, dx) ** 2),
         constraint_defect=constraint_defect(state, grid, model),
-        mass_defect=float(mass_defect),
-        **perturbation_norms(grid, state, bar),
-        **good_terms(grid, state, bar, pattern, model))
+        mass_defect=float(mass_defect))

@@ -98,7 +98,8 @@ def gauss_kronrod(f, domains, abs_tol=1e-10, rel_tol=1e-9):
     point's domain; the points come in no particular order, so ``f`` must
     give each point the value it would get on its own.  It returns an
     array of shape (k, n), or (n,) for k = 1, and the result is a list
-    with one (k,) array of the integrals of the rows per domain.  Each
+    with one (k,) array of the integrals of the rows per domain.  ``abs_tol``
+    is a scalar for every row or a (k,) array, one per row.  Each
     domain keeps its own panels, acceptance, stop and valve, so its result
     is the one it gets alone.
 
@@ -129,6 +130,7 @@ def gauss_kronrod(f, domains, abs_tol=1e-10, rel_tol=1e-9):
     domain and its span is logged and the domain's unconverged estimate
     is returned.
     """
+    abs_tol = np.asarray(abs_tol, dtype=float)
     pts = [np.unique(np.asarray(bp, dtype=float)) for bp in domains]
     if any(p.size < 2 for p in pts):
         raise ValueError("need at least two distinct breakpoints")
@@ -170,7 +172,7 @@ def gauss_kronrod(f, domains, abs_tol=1e-10, rel_tol=1e-9):
         tol *= share
         np.maximum(tol, abs_k, out=tol)
         tol *= rel_tol
-        np.maximum(tol, abs_tol * share, out=tol)
+        np.maximum(tol, np.multiply.outer(abs_tol, share), out=tol)
         done = (err <= tol).all(axis=0)
         del tol, share, abs_k
         # per domain: its accepted panels are columns [done_ends[i],

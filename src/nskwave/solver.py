@@ -35,9 +35,9 @@ import numpy as np
 
 from .composite import CompositeWave
 from .diagnostics import (DiagnosticsRecord, collect_record, discrete_gradient_w,
-                          mass_defect, relative_entropy_density)
+                          mass_defect, sup_norms, weighted_relative_entropy)
 from .errors import CflError, ConfigError, SolverError, VacuumError, check
-from .fd import _first_derivative_into, first_derivative
+from .fd import _first_derivative_into
 from .rarefaction import RarefactionWave
 from .shockprofile import solve_profile
 from .thermo import GasModel
@@ -573,12 +573,10 @@ def response_summary(perturbed: RunResult, twin: RunResult, model: GasModel) -> 
 
     def sup_and_eta(p: Snapshot, q: Snapshot):
         dx = (p.x[-1] - p.x[0]) / (p.x.size - 1)
-        dphi = (p.v - p.vbar) - (q.v - q.vbar)
-        dpsi = (p.u - p.ubar) - (q.u - q.ubar)
-        sup = (max(np.max(np.abs(dphi)), np.max(np.abs(first_derivative(dphi, dx))))
-               + np.max(np.abs(dpsi)))
-        eta = relative_entropy_density(p.v, p.u, p.w, q.v, q.u, q.w, model)
-        return float(sup), float(np.trapezoid(p.a * eta, dx=dx))
+        w1inf, linf = sup_norms((p.v - p.vbar) - (q.v - q.vbar),
+                                (p.u - p.ubar) - (q.u - q.ubar), dx)
+        return w1inf + linf, weighted_relative_entropy(p.a, p.v, q.v, p.u - q.u, p.w - q.w,
+                                                       dx, model)
 
     (sup0, eta0), (supT, etaT) = (sup_and_eta(perturbed.snapshots[i], twin.snapshots[i])
                                   for i in (0, -1))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import nskwave as nw
-from nskwave import thermo
-from nskwave.composite import (_aux_forcing_per_rate, _capillary_grad_x, _capillary_main_x,
+from nskwave import composite, thermo
+from nskwave.composite import (NORM_FLOOR, _aux_forcing_per_rate, _capillary_grad_x, _capillary_main_x,
                                _pressure_flux_x, _viscous_flux_x)
 from nskwave.config import parse_config
 from nskwave.rarefaction import RarefactionWave
@@ -254,3 +254,21 @@ def test_interaction_norms_reach_their_tolerance(composite_standard, t, caplog):
     for key, value in rec.items():
         if ref[key] > 1e-18:
             assert value == pytest.approx(ref[key], rel=1e-8, abs=0.0), key
+
+
+def test_norms_below_their_floors_stop_at_once(composite_standard, monkeypatch):
+    # at t = 150 every norm is below criterion 4's floor; with each row's own
+    # floor, NORM_FLOOR ** p, the L1 rows stop with the others
+    sizes = []
+    rule = composite.adaptive_simpson
+
+    def counting(f, domains, **kwargs):
+        def integrand(x, domain):
+            sizes.append(x.size)
+            return f(x, domain)
+        return rule(integrand, domains, **kwargs)
+
+    monkeypatch.setattr(composite, "adaptive_simpson", counting)
+    (rec,) = composite_standard.interaction_norms([150.0])
+    assert all(value < NORM_FLOOR for value in rec.values())
+    assert len(sizes) <= 2 and sum(sizes) <= 400

@@ -17,9 +17,16 @@ def background(composite, grid, state):
     return composite.eval_bar(state.t, grid.x, state.X)
 
 
-def good_terms(grid, state, composite):
-    return diagnostics.good_terms(grid, state, background(composite, grid, state),
-                                  composite.pattern, composite.model)
+def record(grid, state, composite, bar=None):
+    """The record of ``state`` as a dict, against ``bar`` or the composite's
+    background at the state's time."""
+    bar = background(composite, grid, state) if bar is None else bar
+    return diagnostics.collect_record(grid, state, bar, composite.pattern, composite.model,
+                                      xdot=0.0).as_dict()
+
+
+#: the sign-definite terms of the ledger
+GOOD_TERMS = ("G1", "G3", "GSu", "GSv", "GR", "Gw", "Du1", "Du2", "Dw1", "Dw2")
 
 
 def gaussian(x, amp, center, width):
@@ -54,26 +61,21 @@ def test_entropy_locally_equivalent_to_l2(model14):
 def test_weighted_entropy_zero_perturbation(small_setup, composite_std):
     grid, state = small_setup
     state.w = composite_std.eval_bar(0.0, grid.x, 0.0)["w"]  # exact constraint field
-    val = diagnostics.weighted_relative_entropy(
-        grid, state, background(composite_std, grid, state), composite_std.model)
-    assert val < 1e-12
+    assert record(grid, state, composite_std)["eta_weighted"] < 1e-12
 
 
 def test_weighted_entropy_dominates_unweighted_l2(small_setup, composite_std):
     grid, state = small_setup
     state.u = state.u + gaussian(grid.x, 1e-2, 0.0, 3.0)
-    bar = background(composite_std, grid, state)
-    val = diagnostics.weighted_relative_entropy(grid, state, bar, composite_std.model)
-    norms = diagnostics.perturbation_norms(grid, state, bar)
-    assert val >= 0.5 * (norms["L2_psi"] ** 2 + norms["L2_omega"] ** 2) - 1e-12
+    rec = record(grid, state, composite_std)
+    assert rec["eta_weighted"] >= 0.5 * (rec["L2_psi"] ** 2 + rec["L2_omega"] ** 2) - 1e-12
 
 
 def test_good_terms_zero_perturbation(small_setup, composite_std):
     grid, state = small_setup
     state.w = composite_std.eval_bar(0.0, grid.x, 0.0)["w"]
-    terms = good_terms(grid, state, composite_std)
-    assert set(terms) == {"G1", "G3", "GSu", "GSv", "GR", "Gw", "Du1", "Du2", "Dw1", "Dw2"}
-    assert all(abs(v) < 1e-20 for v in terms.values())
+    rec = record(grid, state, composite_std)
+    assert all(abs(rec[key]) < 1e-20 for key in GOOD_TERMS)
 
 
 def test_good_terms_quadratic_scaling(small_setup, composite_std):
@@ -86,10 +88,10 @@ def test_good_terms_quadratic_scaling(small_setup, composite_std):
     def build(scale):
         st = nw.SimState(v=bar["v"] + scale * bump_v, u=bar["u"] + scale * bump_u,
                          w=np.asarray(bar["w"]) + scale * bump_w)
-        return good_terms(grid, st, composite_std)
+        return record(grid, st, composite_std)
 
     t1, t2 = build(1.0), build(2.0)
-    for key in t1:
+    for key in GOOD_TERMS:
         if t1[key] > 0:
             # G1 sees the perturbation through the pressure difference, which
             # is quadratic only to leading order; every other term is exactly
@@ -103,11 +105,10 @@ def test_g1_invariant_under_velocity_offset(small_setup, composite_std):
     grid, state = small_setup
     state.u = state.u + gaussian(grid.x, 1e-3, 0.0, 4.0)
     bar = background(composite_std, grid, state)
-    pattern, model = composite_std.pattern, composite_std.model
-    g_before = diagnostics.good_terms(grid, state, bar, pattern, model)["G1"]
+    g_before = record(grid, state, composite_std, bar)["G1"]
     state.u = state.u + 5.0
     shifted = {**bar, "u": bar["u"] + 5.0}
-    g_after = diagnostics.good_terms(grid, state, shifted, pattern, model)["G1"]
+    g_after = record(grid, state, composite_std, shifted)["G1"]
     assert g_after == pytest.approx(g_before, rel=1e-12)
 
 
@@ -119,7 +120,7 @@ def test_gr_vanishes_without_fan(model14, right_state):
     grid = nw.Grid(-40.0, 40.0, 256)
     state = nw.initial_data(grid, comp, nw.Perturbation(kind="gaussian", amplitude=1e-3,
                                                         center=0.0, width=4.0))
-    assert good_terms(grid, state, comp)["GR"] == 0.0
+    assert record(grid, state, comp)["GR"] == 0.0
 
 
 def test_perturbation_norms(small_setup, composite_std):
@@ -128,15 +129,15 @@ def test_perturbation_norms(small_setup, composite_std):
     center = float(grid.x[256])  # put the peak on a node so the sup is exact
     state.v = state.v + gaussian(grid.x, amp, center, width)
     state.w = discrete_gradient_w(state.v, grid.dx, composite_std.model)
-    norms = diagnostics.perturbation_norms(grid, state, background(composite_std, grid, state))
+    norms = record(grid, state, composite_std)
     # closed-form Gaussian L2 norm: amp * pi^(1/4) * sqrt(width)
     assert norms["L2_phi"] == pytest.approx(amp * np.pi ** 0.25 * np.sqrt(width), rel=1e-2)
     assert norms["Linf_psi"] == 0.0
     state.u = state.u + gaussian(grid.x, amp, center, width)
-    n2 = diagnostics.perturbation_norms(grid, state, background(composite_std, grid, state))
+    n2 = record(grid, state, composite_std)
     assert n2["Linf_psi"] == pytest.approx(amp, rel=1e-12)
     state.u = state.u - 0.5 * gaussian(grid.x, amp, center, width)
-    n3 = diagnostics.perturbation_norms(grid, state, background(composite_std, grid, state))
+    n3 = record(grid, state, composite_std)
     assert n3["Linf_psi"] == pytest.approx(0.5 * amp, rel=1e-12)
     assert n3["H1_psi"] >= n3["L2_psi"]
 

@@ -115,6 +115,26 @@ def test_rows_of_a_vector_integrand_share_one_refinement():
     assert integral(lambda x: f(x)[0], [-30.0, 0.0, 30.0]).shape == (1,)
 
 
+def test_each_row_takes_its_own_floor():
+    # a row far below its floor stops refining at once, where a floor of
+    # zero refines it to the relative tolerance; a (k,) floor equal in every
+    # row gives the bits of the scalar one
+    def f(x):
+        return np.array([np.exp(-x * x), 1e-30 * np.cos(40.0 * x) * np.exp(-x * x)])
+
+    bp = [-8.0, 0.0, 8.0]
+    loose, strict = [], []
+    val = integral(counted(f, loose), bp, abs_tol=np.array([0.0, 1e-20]), rel_tol=1e-11)
+    ref = integral(counted(f, strict), bp, abs_tol=0.0, rel_tol=1e-11)
+    assert len(loose) < len(strict)
+    assert val[0] == pytest.approx(np.sqrt(np.pi), rel=1e-11)
+    # the second row's integral, 1e-30 sqrt(pi) exp(-400), is zero in doubles
+    assert abs(ref[1]) < 1e-40
+    assert abs(val[1]) < 1e-20
+    assert np.array_equal(integral(f, bp, abs_tol=1e-13),
+                          integral(f, bp, abs_tol=np.array([1e-13, 1e-13])))
+
+
 def test_small_jump_converges_without_the_valve(caplog):
     # a jump is never accepted by the interval's own test; the global test
     # stops once its error is small against the whole integral
