@@ -86,26 +86,19 @@ def mass_defect(state, start, grid) -> float:
     return abs(mass - mass0 - (state.flux - start.flux)) / (abs(mass0) + 1.0)
 
 
-def relative_entropy_density(v, u, w, vbar, ubar, wbar, model):
-    """Pointwise distance functional: kinetic + internal + capillary parts."""
-    return _gap_density(v, vbar, np.asarray(u) - ubar, np.asarray(w) - wbar, model)
-
-
-def _gap_density(v, vbar, psi, omega, model):
-    """``relative_entropy_density`` from the volumes and the gaps psi = u - ubar
-    and omega = w - wbar."""
+def relative_entropy_density(v, vbar, psi, omega, model):
+    """Pointwise distance functional: kinetic + internal + capillary parts,
+    from the volumes and the gaps psi = u - ubar and omega = w - wbar."""
     return 0.5 * psi ** 2 + thermo.relative_internal_energy(v, vbar, model) + 0.5 * omega ** 2
 
 
 def weighted_relative_entropy(a, v, vbar, psi, omega, dx, model) -> float:
-    """Trapezoid integral of a * eta on a grid of spacing ``dx``, with eta
-    from the volumes and the gaps psi = u - ubar and omega = w - wbar."""
-    return float(np.trapezoid(a * _gap_density(v, vbar, psi, omega, model), dx=dx))
+    """Trapezoid integral of a * eta on a grid of spacing ``dx``."""
+    return float(np.trapezoid(a * relative_entropy_density(v, vbar, psi, omega, model), dx=dx))
 
 
 def sup_norms(phi, psi, dx):
-    """(W1inf(phi), Linf(psi)); their sum is the sup-norm of the stability
-    clauses."""
+    """(W1inf(phi), Linf(psi)), whose sum the stability clauses bound."""
     phi_x = first_derivative(phi, dx)
     return (float(max(np.max(np.abs(phi)), np.max(np.abs(phi_x)))),
             float(np.max(np.abs(psi))))
@@ -139,9 +132,8 @@ def collect_record(grid, state, bar, pattern, model, xdot: float,
     """One full time sample of the diagnostic ledger, against the background
     ``bar`` of the state's time, with the shift rate ``xdot`` there.
 
-    The deviation phi, psi, omega from ``bar``, its squares and its
-    derivatives are formed once, with the solver's stencils, so the ledger
-    reflects what the scheme sees; each integral is taken once.
+    Derivatives use the solver's stencils, so the ledger sees what the scheme
+    sees; the deviation, its derivatives and each integral are formed once.
     """
     dx = grid.dx
     phi = state.v - bar["v"]

@@ -130,7 +130,6 @@ def gauss_kronrod(f, domains, abs_tol=1e-10, rel_tol=1e-9):
     domain and its span is logged and the domain's unconverged estimate
     is returned.
     """
-    abs_tol = np.asarray(abs_tol, dtype=float)
     pts = [np.unique(np.asarray(bp, dtype=float)) for bp in domains]
     if any(p.size < 2 for p in pts):
         raise ValueError("need at least two distinct breakpoints")
