@@ -5,8 +5,8 @@ import pytest
 
 import nskwave as nw
 from nskwave import composite, thermo
-from nskwave.composite import (NORM_FLOOR, _aux_forcing_per_rate, _capillary_grad_x, _capillary_main_x,
-                               _pressure_flux_x, _viscous_flux_x)
+from nskwave.composite import (NORM_FLOOR, _aux_forcing_per_rate, _capillary_grad_x,
+                               _capillary_main_x, _pressure_flux_x, _viscous_flux_x)
 from nskwave.config import parse_config
 from nskwave.rarefaction import RarefactionWave
 from tests.conftest import make_pattern
