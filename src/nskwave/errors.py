@@ -28,7 +28,7 @@ class VacuumError(RuntimeError):
 
 
 class CflError(ValueError):
-    """Requested time step violates the parabolic stability bound."""
+    """Requested time step violates the acoustic step bound."""
 
 
 class SolverError(RuntimeError):

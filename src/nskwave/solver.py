@@ -7,20 +7,22 @@ differences: the viscous term is conservative with face-averaged
 coefficients, the w-equation is the exact time derivative of the discrete
 definition w = -g(v) D0 v on interior nodes, and the capillary momentum
 term is its adjoint, so the pressure and capillary terms cancel in the
-semi-discrete energy balance.  Time is classical four-stage Runge-Kutta
-under a parabolic CFL bound, on a stacked stage state: the fields, each
-stage's tendency and their weighted sum are (3, n) arrays, so every
-Runge-Kutta combination is one array operation.  The shock shift,
-re-evaluated at every stage, and the boundary-flux integral of the mass
-audit ride along as two extra scalars.  The shift rate integrates over
-the shock's support only, the nodes where its table reaches: beyond it
-the integrand is exactly zero.
+semi-discrete energy balance.
 
-The intermediates of a stage (the right-hand side's, the shift rate's,
-the stage fields and the stage sums) live in grid-sized scratch that
-persists across calls, so a stage allocates no grid-sized temporaries.
-No scratch array is returned: ``spatial_rhs`` with ``out=None`` still
-returns a new array, and so does ``step`` for the new state.
+Time is the additive Runge-Kutta pair ARK4(3)6L[2]SA (Kennedy & Carpenter,
+Appl. Numer. Math. 44 (2003)), fourth order in six stages.  Its implicit
+part f_I is the part of the right-hand side linear in (u, w) at the step's
+frozen v; the explicit part f_E = f - f_I (the pressure and the change of
+the coefficients), the shock shift and the boundary-flux integral of the
+mass audit are evaluated at every stage, so the split is exact.  The step
+bound is acoustic, dt <= cfl 2 dx / lambda_max.  The shift rate
+integrates over the shock's support only, the nodes where its table
+reaches: beyond it the integrand is exactly zero.
+
+The intermediates of a stage live in grid-sized scratch that persists
+across calls.  No scratch array is returned: ``spatial_rhs`` with
+``out=None`` still returns a new array, and so does ``step`` for the new
+state.
 The solver is single-threaded, and its scratch must not be shared across
 threads, so each thread gets scratch of its own.
 """
@@ -37,10 +39,10 @@ from .composite import CompositeWave
 from .diagnostics import (DiagnosticsRecord, collect_record, discrete_gradient_w,
                           mass_defect, sup_norms, weighted_relative_entropy)
 from .errors import CflError, ConfigError, SolverError, VacuumError, check
-from .fd import _first_derivative_into
+from .fd import _first_derivative_into, first_derivative
 from .rarefaction import RarefactionWave
 from .shockprofile import solve_profile
-from .thermo import GasModel
+from .thermo import GasModel, pressure
 
 log = logging.getLogger(__name__)
 
@@ -164,15 +166,18 @@ class _Scratch:
     The seven rows of ``work`` hold the intermediates of ``_rhs_arrays``
     and of ``_shift_rate``, which never run at the same time, and
     ``index`` the shift rate's table intervals; ``_step_core`` keeps its
-    stage fields and its stage sums in ``U``, ``k`` and ``k_sum``, each
-    (3, n).  No scratch array is ever returned to a caller.
+    stage fields in ``stage``, each stage's right-hand side in ``F`` and
+    its implicit (u, w) part in ``G``.  No scratch array is ever returned
+    to a caller.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.work = np.empty((7, n))
-        self.U, self.k, self.k_sum = np.empty((3, 3, n))
         self.index = np.empty(n, np.intp)
+        self.stage = np.empty((3, n))
+        self.F = np.empty((6, 3, n))
+        self.G = np.empty((6, 2, n))
 
 
 _local = threading.local()
@@ -243,26 +248,27 @@ def _rhs_arrays(v, u, w, dx, model: GasModel, out=None):
 spatial_rhs = _rhs_arrays
 
 
-def _parabolic_coefficient(v, model: GasModel) -> float:
-    """Largest diffusion coefficient nu of the viscous and capillary terms,
-    which sets the parabolic step bound dt <= cfl dx^2 / nu.
-
-    Both coefficients are powers of v, monotone in v, so their largest
-    value over the grid is taken at its smallest or its largest volume.
-    """
-    ends = np.array([[np.min(v)], [np.max(v)]])
-    return float(np.max(ends ** [-model.alpha - 1.0, -0.5 * (model.beta + 5.0)]))
+def _max_wave_speed(v, model: GasModel) -> float:
+    """Largest characteristic speed sqrt(-p'(v)) over the grid, taken at
+    the smallest volume."""
+    v_min = float(np.min(v))
+    if v_min < VACUUM_FLOOR:
+        raise VacuumError(f"volume fell below the vacuum floor {VACUUM_FLOOR}")
+    g = model.gamma
+    return float(np.sqrt(g) * v_min ** (-0.5 * (g + 1.0)))
 
 
 def parabolic_dt(state: SimState, grid: Grid, model: GasModel, cfl: float) -> float:
-    """Stable step from the parabolic bound, with an advective guard for
-    very coarse grids."""
-    if np.min(state.v) < VACUUM_FLOOR:
-        raise VacuumError(f"volume fell below the vacuum floor {VACUUM_FLOOR}")
-    g = model.gamma
-    nu = _parabolic_coefficient(state.v, model)
-    lam = float(np.sqrt(g) * np.min(state.v) ** (-0.5 * (g + 1.0)))
-    return cfl * min(grid.dx ** 2 / nu, 2.0 * grid.dx / lam)
+    """The step bound cfl 2 dx / lambda_max.
+
+    The viscous and capillary terms are implicit, so only the acoustic
+    waves bound the step: at cfl = 0.5 their largest |lambda dt| is 1, a
+    quarter of the explicit tableau's imaginary-axis limit (about 4.0), and
+    the frozen-coefficient scheme stays stable up to cfl = 2.5.  The name
+    predates the implicit stepper; it is kept because the benchmark's
+    tracer patches it by name.
+    """
+    return cfl * 2.0 * grid.dx / _max_wave_speed(state.v, model)
 
 
 # -- shift dynamics ----------------------------------------------------------
@@ -327,6 +333,212 @@ def _shift_rate(t, X, u, grid: Grid, composite: CompositeWave, fan_u):
     return -pattern.M / pattern.delta_S * float(total * grid.dx)
 
 
+# -- the implicit (u, w) block -------------------------------------------------
+
+#: ARK4(3)6L[2]SA: the stage times, the explicit tableau, and the ESDIRK
+#: tableau with diagonal ARK_GAMMA whose last row is the weights both share
+ARK_C = np.array((0.0, 1 / 2, 83 / 250, 31 / 50, 17 / 20, 1.0))
+ARK_GAMMA = 1 / 4
+ARK_EXPLICIT = np.array((
+    (0, 0, 0, 0, 0, 0), (1 / 2, 0, 0, 0, 0, 0), (13861 / 62500, 6889 / 62500, 0, 0, 0, 0),
+    (-116923316275 / 2393684061468, -2731218467317 / 15368042101831,
+     9408046702089 / 11113171139209, 0, 0, 0),
+    (-451086348788 / 2902428689909, -2682348792572 / 7519795681897,
+     12662868775082 / 11960479115383, 3355817975965 / 11060851509271, 0, 0),
+    (647845179188 / 3216320057751, 73281519250 / 8382639484533,
+     552539513391 / 3454668386233, 3354512671639 / 8306763924573, 4040 / 17871, 0)))
+ARK_IMPLICIT = np.array((
+    (0, 0, 0, 0, 0, 0), (1 / 4, 1 / 4, 0, 0, 0, 0), (8611 / 62500, -1743 / 31250, 1 / 4, 0, 0, 0),
+    (5012029 / 34652500, -654441 / 2922500, 174375 / 388108, 1 / 4, 0, 0),
+    (15267082809 / 155376265600, -71443401 / 120774400, 730878875 / 902184768,
+     2285395 / 8070912, 1 / 4, 0),
+    (82889 / 524892, 0, 15625 / 83664, 69875 / 102672, -2260 / 8211, 1 / 4)))
+ARK_B = ARK_IMPLICIT[-1]
+
+
+def _band_apply(band, x):
+    """B x for a banded matrix B given as a dict offset d -> diagonal, whose
+    entry i is B[i, i + d] and zero where i + d is off the grid."""
+    n = x.size
+    y = np.zeros(n)
+    for d, diag in band.items():
+        lo, hi = max(0, -d), n - max(0, d)
+        y[lo:hi] += diag[lo:hi] * x[lo + d:hi + d]
+    return y
+
+
+def _band_product(a, b):
+    """The product AB of two banded matrices in ``_band_apply``'s form,
+    without its diagonals that are exactly zero."""
+    n = next(iter(a.values())).size
+    out = {}
+    for da, ca in a.items():
+        lo, hi = max(0, -da), n - max(0, da)
+        for db, cb in b.items():
+            out.setdefault(da + db, np.zeros(n))[lo:hi] += ca[lo:hi] * cb[lo + da:hi + da]
+    return {d: diag for d, diag in out.items() if diag.any()}
+
+
+def _implicit_operators(v, dx, model: GasModel):
+    """The viscous-capillary block of ``_rhs_arrays`` at frozen v, as banded
+    matrices: u_t = V u + K w - D0 p(v) and w_t = M u.  The rows of the two
+    pinned boundary nodes are zero."""
+    n, h = v.size, 0.5 / dx
+    e = -0.5 * (model.beta + 5.0)
+    cap = v ** e
+    visc = v ** (-model.alpha - 1.0)
+    inner = np.ones(n)
+    inner[[0, -1]] = 0.0
+    d0 = {-1: -h * inner, 1: h * inner}
+    # the stencil of fd.first_derivative: central inside, one-sided at the ends
+    d1 = {d: np.zeros(n) for d in (-2, -1, 0, 1, 2)}
+    d1[-1][1:-1], d1[1][1:-1] = -h, h
+    d1[0][0], d1[1][0], d1[2][0] = -3.0 * h, 4.0 * h, -h
+    d1[0][-1], d1[-1][-1], d1[-2][-1] = 3.0 * h, -4.0 * h, h
+    dcap_vx = e * cap / v * first_derivative(v, dx)
+    # u_t: the faces' viscous fluxes and D0 (D1 (cap w) - cap'(v) v_x w)
+    face = (visc[:-1] + visc[1:]) * (h / dx)
+    up, down = np.zeros(n), np.zeros(n)
+    up[1:-1], down[1:-1] = face[1:], face[:-1]
+    V = {-1: down, 0: -(up + down), 1: up}
+    q = _band_product(d1, {0: cap})
+    q[0] -= dcap_vx
+    K = _band_product(d0, q)
+    # w_t = -(cap D0 + cap'(v) v_x) D0 u
+    E = _band_product({0: -cap}, d0)
+    E[0] = -dcap_vx
+    M = _band_product(E, d0)
+    return V, K, M
+
+
+#: block count below which cyclic reduction stops and the rest is solved dense
+DENSE_BLOCKS = 16
+
+
+def _blocks_times(blocks, x):
+    """Each block of ``blocks`` (4, c, m) times its column of x (c, m)."""
+    return np.einsum("ijk,jk->ik", blocks, x)
+
+
+def _pairs(x):
+    """Each column of x (4, L) stacked on the next: (8, L - 1)."""
+    return np.concatenate((x[:, :-1], x[:, 1:]))
+
+
+def _soa(blocks):
+    """Blocks (m, 4, 4) as a contiguous (4, 4, m) array, block index last."""
+    return np.ascontiguousarray(blocks.transpose(1, 2, 0))
+
+
+class _ImplicitStage:
+    """The implicit stages of one step: (I - g L) z = y, with g = ARK_GAMMA dt
+    and L (u, w) = (D0 u, V u + K w, M u) at the step's frozen v.
+
+    v = y_v + g D0 u and w = y_w + g M u follow from u, which solves
+    (I - g V - g^2 K M) u = y_u + g K y_w, of bandwidth 4: in blocks of 4
+    nodes, A_k x_k-1 + B_k x_k + C_k x_k+1 = d_k, the last block padded
+    with identity rows.  Block cyclic reduction factors it once: each level
+    inverts the odd blocks and eliminates them from the even ones, down to
+    DENSE_BLOCKS blocks, inverted dense.  [A | C] sit side by side, so one
+    product serves both neighbours.
+    """
+
+    def __init__(self, v, dx, model: GasModel, g: float):
+        self.v, self.dx, self.model, self.g, self.n = v, dx, model, g, v.size
+        V, self.K, self.M = _implicit_operators(v, dx, model)
+        S = _band_product(self.K, self.M)
+        for diag in S.values():
+            diag *= -g * g
+        for d, diag in V.items():
+            S[d] -= g * diag
+        S[0] += 1.0
+        m = self.m = -(-self.n // 4)
+        # block row k holds rows 4k..4k+3: [A | C | B] on the columns
+        # 4k-4..4k-1, 4k+4..4k+7 and 4k..4k+3, so row r of the block finds
+        # column 4k + c at c + 4 (c < 0), c (c > 3) or c + 8
+        Z = np.zeros((m, 4, 12))
+        for d, diag in S.items():
+            for r in range(4):
+                c = r + d
+                part = diag[r::4]
+                Z[:part.size, r, c + 4 if c < 0 else c if c > 3 else c + 8] = part
+        for i in range(self.n, 4 * m):
+            Z[-1, i % 4, i % 4 + 8] = 1.0
+        del S, V
+        AC, B = Z[..., :8], Z[..., 8:]
+        self.levels = []
+        while len(B) > DENSE_BLOCKS:
+            # x_odd = inv_odd d_odd - [P | Q] (x_left, x_right), with [P | Q]
+            # padded by a zero block on each side, so that even block k reads
+            # row k for its left neighbour and row k + 1 for its right one
+            me, mo = (len(B) + 1) // 2, len(B) // 2
+            inv_odd = np.linalg.inv(B[1::2])
+            PQ = np.zeros((me + 1, 4, 8))
+            np.matmul(inv_odd, AC[1::2], out=PQ[1:mo + 1])
+            even = AC[0::2]
+            self.levels.append((_soa(inv_odd), _soa(even), _soa(PQ[1:mo + 1])))
+            left = even[..., :4] @ PQ[:-1]     # [A P | A Q] of the left neighbour
+            right = even[..., 4:] @ PQ[1:]     # [C P | C Q] of the right one
+            B = B[0::2] - left[..., 4:] - right[..., :4]
+            left[..., 4:] = right[..., 4:]
+            AC = np.negative(left, out=left)
+        # the last few blocks, assembled dense and inverted
+        k = np.arange(len(B))
+        dense = np.zeros((len(B), 4, len(B), 4))
+        dense[k, :, k, :] = B
+        dense[k[1:], :, k[:-1], :] = AC[1:, :, :4]
+        dense[k[:-1], :, k[1:], :] = AC[:-1, :, 4:]
+        self.last = np.linalg.inv(dense.reshape(4 * len(B), 4 * len(B)))
+
+    def at_start(self, f, out):
+        """out = the (u, w) rows of L z at the step's start, from the
+        right-hand side f there: ``_rhs_arrays`` is affine in (u, w), so they
+        are f's less the pressure term -D0 p(v)."""
+        out[:] = f[1:]
+        p = pressure(self.v, self.model)
+        out[0, 1:-1] += (p[2:] - p[:-2]) * (0.5 / self.dx)
+
+    def _solve(self, rhs):
+        """The u of (I - g V - g^2 K M) u = rhs."""
+        d = np.zeros(4 * self.m)
+        d[:self.n] = rhs
+        d = d.reshape(self.m, 4).T
+        sums = []
+        for inv_odd, even, _ in self.levels:
+            me, mo = even.shape[2], inv_odd.shape[2]
+            odd = np.zeros((4, me + 1))
+            odd[:, 1:mo + 1] = _blocks_times(inv_odd, d[:, 1::2])
+            sums.append(odd)
+            d = d[:, 0::2] - _blocks_times(even, _pairs(odd))
+        x = (self.last @ d.T.reshape(-1)).reshape(-1, 4).T
+        for (inv_odd, even, pq), odd in zip(reversed(self.levels), reversed(sums)):
+            me, mo = even.shape[2], inv_odd.shape[2]
+            # one zero column past the last even block when the level is even
+            level = np.zeros((4, 2 * mo + 1))
+            level[:, 0:2 * me:2] = x
+            level[:, 1::2] = odd[:, 1:mo + 1] - _blocks_times(pq, _pairs(level[:, 0::2]))
+            x = level[:, :me + mo]
+        return x.T.reshape(-1)[:self.n]
+
+    def solve(self, y, out):
+        """Overwrite the rows (v, u, w) of y, the stage's explicit sum, with
+        the stage's z, and write the (u, w) rows of L z into ``out``; the v
+        row of L z is the right-hand side's."""
+        y_v, y_u, y_w = y
+        u = _band_apply(self.K, y_w)
+        u *= self.g
+        u += y_u
+        u = self._solve(u)
+        # the pinned nodes keep their values; the solve gives them to rounding
+        u[[0, -1]] = y_u[[0, -1]]
+        np.subtract(u, y_u, out=out[0])
+        out[0] /= self.g
+        out[1] = _band_apply(self.M, u)
+        y_u[:] = u
+        y_w += self.g * out[1]
+        y_v[1:-1] += (u[2:] - u[:-2]) * (0.5 * self.g / self.dx)
+
+
 # -- time stepping -------------------------------------------------------------
 
 
@@ -336,66 +548,61 @@ def _boundary_flux(u):
 
 
 def _step_core(state: SimState, grid: Grid, composite: CompositeWave,
-               model: GasModel, scheme: SchemeConfig, dt: float) -> SimState:
-    """Advance (v, u, w, X) and the boundary-flux integral by one classical
-    Runge-Kutta step; returns the new state.
+               model: GasModel, scheme: SchemeConfig, dt: float,
+               xdot0: float | None = None) -> SimState:
+    """Advance (v, u, w, X) and the boundary-flux integral by one
+    ARK4(3)6L[2]SA step; returns the new state, whose fields are rows of
+    one new array.
 
-    The fields are the rows of one (3, n) array, and so are each stage's
-    tendency k, its fields and the weighted sum k1 + 2 k2 + 2 k3 + k4, so
-    each Runge-Kutta combination is one array operation.  The fields, k
-    and the sum live in the scratch; the new state's v, u and w are rows
-    of one new array.  With the shift on, one order-0 call evaluates the
-    fan's u at the three stage times t, t + dt/2 and t + dt, one row each:
-    k1 reads the first, k2 and k3 share the second, and k4 reads the third.
+    Stage i is U + dt sum_j (aE_ij F_j + (aI_ij - aE_ij) G_j) + g G_i, with
+    F_j the right-hand side at stage j and G_j its implicit (u, w) part; v_t
+    is all implicit, so v's row takes aI_ij F_j.  The new state is
+    U + dt sum_j b_j F_j.  With the shift on, one order-0 call evaluates
+    the fan's u at the stage times t + c_i dt; ``xdot0``, the shift rate at
+    the state when the caller has it, stands for the first stage's.
     """
-    nu = _parabolic_coefficient(state.v, model)
-    if dt > scheme.cfl * grid.dx ** 2 / nu * (1.0 + 1e-9):
-        raise CflError(
-            f"dt = {dt:.3e} violates the parabolic bound "
-            f"{scheme.cfl * grid.dx ** 2 / nu:.3e}")
+    bound = scheme.cfl * 2.0 * grid.dx / _max_wave_speed(state.v, model)
+    if dt > bound * (1.0 + 1e-9):
+        raise CflError(f"dt = {dt:.3e} violates the acoustic bound {bound:.3e}")
 
+    implicit = _ImplicitStage(state.v, grid.dx, model, ARK_GAMMA * dt)
     shift_on = scheme.shift and composite.pattern.has_shock
     t, X = state.t, state.X
     scratch = _scratch(grid.n)
-    U, k, k_sum = scratch.U, scratch.k, scratch.k_sum
-    U[0], U[1], U[2] = state.v, state.u, state.w
-    # the stages' fields, and at the end the new state's: a new array
-    stage = np.empty_like(U)
-    times = (t, t + 0.5 * dt, t + dt)
+    F, G, stage = scratch.F, scratch.G, scratch.stage
+    U = np.stack((state.v, state.u, state.w))
+    times = t + ARK_C * dt
+    first = 0 if xdot0 is None else 1
     if shift_on:
-        fan_u = composite.rarefaction.eval(np.reshape(times, (3, 1)),
-                                           np.broadcast_to(grid.x, (3, grid.n)), order=0)["u"]
+        fan_u = composite.rarefaction.eval(times[first:, None],
+                                           np.broadcast_to(grid.x, (6 - first, grid.n)),
+                                           order=0)["u"]
 
-    # stage i at time times[j], with the fan's row j; the next stage's
-    # fields are U + a dt k
-    xdot, flux = [0.0] * 4, [0.0] * 4
-    rows, X_stage = U, X
-    for i, (j, a) in enumerate(zip((0, 1, 1, 2), (0.5, 0.5, 1.0, None))):
-        _rhs_arrays(*rows, grid.dx, model, out=k)
-        if shift_on:
-            xdot[i] = _shift_rate(times[j], X_stage, rows[1], grid, composite, fan_u[j])
-        flux[i] = _boundary_flux(rows[1])
-        if a is not None:
-            np.multiply(k, a * dt, out=stage)
+    xdot, flux = np.zeros(6), np.zeros(6)
+    for i in range(6):
+        rows = U if i == 0 else stage
+        if i:
+            np.matmul(dt * ARK_EXPLICIT[i, :i], F[:i].reshape(i, -1), out=stage.reshape(-1))
+            np.matmul(dt * ARK_IMPLICIT[i, :i], F[:i, 0], out=stage[0])
+            stage[1:] += ((dt * (ARK_IMPLICIT[i, :i] - ARK_EXPLICIT[i, :i]))
+                          @ G[:i].reshape(i, -1)).reshape(2, grid.n)
             stage += U
-            rows, X_stage = stage, X + a * dt * xdot[i]
-        # the weighted sum, left to right: k1, + 2 k2, + 2 k3, + k4
+            implicit.solve(stage, out=G[i])
+        _rhs_arrays(*rows, grid.dx, model, out=F[i])
         if i == 0:
-            k, k_sum = k_sum, k
-            continue
-        if i < 3:
-            k *= 2.0
-        k_sum += k
+            implicit.at_start(F[0], out=G[0])
+        if shift_on:
+            xdot[i] = (xdot0 if i < first else
+                       _shift_rate(times[i], X + dt * (ARK_EXPLICIT[i, :i] @ xdot[:i]),
+                                   rows[1], grid, composite, fan_u[i - first]))
+        flux[i] = _boundary_flux(rows[1])
 
-    sixth = dt / 6.0
-    k_sum *= sixth
-    np.add(U, k_sum, out=stage)
-    if not np.isfinite(stage).all():
+    new = U.reshape(-1) + (dt * ARK_B) @ F.reshape(6, -1)
+    if not np.isfinite(new).all():
         raise SolverError(f"non-finite field at t = {t + dt:.6g}; aborting")
-    X_new = X + sixth * (xdot[0] + 2.0 * xdot[1] + 2.0 * xdot[2] + xdot[3])
-    flux_new = state.flux + sixth * (flux[0] + 2.0 * flux[1] + 2.0 * flux[2] + flux[3])
-    v, u, w = stage
-    return SimState(v=v, u=u, w=w, t=t + dt, X=float(X_new), flux=float(flux_new))
+    v, u, w = new.reshape(3, grid.n)
+    return SimState(v=v, u=u, w=w, t=t + dt, X=float(X + dt * (ARK_B @ xdot)),
+                    flux=float(state.flux + dt * (ARK_B @ flux)))
 
 
 step = _step_core
@@ -459,9 +666,10 @@ def run(config) -> RunResult:
     def record():
         """Append the record of the current state; returns its background,
         the one evaluation of the waves at this time."""
-        nonlocal a_min, a_max, ceiling_hit
+        nonlocal a_min, a_max, ceiling_hit, xdot
         bar = composite.eval_bar(state.t, grid.x, state.X)
-        # the rate the stages integrate, from this record's own fan
+        # the rate the stages integrate, from this record's own fan, whose u
+        # is the order-0 fan's to the bit: the next step's first stage reuses it
         xdot = (_shift_rate(state.t, state.X, state.u, grid, composite, bar["fan"]["u"])
                 if shift_on else 0.0)
         rec = collect_record(grid, state, bar, pattern, model, xdot,
@@ -483,12 +691,14 @@ def run(config) -> RunResult:
 
     step_count = 0
     ceiling_hit = False
+    xdot = None  # the shift rate at the current state, once a record has it
     snapshot(record())
     try:
         while state.t < scheme.t_end - 1e-12:
             dt = min(parabolic_dt(state, grid, model, scheme.cfl),
                      scheme.t_end - state.t)
-            state = _step_core(state, grid, composite, model, scheme, dt)
+            state = _step_core(state, grid, composite, model, scheme, dt, xdot)
+            xdot = None
             step_count += 1
             v_min_global = min(v_min_global, float(np.min(state.v)))
             # the last step always records, and its background is the final snapshot's
@@ -511,6 +721,17 @@ def run(config) -> RunResult:
                      final_state=state)
 
 
+def _hermite(t, X, Xdot, s):
+    """X at time s, from the cubic Hermite interpolant of the records' X and
+    its rate Xdot on the records' interval around s.  Records are steps
+    apart, so the nearest record may lie far from s."""
+    k = int(np.clip(np.searchsorted(t, s) - 1, 0, t.size - 2))
+    h = t[k + 1] - t[k]
+    r = (s - t[k]) / h
+    return ((1.0 + 2.0 * r) * (1.0 - r) ** 2 * X[k] + r * (1.0 - r) ** 2 * h * Xdot[k]
+            + r * r * (3.0 - 2.0 * r) * X[k + 1] - r * r * (1.0 - r) * h * Xdot[k + 1])
+
+
 def _decay_ratios(t, X, Xdot, sup, eta, t_end) -> dict:
     """Clauses of the stability check from the record series t, X, Xdot and
     the (initial, final) pairs of the sup-norm and the weighted entropy."""
@@ -518,8 +739,7 @@ def _decay_ratios(t, X, Xdot, sup, eta, t_end) -> dict:
     t_quarter = t_end / 4.0
     early = np.abs(Xdot[t <= t_quarter])
     late = np.abs(Xdot[t >= 3.0 * t_quarter])
-    iq = int(np.argmin(np.abs(t - t_quarter)))
-    x_rate_quarter = float(abs(X[iq]) / max(t[iq], 1e-300))
+    x_rate_quarter = float(abs(_hermite(t, X, Xdot, t_quarter)) / t_quarter)
     x_rate_final = float(abs(X[-1]) / max(t[-1], 1e-300))
     mean_early = float(np.mean(early)) if early.size else 0.0
     mean_late = float(np.mean(late)) if late.size else 0.0

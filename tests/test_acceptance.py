@@ -222,7 +222,6 @@ def test_criterion_5_hardy_legendre():
 # -- 6: scheme verification -----------------------------------------------------------
 
 
-@pytest.mark.slow
 def test_criterion_6_scheme_verification(model14, right_state):
     started = time.time()
     failures = []

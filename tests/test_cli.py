@@ -394,7 +394,7 @@ def test_partial_output_flushed_on_abort(smoke_cfg, tmp_path, monkeypatch):
 
     def exploding_step(*args, **kwargs):
         counter["n"] += 1
-        if counter["n"] > 3:
+        if counter["n"] > 1:
             raise nw.SolverError("injected failure")
         return real_step(*args, **kwargs)
 
@@ -407,7 +407,7 @@ def test_partial_output_flushed_on_abort(smoke_cfg, tmp_path, monkeypatch):
     assert len(partial.read_text().splitlines()) >= 2  # header plus records
 
 
-def test_simulate_reports_rk4_step_count(smoke_cfg, tmp_path, monkeypatch, capsys):
+def test_simulate_reports_its_step_count(smoke_cfg, tmp_path, monkeypatch, capsys):
     import nskwave.solver as solver_mod
 
     cfg = parse_config(smoke_cfg)

@@ -220,13 +220,17 @@ def test_energy_rate_is_viscous_dissipation():
 
 
 def test_parabolic_dt_and_cfl_guard(composite_std, model14):
+    """The step bound is acoustic, cfl 2 dx / lambda_max with lambda_max the
+    sound speed at the smallest volume, and ``step`` refuses a longer step."""
     grid = nw.Grid(-40.0, 40.0, 257)
     state = nw.initial_data(grid, composite_std, nw.Perturbation())
     scheme = nw.SchemeConfig(t_end=1.0, cfl=0.4)
     dt = nw.parabolic_dt(state, grid, model14, 0.4)
-    assert dt > 0.0
-    with pytest.raises(nw.CflError):
-        nw.step(state, grid, composite_std, model14, scheme, 10.0 * dt)
+    lam = np.sqrt(-thermo.dpressure(np.min(state.v), model14))
+    assert dt == pytest.approx(0.4 * 2.0 * grid.dx / lam, rel=1e-14)
+    nw.step(state, grid, composite_std, model14, scheme, dt)
+    with pytest.raises(nw.CflError, match="acoustic bound"):
+        nw.step(state, grid, composite_std, model14, scheme, 1.001 * dt)
 
 
 def test_shift_rate_properties(composite_std, model14):
@@ -388,9 +392,10 @@ def test_record_xdot_is_the_uncached_shift_rate(monkeypatch, shift):
 
 @pytest.mark.parametrize("shift", [True, False])
 def test_run_evaluates_the_fan_once_per_new_stage_time(monkeypatch, shift):
-    """With the shift on, one order-0 call per step carries its three stage
-    times, t, t + dt/2 and t + dt, on every node, and with it off there is
-    none: k2 and k3 share the row at t + dt/2, and records read their
+    """With the shift on, one order-0 call per step carries its stage times
+    t + c_i dt on every node, and with it off there is none.  Every step
+    here starts at a record and reuses the record's shift rate at t, so its
+    call carries the five later times only; records read their
     background's fan."""
     order0, steps = [], []
     real_eval, real_step = RarefactionWave.eval, solver._step_core
@@ -400,18 +405,65 @@ def test_run_evaluates_the_fan_once_per_new_stage_time(monkeypatch, shift):
             order0.append(np.broadcast_arrays(t, x))
         return real_eval(self, t, x, order)
 
-    def stepping(state, grid, composite, model, scheme, dt):
-        steps.append((state.t, dt, grid.x))
-        return real_step(state, grid, composite, model, scheme, dt)
+    def stepping(state, grid, composite, model, scheme, dt, xdot0=None):
+        steps.append((state.t, dt, grid.x, xdot0))
+        return real_step(state, grid, composite, model, scheme, dt, xdot0)
 
     monkeypatch.setattr(RarefactionWave, "eval", counting)
     monkeypatch.setattr(solver, "_step_core", stepping)
     result = nw.run(smoke_every_step(shift))
     assert len(steps) == result.summary["steps"] > 2
     assert len(order0) == (len(steps) if shift else 0)
-    for (t, x), (t0, dt, nodes) in zip(order0, steps):
-        assert np.array_equal(t, np.full((3, nodes.size), [[t0], [t0 + 0.5 * dt], [t0 + dt]]))
-        assert np.array_equal(x, [nodes] * 3)
+    assert [xdot0 for *_, xdot0 in steps] == [r.Xdot for r in result.records[:-1]]
+    for (t, x), (t0, dt, nodes, _) in zip(order0, steps):
+        assert np.array_equal(t, np.broadcast_to((t0 + solver.ARK_C[1:] * dt)[:, None],
+                                                 (5, nodes.size)))
+        assert np.array_equal(x, [nodes] * 5)
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_a_step_at_a_record_reuses_its_shift_rate(monkeypatch, stride):
+    """Each step evaluates the shift rate at its six stages, except that a
+    step starting at a record takes the record's rate for its first."""
+    calls, starts = [], []
+    real_rate, real_step = solver._shift_rate, solver._step_core
+
+    def counting(*args):
+        calls.append(args[0])
+        return real_rate(*args)
+
+    def stepping(state, *args):
+        starts.append(state.t)
+        return real_step(state, *args)
+
+    monkeypatch.setattr(solver, "_shift_rate", counting)
+    monkeypatch.setattr(solver, "_step_core", stepping)
+    cfg = smoke_every_step()
+    cfg.scheme = dataclasses.replace(cfg.scheme, output_stride=stride, t_end=5.0)
+    result = nw.run(cfg)
+    steps, records = result.summary["steps"], len(result.records)
+    at_record = sum(t in {r.t for r in result.records} for t in starts)
+    assert len(starts) == steps > 6
+    # every record but the last starts a step; with stride 3 most steps start elsewhere
+    assert at_record == records - 1 and (at_record == steps) == (stride == 1)
+    assert len(calls) == 6 * steps + records - at_record
+
+
+def test_a_handed_shift_rate_changes_no_bit():
+    """The rate a record hands the step, from the background's order-1 fan,
+    is the one the step would compute from its own order-0 fan."""
+    cfg = nw.parse_config(SMOKE_CFG)
+    grid, scheme = cfg.grid, cfg.scheme
+    composite = nw.build_composite(cfg.build_pattern(), cfg.gas)
+    state = dataclasses.replace(nw.initial_data(grid, composite, cfg.perturbation), t=3.0)
+    fan_u = composite.eval_bar(state.t, grid.x, state.X)["fan"]["u"]
+    xdot = _shift_rate(state.t, state.X, state.u, grid, composite, fan_u)
+    dt = nw.parabolic_dt(state, grid, cfg.gas, scheme.cfl)
+    own, handed = (nw.step(state, grid, composite, cfg.gas, scheme, dt, given)
+                   for given in (None, xdot))
+    assert xdot != 0.0 and (own.X, own.flux) == (handed.X, handed.flux)
+    for name in ("v", "u", "w"):
+        assert np.array_equal(getattr(own, name), getattr(handed, name))
 
 
 def test_a_state_is_its_fields():
