@@ -4,10 +4,13 @@ The profile solves the momentum equation integrated once from the left
 far field, with the mass equation eliminating velocity (u' = -sigma v').
 In the (v, v') phase plane the left end state is a saddle and the right
 end state a stable node for weak shocks; the profile is the saddle's
-unstable manifold.  An adaptive Dormand-Prince 5(4) shot (``_shoot``)
+unstable manifold, a monotone orbit.  ``_orbit`` integrates it forward
+in s = log((v - v_m) / (v_plus - v)), where both end states are at
+infinity, for one scalar, r = ds/dxi, by implicit Radau IIA steps that
+the node's stiffness does not slow; xi is the quadrature of 1 / r.  It
 runs between the two switches, where |v - v_end| is ``TAIL_SWITCH`` times
-the shock strength; translated so the midpoint volume sits at xi = 0, it
-is tabulated at uniform knots xi_switch + k h, the body.
+the shock strength; translated so the midpoint volume (s = 0) sits at
+xi = 0, it is tabulated at uniform knots xi_switch + k h, the body.
 
 ``ShockProfile._evaluate`` is the one evaluator of v, v', v'' and v''':
 left of the span, in either tail, in the body (cubic Hermite interpolants
@@ -15,20 +18,17 @@ and the residual equation) and right of the span.  ``volume`` takes points
 in any order, ``volume_sorted`` sorted points and scratch, and
 ``eval_profile`` is the stack of ``volume``'s derivatives.
 
-Both tails are closed forms.  There the shot's absolute error (about
-``ATOL``) would be a large relative error of the slope, the residual
-equation would amplify it in v'' and v''', and tabulated volumes would
-round to equal neighbours.  Instead the invariant manifold's expansion
-q(dv) = rate dv + c2 dv^2 (dv = v - v_end) gives the slope, and dv(xi) is
-the exact solution of dv' = q(dv), computed from xi alone: along the
-saddle's unstable direction at v_m from ``xi_switch``, where the shot
-starts on the same expansion, and along the node's slow direction at
-v_plus from ``xi_stop``, where the shot stops, less than one knot spacing
-beyond the last knot.  v and v' are continuous at ``xi_switch`` and agree
-at the last knot to the shot's error; v'' and v''' agree at both to
-O(dv^2) and the rounding of the residual equation.  Each tail ends where
-its gap falls to ``TAIL_CUT``, at ``xi_lo`` and ``xi_hi``; beyond them v
-is the far-field state.
+Both tails are closed forms, where tabulated volumes would round to equal
+neighbours: the invariant manifold's expansion q(dv) = rate dv + c2 dv^2
+(dv = v - v_end) gives the slope, and dv(xi) is the exact solution of
+dv' = q(dv), from xi alone: along the saddle's unstable direction at v_m
+from ``xi_switch``, where the orbit starts on the same expansion, and
+along the node's slow direction at v_plus from ``xi_stop``, where the
+orbit stops, less than one knot spacing beyond the last knot.  v and v'
+are continuous at ``xi_switch`` and agree at the last knot to the orbit's
+error; v'' and v''' agree at both to O(dv^2) and the rounding of the
+residual equation.  Each tail ends where its gap falls to ``TAIL_CUT``,
+at ``xi_lo`` and ``xi_hi``; beyond them v is the far-field state.
 """
 from __future__ import annotations
 
@@ -44,20 +44,20 @@ from .thermo import GasModel
 
 #: each closed-form tail ends where its gap to the far-field state falls to this
 TAIL_CUT = 1e-12
-#: relative and absolute tolerances of the Dormand-Prince shooting
-RTOL = 1e-11
-ATOL = 1e-13
+#: relative tolerance of the orbit's step control, on r = ds/dxi
+ORBIT_TOL = 1e-11
+#: longest step of the orbit in s: at weak shocks the whole orbit is stiff,
+#: and the error estimate, damped by the stiffness, misses most of the error
+ORBIT_MAX_STEP = 0.1
 #: largest self-check residual solve_profile accepts
 RESIDUAL_TOL = 1e-8
 #: both tails are closed forms below |v - v_end| = TAIL_SWITCH * delta_S
-#: (1e-6 on the standard pattern): there the expansion's truncation error,
-#: about (16 dv)^2 relative at v_m, is far below the shot slope's
-#: ATOL / (rate dv)
+#: (1e-6 on the standard pattern), where the expansion's truncation error
+#: is about (16 dv)^2 relative at v_m
 TAIL_SWITCH = 2e-5
-#: weakest shock the profile solve takes, a guard on its cost, as the knot
-#: count grows like 1 / delta_S; it also refuses the degenerate strengths.
-#: At 1e-3 every case of gamma in {1.2, 1.4, 5/3}, beta in {0, 1} and v_plus
-#: in {0.5, 1, 2, 4} solves, in up to 79 s (v_plus = 4, beta = 1)
+#: weakest shock the profile solve takes: it bounds the table's knot count,
+#: which grows like 1 / delta_S (up to 1.18 million at 1e-3, v_plus = 4),
+#: and refuses the degenerate strengths
 MIN_STRENGTH = 1e-3
 
 
@@ -66,16 +66,8 @@ def _rankine_hugoniot_gap(v, pattern: WavePattern, model: GasModel):
 
     p(v_m) is ``pattern.p_m``.  The pressure p(v) is evaluated with
     ``np.power``, the ufunc that ``thermo.pressure`` uses, but without its
-    validation: the callers own the volume check.  A scalar ``v`` goes
-    through the same ufunc loop as an array, so p(v) in the shot
-    (``_shot_accel``) and in the tabulated stack agree to the bit; plain
-    ``**`` on a float differs from that loop in about 5 % of values.  The
-    other powers of ``_accel`` do not agree: on floats they are Python's
-    ``**``, on arrays numpy's, and scalar and array ``_accel`` differ at
-    about 8 % of random (v, q) on ``configs/standard.cfg`` (1,545 of
-    20,000 with v in [v_m, v_plus] and q in [0, 1e-3]).  p(v) stays a
-    numpy call so that the shot keeps the bits of ``thermo.pressure``, the
-    reference its tests solve with.
+    validation: the callers own the volume check.  ``_orbit_coefficients``
+    forms the gap without its cancellation near the end volumes.
     """
     return pattern.sigma ** 2 * (v - pattern.mid.v) + np.power(v, -model.gamma) - pattern.p_m
 
@@ -179,197 +171,128 @@ def _manifold_reach(dv, xi0, dv0, lam, c2):
     return xi0 + math.log(dv * (1.0 + k * dv0) / (dv0 * (1.0 + k * dv))) / lam
 
 
-def _shot_accel(pattern: WavePattern, model: GasModel):
-    """The shot's v'' as a function of (v, v') = (v, q), on plain floats,
-    with the pattern's constants bound once; the shot's right-hand side is
-    (q, v'').
+def _orbit_coefficients(pattern: WavePattern, model: GasModel):
+    """dr/ds = P / r + Q + R r as the plain-float function s -> (P, Q, R).
+    With g = dv/ds = (v - v_m) (v_plus - v) / delta_S, r = v' / g and
+    ``_accel`` = A + B v' + C v'^2: P = A / g, Q = B, R = C g + tanh(s / 2).
+    v and the Rankine-Hugoniot gap come from the nearer end state's offset d,
+    the gap as sigma^2 d + p(v_end) expm1(-gamma log1p(d / v_end)), free of
+    the cancellation of p(v) - p_m."""
+    delta, sigma = float(pattern.delta_S), float(pattern.sigma)
+    v_m, p_m, v_p = float(pattern.mid.v), float(pattern.p_m), float(pattern.right.v)
+    p_p = float(thermo.pressure(v_p, model))
+    gamma, b = model.gamma, model.beta
+    e_gap, e_drag, c_cap = 5.0 + b, 4.0 + b - model.alpha, 0.5 * (5.0 + b)
+    exp, expm1, log1p = math.exp, math.expm1, math.log1p
 
-    It is ``_accel``'s arithmetic term by term: the powers other than p(v)
-    are Python's ``**`` on floats, as in ``_accel`` on a scalar, and p(v) is
-    ``np.power`` on one-element arrays, the ufunc loop an array takes
-    (``_rankine_hugoniot_gap``).  The shot is the one caller; this
-    module-level factory is the seam its tests replace.
-    """
-    sigma, v_m, p_m = float(pattern.sigma), float(pattern.mid.v), float(pattern.p_m)
-    sigma2 = float(pattern.sigma ** 2)
-    a, b = model.alpha, model.beta
-    e_gap, e_drag, c_cap = 5.0 + b, 4.0 + b - a, 0.5 * (5.0 + b)
-    floor, inf, power = thermo.VOLUME_FLOOR, math.inf, np.power
-    # input, exponent and output apart: an output that overlaps an input
-    # sends numpy to its scalar pow loop, whose bits differ from the array
-    # loop's
-    arg, exponent, p = np.empty(1), np.full(1, -model.gamma), np.empty(1)
-
-    def accel(v, q):
-        # scalar check: thermo's array validation would cost more than this
-        if not floor < v < inf:
+    def coefficients(s):
+        x = exp(-abs(s))
+        w = delta * x / (1.0 + x)          # |v - v_end|
+        t = (1.0 - x) / (1.0 + x)          # |tanh(s / 2)|
+        v_end, p_end, d, t = (v_p, p_p, -w, t) if s > 0.0 else (v_m, p_m, w, -t)
+        v = v_end + d
+        if not thermo.VOLUME_FLOOR < v < math.inf:
             raise DomainError(f"profile solve left the volume domain (v = {v!r})")
-        arg[0] = v
-        power(arg, exponent, p)
-        gap = sigma2 * (v - v_m) + p.item() - p_m
-        return -v ** e_gap * gap - sigma * v ** e_drag * q + c_cap * q * q / v
+        g = w / (1.0 + x)
+        gap = sigma * sigma * d + p_end * expm1(-gamma * log1p(d / v_end))
+        return -v ** e_gap * gap / g, -sigma * v ** e_drag, c_cap * g / v + t
 
-    return accel
-
-
-# Dormand-Prince 5(4), the coefficients of scipy's RK45: stage coefficients,
-# the fifth-order weights and the error weights (both without stage 2, whose
-# weight is 0; the error's last is stage 7's, the slope at the step's end),
-# and Shampine's quartic dense output, row s for stage s + 1
-_A2 = 1 / 5
-_A3 = (3 / 40, 9 / 40)
-_A4 = (44 / 45, -56 / 15, 32 / 9)
-_A5 = (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)
-_A6 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)
-_B = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_E = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
-_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+    return coefficients
 
 
-def _rms(a, b):
-    return math.sqrt(0.5 * (a * a + b * b))
+# Radau IIA of order 5 (Hairer & Wanner, Solving ODEs II, Sec. IV.8): nodes,
+# coefficients (the last row is the weights) and the error estimate
+# (h f(r) + E . Z) / (MU - h J) of the stage increments Z
+_S6 = math.sqrt(6.0)
+_C = ((4.0 - _S6) / 10.0, (4.0 + _S6) / 10.0, 1.0)
+_A = (((88.0 - 7.0 * _S6) / 360.0, (296.0 - 169.0 * _S6) / 1800.0, (-2.0 + 3.0 * _S6) / 225.0),
+      ((296.0 + 169.0 * _S6) / 1800.0, (88.0 + 7.0 * _S6) / 360.0, (-2.0 - 3.0 * _S6) / 225.0),
+      ((16.0 - _S6) / 36.0, (16.0 + _S6) / 36.0, 1.0 / 9.0))
+_E = ((-13.0 - 7.0 * _S6) / 3.0, (-13.0 + 7.0 * _S6) / 3.0, -1.0 / 3.0)
+_MU = 3.0 + 3.0 ** (2.0 / 3.0) - 3.0 ** (1.0 / 3.0)
 
 
-def _crossing(t0, h, y0, k, level, sign):
-    """xi in the step [t0, t0 + h] where sign * (y - level) rises through 0.
-
-    y is one component of the step's dense output, with starting value
-    ``y0`` and stages ``k``; bisection narrows the bracket to about 4 eps
-    relative, the tolerance scipy's event location uses.
-    """
-    c = [sum(ks * p for ks, p in zip(k, row)) for row in _P.T.tolist()]
-
-    def g(t):
-        x = (t - t0) / h
-        return sign * (y0 + h * x * (c[0] + x * (c[1] + x * (c[2] + x * c[3]))) - level)
-
-    lo, hi = t0, t0 + h
-    while hi - lo > 4.0 * np.finfo(float).eps * (1.0 + abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _shoot(y0, span, v_mid, v_stop, pattern: WavePattern, model: GasModel):
-    """Integrate (v, v')' = (v', ``_shot_accel``) from xi = 0 until v rises to ``v_stop``.
-
-    Dormand-Prince 5(4) with local extrapolation, with the step control of
-    scipy's RK45 at ``RTOL``/``ATOL``: Hairer's initial step, the RMS error
-    scaled by max(|y|, |y_new|), safety 0.9 and step factors in [0.2, 10].
-    Returns xi_mid, where v first rises through ``v_mid``; xi_end, where it
-    reaches ``v_stop``; and, per accepted step, its start (n,), size (n,),
-    starting (v, v') (n, 2) and seven stages of each component (n, 2, 7),
-    the last being the slope at the step's end.  A slope that turns
-    negative first raises ``MonotonicityError``, a span passed first
-    ``ProfileError``.
-    """
-    accel = _shot_accel(pattern, model)
-    # the tableau as locals: one step reads them 52 times
-    a21 = _A2
-    a31, a32 = _A3
-    a41, a42, a43 = _A4
-    a51, a52, a53, a54 = _A5
-    a61, a62, a63, a64, a65 = _A6
-    b1, b3, b4, b5, b6 = _B
-    e1, e3, e4, e5, e6, e7 = _E
-    v, q = y0
-    span = float(span)
-    fv, fq = q, accel(v, q)
-    # initial step of Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4,
-    # for the error estimator's order 4
-    sv, sq = ATOL + abs(v) * RTOL, ATOL + abs(q) * RTOL
-    d0, d1 = _rms(v / sv, q / sq), _rms(fv / sv, fq / sq)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    gv = q + h0 * fq
-    gq = accel(v + h0 * fv, gv)
-    d2 = _rms((gv - fv) / sv, (gq - fq) / sq) / h0
-    h1 = (max(1e-6, 1e-3 * h0) if d1 <= 1e-15 and d2 <= 1e-15
-          else (0.01 / max(d1, d2)) ** 0.2)
-    h_abs = min(100.0 * h0, h1, span)
-
-    t, xi_mid = 0.0, None
-    # per accepted step: start, size, v, v', then the seven stages of v and
-    # those of v'; a stage of v is the v' it is taken at
-    steps = []
-    while True:
-        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise ProfileError(f"profile solve failed: step size fell below {min_step:.3g} "
-                                   f"at xi = {t:.6g}")
-            t_new = min(t + h_abs, span)
-            h = t_new - t
-            h_abs = h
-            k2v = q + h * (a21 * fq)
-            k2q = accel(v + h * (a21 * fv), k2v)
-            k3v = q + h * (a31 * fq + a32 * k2q)
-            k3q = accel(v + h * (a31 * fv + a32 * k2v), k3v)
-            k4v = q + h * (a41 * fq + a42 * k2q + a43 * k3q)
-            k4q = accel(v + h * (a41 * fv + a42 * k2v + a43 * k3v), k4v)
-            k5v = q + h * (a51 * fq + a52 * k2q + a53 * k3q + a54 * k4q)
-            k5q = accel(v + h * (a51 * fv + a52 * k2v + a53 * k3v + a54 * k4v), k5v)
-            k6v = q + h * (a61 * fq + a62 * k2q + a63 * k3q + a64 * k4q + a65 * k5q)
-            k6q = accel(v + h * (a61 * fv + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v), k6v)
-            v_new = v + h * (b1 * fv + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
-            q_new = q + h * (b1 * fq + b3 * k3q + b4 * k4q + b5 * k5q + b6 * k6q)
-            k7v, k7q = q_new, accel(v_new, q_new)
-            err_v = h * (e1 * fv + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v)
-            err_q = h * (e1 * fq + e3 * k3q + e4 * k4q + e5 * k5q + e6 * k6q + e7 * k7q)
-            err = _rms(err_v / (ATOL + max(abs(v), abs(v_new)) * RTOL),
-                       err_q / (ATOL + max(abs(q), abs(q_new)) * RTOL))
-            if err < 1.0:
-                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            h_abs *= max(0.2, 0.9 * err ** -0.2)
-            rejected = True
-
-        kv = (fv, k2v, k3v, k4v, k5v, k6v, k7v)
-        kq = (fq, k2q, k3q, k4q, k5q, k6q, k7q)
-        steps += (t, h, v, q, *kv, *kq)
-        if xi_mid is None and v <= v_mid <= v_new:
-            xi_mid = _crossing(t, h, v, kv, v_mid, 1.0)
-        xi_end = _crossing(t, h, v, kv, v_stop, 1.0) if v <= v_stop <= v_new else None
-        if q_new <= 0.0 <= q and (xi_end is None or _crossing(t, h, q, kq, 0.0, -1.0) < xi_end):
-            raise MonotonicityError("monotonicity violated: profile slope crossed zero before arrival")
-        if xi_end is not None:
-            table = np.array(steps).reshape(-1, 18)
-            return (xi_mid, xi_end, table[:, 0].copy(), table[:, 1].copy(),
-                    table[:, 2:4].copy(), table[:, 4:].reshape(-1, 2, 7).copy())
-        if t_new == span:
-            raise ProfileError(
-                f"profile solve failed: right state not reached within span {span:.1f} "
-                f"(final v = {v_new:.6g}, bracket [{pattern.mid.v:.6g}, {v_stop:.6g}])")
-        t, v, q, fv, fq = t_new, v_new, q_new, k7v, k7q
+def _orbit(s0, s1, r0, coefficients):
+    """s, r, xi and f = dr/ds at the ends of the Radau IIA steps from (s0, r0,
+    xi = 0) to s1, one ending at s = 0, with dxi/ds = 1 / r: simplified
+    Newton at the step's starting Jacobian, step control on r's relative
+    error.  The first step is short: r0 is off the orbit by its expansion's
+    truncation error, whose stiff transient a long step would carry into the
+    table.  r <= 0 raises ``MonotonicityError``, a step under ten ulp of s
+    ``ProfileError``."""
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = _A
+    (c1, c2, _), (e1, e2, e3) = _C, _E
+    s, r, xi, h = s0, r0, 0.0, 1e-5
+    P, Q, R = coefficients(s)
+    f = P / r + Q + R * r
+    out = [(s, r, xi, f)]
+    for stop in (0.0, s1):
+        while s < stop:
+            while True:
+                if h < 10.0 * (math.nextafter(s, math.inf) - s):
+                    raise ProfileError("profile solve failed: step size fell below ten ulp "
+                                       f"at s = {s:.6g}")
+                h, last = (stop - s, True) if h >= stop - s else (h, False)
+                (P1, Q1, R1), (P2, Q2, R2), (P3, Q3, R3) = (coefficients(s + c * h) for c in _C)
+                # adjugate k and determinant of I - h J A, J = df/dr at the start
+                hj = h * (R - P / (r * r))
+                m11, m12, m13 = 1.0 - hj * a11, -hj * a12, -hj * a13
+                m21, m22, m23 = -hj * a21, 1.0 - hj * a22, -hj * a23
+                m31, m32, m33 = -hj * a31, -hj * a32, 1.0 - hj * a33
+                k11, k12, k13 = m22 * m33 - m23 * m32, m13 * m32 - m12 * m33, m12 * m23 - m13 * m22
+                det = m11 * k11 + m21 * k12 + m31 * k13
+                k21, k22, k23 = m23 * m31 - m21 * m33, m11 * m33 - m13 * m31, m13 * m21 - m11 * m23
+                k31, k32, k33 = m21 * m32 - m22 * m31, m12 * m31 - m11 * m32, m11 * m22 - m12 * m21
+                z1, z2, z3 = c1 * h * f, c2 * h * f, h * f
+                tol, norm_old = 0.03 * ORBIT_TOL * r, 0.0
+                for _ in range(8):
+                    y1, y2, y3 = r + z1, r + z2, r + z3
+                    if y1 <= 0.0 or y2 <= 0.0 or y3 <= 0.0:
+                        raise MonotonicityError(f"monotonicity violated: ds/dxi <= 0 at s = {s:g}")
+                    f1, f2 = P1 / y1 + Q1 + R1 * y1, P2 / y2 + Q2 + R2 * y2
+                    f3 = P3 / y3 + Q3 + R3 * y3
+                    g1 = h * (a11 * f1 + a12 * f2 + a13 * f3) - z1
+                    g2 = h * (a21 * f1 + a22 * f2 + a23 * f3) - z2
+                    g3 = h * (a31 * f1 + a32 * f2 + a33 * f3) - z3
+                    dz1, dz2, dz3 = ((k11 * g1 + k12 * g2 + k13 * g3) / det,
+                                     (k21 * g1 + k22 * g2 + k23 * g3) / det,
+                                     (k31 * g1 + k32 * g2 + k33 * g3) / det)
+                    z1, z2, z3 = z1 + dz1, z2 + dz2, z3 + dz3
+                    # done when norm theta / (1 - theta), theta = norm / norm_old, is in tol
+                    norm = abs(dz1) + abs(dz2) + abs(dz3)
+                    if norm * norm <= tol * (norm_old - norm):
+                        break
+                    norm_old = norm
+                else:
+                    h *= 0.5
+                    continue
+                y1, y2, y3 = r + z1, r + z2, r + z3
+                err = abs((h * f + e1 * z1 + e2 * z2 + e3 * z3) / (_MU - hj))
+                err /= ORBIT_TOL * max(r, y3)
+                if err <= 1.0:
+                    break
+                h *= max(0.2, 0.9 * err ** -0.25)
+            xi += h * (a31 / y1 + a32 / y2 + a33 / y3)
+            s, r, P, Q, R = stop if last else s + h, y3, P3, Q3, R3
+            f = P / r + Q + R * r
+            out.append((s, r, xi, f))
+            h = min(h * (10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.25)), ORBIT_MAX_STEP)
+    return np.array(out).T
 
 
-def _dense(starts, sizes, states, stages, step, xi):
-    """(v, v') at ``xi`` from the dense output of accepted step ``step``:
-    y0 + h x (c0 + x (c1 + x (c2 + x c3))) with x = (xi - start) / h, the
-    polynomial ``_crossing`` evaluates."""
-    h = sizes[step]
-    x = (xi - starts[step]) / h
-    c = stages @ _P                 # (steps, 2, 4), per accepted step
-    y = c[step, :, 3]
-    for k in (2, 1, 0):
-        y *= x[:, None]
-        y += c[step, :, k]
-    y *= (h * x)[:, None]
-    y += states[step]
-    return y[:, 0], y[:, 1]
+def _interpolate(x, y, dy, ddy, at):
+    """The quintic Hermite interpolant of (y, dy, ddy) at the knots x, and
+    its derivative, at the points ``at`` in [x[0], x[-1]]."""
+    i = np.minimum(np.searchsorted(x, at, side="right") - 1, len(x) - 2)
+    h = x[i + 1] - x[i]
+    t = (at - x[i]) / h
+    y0, d0, d1, e0, e1 = y[i], h * dy[i], h * dy[i + 1], h * h * ddy[i], h * h * ddy[i + 1]
+    # c3 t^3 + c4 t^4 + c5 t^5 makes up what y0 + d0 t + e0 t^2 / 2 misses at t = 1
+    m0, m1, m2 = y[i + 1] - y0 - d0 - 0.5 * e0, d1 - d0 - e0, e1 - e0
+    c3, c4 = 10.0 * m0 - 4.0 * m1 + 0.5 * m2, 7.0 * m1 - 15.0 * m0 - m2
+    c5 = 6.0 * m0 - 3.0 * m1 + 0.5 * m2
+    return (y0 + t * (d0 + t * (0.5 * e0 + t * (c3 + t * (c4 + t * c5)))),
+            (d0 + t * (e0 + t * (3.0 * c3 + t * (4.0 * c4 + t * 5.0 * c5)))) / h)
 
 
 def _hermite(x, y, dy, out):
@@ -557,42 +480,39 @@ def solve_profile(pattern: WavePattern, model: GasModel) -> ShockProfile:
             f"(discriminant {disc_p:.3g}); shock outside the weak-dispersion regime")
     nu_slow = 0.5 * (B_p + np.sqrt(disc_p))
 
-    # shoot from the left switch on the manifold to the right switch; beyond
-    # them the tails are closed forms
+    # the orbit from the left switch, on the manifold, to the right switch,
+    # where v_plus - v is d0 too; beyond them the tails are closed forms
     d0 = TAIL_SWITCH * delta_S
-    y0 = (v_m + d0, float(_manifold_slope(d0, lam_plus, c2)))
-    span = 3.0 * np.log((v_p - v_m) / d0) * (1.0 / lam_plus + 1.0 / abs(nu_slow)) + 100.0
-    xi_mid, xi_end, starts, sizes, states, stages = _shoot(
-        y0, span, 0.5 * (v_m + v_p), v_p - d0, pattern, model)
+    s0 = math.log(d0 / (delta_S - d0))
+    r0 = float(_manifold_slope(d0, lam_plus, c2)) * delta_S / (d0 * (delta_S - d0))
+    s, r, xi, f = _orbit(s0, -s0, r0, _orbit_coefficients(pattern, model))
+    xi_switch, xi_stop = -xi[s == 0.0][0], xi[-1] - xi[s == 0.0][0]
 
-    # the body at uniform knots k h from the shot's start to its stop.  The
-    # spacing is no coarser than the shot's steps through the steep middle
-    # (0.066 to 0.077 on the standard and smoke patterns), where the
-    # interpolant's error is largest
+    # the body at uniform knots k h from the left switch to the right one,
+    # with s and r = ds/dxi at each from the quintic Hermite interpolant of
+    # s(xi), as d^2s/dxi^2 = dr/dxi = f r; h is 0.07 on both configs, which
+    # resolves the steep middle, where the table's cubics err most
     h = min(0.07, 0.007 / delta_S)
-    s = h * np.arange(int(xi_end // h) + 1)
-    step = np.searchsorted(starts, s, side="right") - 1
-    v, q = _dense(starts, sizes, states, stages, step, s)
+    knots = h * np.arange(int(xi[-1] // h) + 1)
+    s_k, r_k = _interpolate(xi, s, r, f * r, knots)
+    e = np.exp(-s_k)
+    v = v_m + delta_S / (1.0 + e)
+    q = r_k * delta_S / ((1.0 + e) * (1.0 + 1.0 / e))
     if np.any(np.diff(v) <= 0.0) or np.any(q <= 0.0):
         raise MonotonicityError("monotonicity violated: tabulated profile is not strictly increasing")
     vpp = np.asarray(_accel(v, q, pattern, model))
 
-    xi_switch = -xi_mid
-    xi = xi_switch + s
+    xi = xi_switch + knots
     # fitted exponential decay rate of the right tail, on the body
     gap = v_p - v
     sel = (gap < 0.01 * delta_S) & (xi > 0.0)
-    if np.count_nonzero(sel) >= 8:
-        slope = np.polyfit(xi[sel], np.log(gap[sel]), 1)[0]
-        tail_rate = float(-slope)
-    else:
-        tail_rate = float(abs(nu_slow))
+    tail_rate = (float(-np.polyfit(xi[sel], np.log(gap[sel]), 1)[0])
+                 if np.count_nonzero(sel) >= 8 else float(abs(nu_slow)))
 
     prof = ShockProfile(xi=xi, v=v, vp=q, vpp=vpp, v_m=v_m, v_plus=v_p, tail_rate=tail_rate,
                         growth_rate=float(lam_plus), manifold_c2=float(c2), xi_switch=xi_switch,
-                        decay_rate=float(nu_slow),
-                        node_c2=float(_manifold_c2(nu_slow, v_p, pattern, model)),
-                        xi_stop=xi_switch + xi_end, model=model, pattern=pattern)
+                        decay_rate=float(nu_slow), xi_stop=xi_stop, model=model, pattern=pattern,
+                        node_c2=float(_manifold_c2(nu_slow, v_p, pattern, model)))
 
     if abs(float(prof.volume(0.0)[0]) - 0.5 * (v_m + v_p)) > 1e-10:
         raise ProfileError("profile normalization failed: midpoint not at xi = 0")

@@ -722,14 +722,33 @@ def run(config) -> RunResult:
 
 
 def _hermite(t, X, Xdot, s):
-    """X at time s, from the cubic Hermite interpolant of the records' X and
-    its rate Xdot on the records' interval around s.  Records are steps
-    apart, so the nearest record may lie far from s."""
-    k = int(np.clip(np.searchsorted(t, s) - 1, 0, t.size - 2))
+    """X at the times s, from the cubic Hermite interpolant of the records' X
+    and its rate Xdot on the records' interval around each.  Records are
+    steps apart, so the nearest record may lie far from s."""
+    k = np.clip(np.searchsorted(t, s) - 1, 0, t.size - 2)
     h = t[k + 1] - t[k]
     r = (s - t[k]) / h
     return ((1.0 + 2.0 * r) * (1.0 - r) ** 2 * X[k] + r * (1.0 - r) ** 2 * h * Xdot[k]
             + r * r * (3.0 - 2.0 * r) * X[k + 1] - r * r * (1.0 - r) * h * Xdot[k + 1])
+
+
+def _mean_rate(t, X, Xdot, a, b):
+    """Time average of |dX/dt| over [a, b] for the cubic Hermite interpolant
+    of the records' (X, Xdot): its total variation there over b - a, taken
+    between the records and the zeros of its rate, where it is monotone."""
+    if b <= a:
+        return 0.0
+    # on [t_k, t_k+1] the rate is Xdot_k + c1 x + c2 x^2, x = (s - t_k) / h
+    h = np.diff(t)
+    slope = np.diff(X) / h
+    c1 = 6.0 * slope - 4.0 * Xdot[:-1] - 2.0 * Xdot[1:]
+    c2 = 3.0 * (Xdot[:-1] + Xdot[1:] - 2.0 * slope)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * Xdot[:-1]), c1))
+        x = np.concatenate([m / c2, Xdot[:-1] / m])
+    s = np.concatenate([t, np.tile(t[:-1], 2) + x * np.tile(h, 2), [a, b]])
+    s = np.sort(s[(s >= a) & (s <= b)])
+    return float(np.sum(np.abs(np.diff(_hermite(t, X, Xdot, s)))) / (b - a))
 
 
 def _decay_ratios(t, X, Xdot, sup, eta, t_end) -> dict:
@@ -737,12 +756,10 @@ def _decay_ratios(t, X, Xdot, sup, eta, t_end) -> dict:
     the (initial, final) pairs of the sup-norm and the weighted entropy."""
     t, X, Xdot = (np.asarray(a, dtype=float) for a in (t, X, Xdot))
     t_quarter = t_end / 4.0
-    early = np.abs(Xdot[t <= t_quarter])
-    late = np.abs(Xdot[t >= 3.0 * t_quarter])
     x_rate_quarter = float(abs(_hermite(t, X, Xdot, t_quarter)) / t_quarter)
     x_rate_final = float(abs(X[-1]) / max(t[-1], 1e-300))
-    mean_early = float(np.mean(early)) if early.size else 0.0
-    mean_late = float(np.mean(late)) if late.size else 0.0
+    mean_early = _mean_rate(t, X, Xdot, t[0], t_quarter)
+    mean_late = _mean_rate(t, X, Xdot, 3.0 * t_quarter, t[-1])
     return {
         "sup_initial": sup[0],
         "sup_final": sup[1],

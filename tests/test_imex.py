@@ -264,3 +264,28 @@ def test_shift_quarter_rate_is_read_at_the_quarter():
                                                   rel=1e-13)
     assert got["x_rate_final"] == abs(X[-1]) / 200.0
     assert solver._hermite(t, X, Xdot, 41.0) == X[2]
+
+
+@pytest.mark.parametrize("t", [
+    np.array([0.0, 13.7, 41.0, 54.6, 140.0, 163.2, 200.0]),
+    np.array([0.0, 3.0, 17.5, 20.0, 49.0, 50.0, 77.7, 151.0, 170.0, 188.8, 199.0, 200.0])])
+def test_shift_quarter_means_are_time_averages(t):
+    """The shift-rate clause averages |dX/dt| over each quarter in time, not
+    over the records in it: for a cubic X, which the records' Hermite
+    interpolant meets exactly, the mean is X's total variation over the
+    quarter, from the zeros of X' at 20 and 170, whatever the record times."""
+    c = 1e-7
+
+    def X(s):
+        return c * (s ** 3 / 3.0 - 95.0 * s ** 2 + 3400.0 * s) + 0.01
+
+    Xdot = c * (t - 20.0) * (t - 170.0)
+    got = solver._decay_ratios(t, X(t), Xdot, (1.0, 0.5), (1.0, 1.0), 200.0)
+    early = (abs(X(20.0) - X(0.0)) + abs(X(50.0) - X(20.0))) / 50.0
+    late = (abs(X(170.0) - X(150.0)) + abs(X(200.0) - X(170.0))) / 50.0
+    assert got["xdot_mean_first_quarter"] == pytest.approx(early, rel=1e-12)
+    assert got["xdot_mean_last_quarter"] == pytest.approx(late, rel=1e-12)
+    assert got["xdot_quarter_ratio"] == pytest.approx(late / early, rel=1e-12)
+    # the mean of the records' |Xdot| in each quarter differs with the records
+    record_mean = np.mean(np.abs(Xdot[t <= 50.0]))
+    assert abs(record_mean / early - 1.0) > 0.05
