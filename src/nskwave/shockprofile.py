@@ -15,8 +15,8 @@ xi = 0, it is tabulated at uniform knots xi_switch + k h, the body.
 ``ShockProfile._evaluate`` is the one evaluator of v, v', v'' and v''':
 left of the span, in either tail, in the body (cubic Hermite interpolants
 and the residual equation) and right of the span.  ``volume`` takes points
-in any order, ``volume_sorted`` sorted points and scratch, and
-``eval_profile`` is the stack of ``volume``'s derivatives.
+in any order, and ``eval_profile`` is the stack of ``volume``'s
+derivatives.
 
 Both tails are closed forms, where tabulated volumes would round to equal
 neighbours: the invariant manifold's expansion q(dv) = rate dv + c2 dv^2
@@ -354,10 +354,9 @@ class ShockProfile:
                       math.floor((self.xi_hi - self.xi[0]) / self._h) + 1)
         return self.xi[0] + self._h * k
 
-    def _evaluate(self, xi, out, work, index, ends=None):
+    def _evaluate(self, xi, out, ends=None):
         """v, v' and, for three or four rows of ``out``, v'' and v''' at the
-        points ``xi``, written into ``out`` (order + 1, n); ``work`` (2, n)
-        and the integer ``index`` (n,) are scratch.
+        points ``xi``, written into ``out`` (order + 1, n).
 
         ``ends`` = (lo, switch, end, hi) makes [:lo], [lo:switch],
         [switch:end], [end:hi] and [hi:] the points left of the span, in the
@@ -389,17 +388,13 @@ class ShockProfile:
                 if order == 3:
                     out[3, part] = (2.0 * c2 * q + dq * dq) * q
             dv += v_end
-        # the body: the interval index, then each interpolant in Horner order;
-        # every index is in range, and with mode="clip" ``take`` writes into
-        # ``out`` directly, where the default mode would buffer it
+        # the body: the interval index (truncation toward 0 is the floor, as
+        # the offset in spacings is > -1), then each interpolant in Horner
+        # order; every index is in range, and with mode="clip" ``take``
+        # writes into ``out`` directly, where the default mode would buffer it
         body = slice(switch, end)
-        s, c, i = work[0, body], work[1, body], index[body]
-        np.subtract(xi[body], self.xi[0], out=s)
-        s /= self._h
-        i[...] = s                  # truncation toward 0 is the floor: s > -1
-        np.minimum(i, len(self.xi) - 2, out=i)
-        self.xi.take(i, out=c, mode="clip")
-        np.subtract(xi[body], c, out=s)
+        i = np.minimum(((xi[body] - self.xi[0]) / self._h).astype(np.intp), len(self.xi) - 2)
+        s, c = xi[body] - self.xi[i], np.empty(i.size)
         for coefficients, y in zip(self._cubics.transpose(1, 0, 2), out[:2, body]):
             coefficients[0].take(i, out=y, mode="clip")
             for row in coefficients[1:]:
@@ -421,10 +416,9 @@ class ShockProfile:
         check_order(order, 1, 3)
         xi = np.asarray(xi, dtype=float)
         flat = xi.ravel()
-        out, work = np.empty((order + 1, flat.size)), np.empty((2, flat.size))
-        index = np.empty(flat.size, np.intp)
+        out = np.empty((order + 1, flat.size))
         if np.all(flat[1:] >= flat[:-1]):
-            self._evaluate(flat, out, work, index)
+            self._evaluate(flat, out)
         else:
             # the regions are differences of nested masks; a NaN is in none
             nested = (flat < self.xi_lo, flat < self.xi_switch, flat <= self.xi[-1],
@@ -432,18 +426,10 @@ class ShockProfile:
             regions = [nested[0], *(b ^ a for a, b in zip(nested, nested[1:])), ~nested[-1]]
             groups = [np.flatnonzero(m) for m in regions]
             grouped = np.concatenate(groups)
-            self._evaluate(flat[grouped], out, work, index,
-                           np.cumsum([g.size for g in groups[:4]]))
+            self._evaluate(flat[grouped], out, np.cumsum([g.size for g in groups[:4]]))
             for row in out:
-                work[0] = row
-                row[grouped] = work[0]
+                row[grouped] = row.copy()
         return tuple(out.reshape((order + 1,) + xi.shape))
-
-    def volume_sorted(self, xi, out, work, index):
-        """``volume`` at the non-decreasing 1-D ``xi``, to the order the rows of
-        ``out`` (order + 1, n) hold, written into them bit for bit; with the
-        scratch ``work`` (2, n) and integer ``index`` (n,) nothing is allocated."""
-        self._evaluate(xi, out, work, index)
 
     def self_residual(self) -> float:
         """Max residual over the table's interior knots, with v'' from the

@@ -19,27 +19,23 @@ bound is acoustic, dt <= cfl 2 dx / lambda_max.  The shift rate
 integrates over the shock's support only, the nodes where its table
 reaches: beyond it the integrand is exactly zero.
 
-The intermediates of a stage live in grid-sized scratch that persists
-across calls.  No scratch array is returned: ``spatial_rhs`` with
-``out=None`` still returns a new array, and so does ``step`` for the new
-state.
-The solver is single-threaded, and its scratch must not be shared across
-threads, so each thread gets scratch of its own.
+The module keeps no state between calls: each call allocates its own
+arrays, and ``step`` and ``spatial_rhs`` without ``out`` return new ones.
 """
 from __future__ import annotations
 
 import logging
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .composite import CompositeWave
+from . import thermo
+from .composite import CompositeWave, entropy_weight
 from .diagnostics import (DiagnosticsRecord, collect_record, discrete_gradient_w,
                           mass_defect, sup_norms, weighted_relative_entropy)
 from .errors import CflError, ConfigError, SolverError, VacuumError, check
-from .fd import _first_derivative_into, first_derivative
+from .fd import first_derivative
 from .rarefaction import RarefactionWave
 from .shockprofile import solve_profile
 from .thermo import GasModel, pressure
@@ -158,90 +154,34 @@ def initial_data(grid: Grid, composite: CompositeWave, perturbation: Perturbatio
     return SimState(v=np.asarray(v0, float), u=np.asarray(u0, float), w=w0, t=0.0, X=0.0)
 
 
-# -- scratch -------------------------------------------------------------------
-
-class _Scratch:
-    """Work arrays of one grid size that persist across calls.
-
-    The seven rows of ``work`` hold the intermediates of ``_rhs_arrays``
-    and of ``_shift_rate``, which never run at the same time, and
-    ``index`` the shift rate's table intervals; ``_step_core`` keeps its
-    stage fields in ``stage``, each stage's right-hand side in ``F`` and
-    its implicit (u, w) part in ``G``.  No scratch array is ever returned
-    to a caller.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.work = np.empty((7, n))
-        self.index = np.empty(n, np.intp)
-        self.stage = np.empty((3, n))
-        self.F = np.empty((6, 3, n))
-        self.G = np.empty((6, 2, n))
-
-
-_local = threading.local()
-
-
-def _scratch(n: int) -> _Scratch:
-    """This thread's scratch for n nodes.  It holds one grid size's buffers
-    and is replaced when n changes; a thread of its own gets its own."""
-    scratch = getattr(_local, "scratch", None)
-    if scratch is None or scratch.n != n:
-        scratch = _local.scratch = _Scratch(n)
-    return scratch
-
-
 # -- spatial operator ---------------------------------------------------------
 
 
 def _rhs_arrays(v, u, w, dx, model: GasModel, out=None):
     """Semidiscrete tendencies (v_t, u_t, w_t), the rows of one (3, n)
-    array: ``out`` when given, else a new array; boundary nodes are pinned.
-    The intermediates are written into the scratch."""
+    array: ``out`` when given, else a new array; boundary nodes are pinned."""
     if v.min() < VACUUM_FLOOR:
         raise VacuumError(f"volume fell below the vacuum floor {VACUUM_FLOOR}")
-    g, a, b = model.gamma, model.alpha, model.beta
     h = 0.5 / dx
-    tmp, p, visc, cap, dcap_vx, visc_flux, q_minus_p = _scratch(v.size).work
     # the three powers of v from one logarithm: p, mu(v)/v and sqrt(kappa)/v^(5/2)
-    e = -0.5 * (b + 5.0)
-    log_v = np.log(v, out=tmp)
-    for power, exponent in ((p, -g), (visc, -a - 1.0), (cap, e)):
-        np.multiply(log_v, exponent, out=power)
-        np.exp(power, out=power)
-    _first_derivative_into(v, dx, dcap_vx)  # cap'(v) D0 v = e cap / v D0 v
-    dcap_vx *= cap
-    dcap_vx /= v
-    dcap_vx *= e
+    e = -0.5 * (model.beta + 5.0)
+    log_v = np.log(v)
+    p, visc, cap = (np.exp(log_v * k) for k in (-model.gamma, -model.alpha - 1.0, e))
+    dcap_vx = first_derivative(v, dx) * cap / v * e  # cap'(v) D0 v = e cap / v D0 v
     # dx times twice the viscous flux at the faces, (visc_i + visc_i+1)(u_i+1 - u_i)
-    visc_flux = np.add(visc[:-1], visc[1:], out=visc_flux[:-1])
-    visc_flux *= np.subtract(u[1:], u[:-1], out=tmp[:-1])
+    visc_flux = (visc[:-1] + visc[1:]) * (u[1:] - u[:-1])
 
     if out is None:
         out = np.empty((3, v.size))
     out[:, 0] = out[:, -1] = 0.0
     vt, ut, wt = out
-    np.subtract(u[2:], u[:-2], out=vt[1:-1])
-    vt[1:-1] *= h
+    vt[1:-1] = (u[2:] - u[:-2]) * h
     # w_t is the exact time derivative of discrete_gradient_w = -cap(v) D0 v on
     # interior nodes; the capillary momentum term D0 q is its adjoint, so the
     # two cancel in the discrete energy balance
-    wti = wt[1:-1]
-    np.subtract(vt[2:], vt[:-2], out=wti)
-    wti *= cap[1:-1]
-    wti *= h
-    wti += np.multiply(dcap_vx[1:-1], vt[1:-1], out=tmp[1:-1])
-    np.negative(wti, out=wti)
-    _first_derivative_into(np.multiply(cap, w, out=tmp), dx, q_minus_p)
-    q_minus_p -= np.multiply(dcap_vx, w, out=tmp)
-    q_minus_p -= p
-    uti = ut[1:-1]
-    np.subtract(q_minus_p[2:], q_minus_p[:-2], out=uti)
-    uti *= h
-    flux_diff = np.subtract(visc_flux[1:], visc_flux[:-1], out=tmp[:-2])
-    flux_diff *= h / dx
-    uti += flux_diff
+    wt[1:-1] = -((vt[2:] - vt[:-2]) * cap[1:-1] * h + dcap_vx[1:-1] * vt[1:-1])
+    q_minus_p = first_derivative(cap * w, dx) - dcap_vx * w - p
+    ut[1:-1] = (q_minus_p[2:] - q_minus_p[:-2]) * h + (visc_flux[1:] - visc_flux[:-1]) * (h / dx)
     return out
 
 
@@ -281,13 +221,12 @@ def _shift_rate(t, X, u, grid: Grid, composite: CompositeWave, fan_u):
     gradient: -M/delta_S times the integral of a psi (uS' + p'(vS) vS' /
     sigma), with the weight a of ``entropy_weight`` and psi = u - ubar;
     identically zero for u = ubar and zero for degenerate shock strength.
-    Beyond the shock's span [xi_lo, xi_hi] vS' is exactly zero, and so is
-    the integrand, so it is evaluated on the nodes of the span only and summed
-    with the trapezoid weights of the whole grid.  Those nodes are one
-    increasing slice of the grid, so ``ShockProfile.volume_sorted`` gives
-    the shock on it region by region, with ``volume``'s values.  ``fan_u``
-    is the fan's u at t on the grid, sliced here to the support.
-    Every intermediate is written into the scratch.
+    The shock stack, the weight and ubar are the ones ``eval_bar`` gives
+    the ledger, to the bit.  Beyond the shock's span [xi_lo, xi_hi] vS' is
+    exactly zero, and so is the integrand, so it is evaluated on the nodes
+    of the span only and summed with the trapezoid weights of the whole
+    grid.  ``fan_u`` is the fan's u at t on the grid, sliced here to the
+    support.
     """
     pattern, profile, x = composite.pattern, composite.profile, grid.x
     if not pattern.has_shock:
@@ -299,35 +238,12 @@ def _shift_rate(t, X, u, grid: Grid, composite: CompositeWave, fan_u):
     i1 = min(int(x.searchsorted(c + profile.xi_hi, side="right")) + 1, x.size)
     if i0 >= i1:
         return 0.0
-    part, m = slice(i0, i1), i1 - i0
-    scratch = _scratch(x.size)
-    uS, v, vx, ux, a, psi, factor = scratch.work[:, :m]
-    # the shock's order-1 stack: v and vx at xi = x - sigma t - X (in uS's
-    # row until uS is formed), then uS = u_m - sigma (v - v_m) and ux = -sigma vx
-    xi = np.subtract(x[part], pattern.sigma * t, out=uS)
-    xi -= X
-    profile.volume_sorted(xi, scratch.work[1:3, :m], scratch.work[3:5, :m], scratch.index[:m])
-    mid, sigma, g = pattern.mid, pattern.sigma, composite.model.gamma
-    np.subtract(v, mid.v, out=uS)
-    uS *= sigma
-    np.subtract(mid.u, uS, out=uS)
-    np.multiply(vx, -sigma, out=ux)
-    # the weight 1 + (u_m - uS) / sqrt(delta_S) and psi = u - (uS + (uR - u_m))
-    np.subtract(mid.u, uS, out=a)
-    a /= np.sqrt(pattern.delta_S)
-    a += 1.0
-    np.subtract(fan_u[part], mid.u, out=psi)
-    psi += uS
-    np.subtract(u[part], psi, out=psi)
-    # ux + p'(v) vx / sigma, with p'(v) = -gamma v^(-gamma - 1) of volumes
-    # from the profile table, which need no validation
-    np.power(v, -g - 1.0, out=factor)
-    factor *= -g
-    factor *= vx
-    factor /= sigma
-    factor += ux
-    y = np.multiply(a, psi, out=a)
-    y *= factor
+    part = slice(i0, i1)
+    ss = composite.shock_stack(t, x[part], X, order=1)
+    # psi = u - ubar, with ubar grouped as ``superpose`` groups it
+    psi = u[part] - (ss["u"] + (fan_u[part] - pattern.mid.u))
+    y = entropy_weight(pattern, ss["u"]) * psi * (
+        thermo.dpressure(ss["v"], composite.model) * ss["vx"] / pattern.sigma + ss["ux"])
     # the trapezoid halves the weight of the grid's end nodes only
     total = y.sum() - 0.5 * ((y[0] if i0 == 0 else 0.0) + (y[-1] if i1 == x.size else 0.0))
     return -pattern.M / pattern.delta_S * float(total * grid.dx)
@@ -561,15 +477,14 @@ def _step_core(state: SimState, grid: Grid, composite: CompositeWave,
     the fan's u at the stage times t + c_i dt; ``xdot0``, the shift rate at
     the state when the caller has it, stands for the first stage's.
     """
-    bound = scheme.cfl * 2.0 * grid.dx / _max_wave_speed(state.v, model)
+    bound = parabolic_dt(state, grid, model, scheme.cfl)
     if dt > bound * (1.0 + 1e-9):
         raise CflError(f"dt = {dt:.3e} violates the acoustic bound {bound:.3e}")
 
     implicit = _ImplicitStage(state.v, grid.dx, model, ARK_GAMMA * dt)
     shift_on = scheme.shift and composite.pattern.has_shock
     t, X = state.t, state.X
-    scratch = _scratch(grid.n)
-    F, G, stage = scratch.F, scratch.G, scratch.stage
+    F, G, stage = np.empty((6, 3, grid.n)), np.empty((6, 2, grid.n)), np.empty((3, grid.n))
     U = np.stack((state.v, state.u, state.w))
     times = t + ARK_C * dt
     first = 0 if xdot0 is None else 1

@@ -429,15 +429,11 @@ def test_volume_rejects_bad_order(profile_std):
             profile_std.volume(np.array([0.0]), order)
 
 
-def sorted_volume(prof, xi):
-    """``ShockProfile.volume_sorted`` at the non-decreasing ``xi``."""
-    out, work = np.empty((2, xi.size)), np.empty((2, xi.size))
-    prof.volume_sorted(xi, out, work, np.empty(xi.size, np.intp))
-    return out
-
-
 @pytest.mark.parametrize("name", ["smoke", "standard"])
 def test_volume_on_sorted_grid_slices_is_volume(name):
+    """``volume`` on a slice of a shifted grid is ``volume`` on the whole
+    grid, sliced: the shift rate reads its support's slice and the
+    background the whole grid."""
     cfg = parse_config(CONFIGS / f"{name}.cfg")
     prof = nw.solve_profile(cfg.build_pattern(), cfg.gas)
     x = cfg.grid.x
@@ -449,15 +445,17 @@ def test_volume_on_sorted_grid_slices_is_volume(name):
     regions = set()
     for c in shifts:
         xi = x - c
-        edges = np.searchsorted(xi, marks)
-        slices = [xi, xi[edges[0]:edges[2]], xi[edges[0] + 1:edges[2] - 1]]
-        slices += [xi[max(j - 3, 0):j + 3] for j in edges]
-        # the span's ends and the body's as points of the slice
-        slices.append(np.sort(np.concatenate([xi, marks])))
-        for part in slices:
-            got, ref = sorted_volume(prof, part), prof.volume(part)
-            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
-            regions.update(np.searchsorted(marks, part, side="right"))
+        # the grid, and the grid with the span's ends and the body's as points
+        for points in (xi, np.sort(np.concatenate([xi, marks]))):
+            whole = prof.volume(points)
+            ends = np.searchsorted(points, marks)
+            parts = [slice(None), slice(ends[0], ends[2]), slice(ends[0] + 1, ends[2] - 1)]
+            parts += [slice(max(j - 3, 0), j + 3) for j in ends]
+            for part in parts:
+                got = prof.volume(points[part])
+                assert np.array_equal(got[0], whole[0][part])
+                assert np.array_equal(got[1], whole[1][part])
+                regions.update(np.searchsorted(marks, points[part], side="right"))
     # nodes left of the span, in either tail, in the body and right of it
     assert regions == {0, 1, 2, 3, 4}
 

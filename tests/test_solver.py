@@ -262,10 +262,14 @@ def full_grid_shift_rate(t, X, u, grid, composite):
 
 
 # (config, t, X, whether the grid reaches past the table's left and right end)
-@pytest.mark.parametrize("name, t, X, past_ends", [("smoke", 0.0, 0.0, (True, True)),
-                                                   ("standard", 200.0, 0.0, (True, False)),
-                                                   ("standard", 0.0, -100.0, (False, True))],
-                         ids=["inside", "cut-right", "cut-left"])
+shift_rate_cases = pytest.mark.parametrize(
+    "name, t, X, past_ends", [("smoke", 0.0, 0.0, (True, True)),
+                              ("standard", 200.0, 0.0, (True, False)),
+                              ("standard", 0.0, -100.0, (False, True))],
+    ids=["inside", "cut-right", "cut-left"])
+
+
+@shift_rate_cases
 def test_shift_rate_is_the_full_grid_trapezoid(name, t, X, past_ends):
     cfg = nw.parse_config(SMOKE_CFG.with_name(f"{name}.cfg"))
     grid = cfg.grid
@@ -280,6 +284,33 @@ def test_shift_rate_is_the_full_grid_trapezoid(name, t, X, past_ends):
     # the background's order-1 fan holds the same u
     fan_u = composite.eval_bar(t, grid.x, X)["fan"]["u"]
     assert _shift_rate(t, X, u, grid, composite, fan_u) == got
+
+
+@shift_rate_cases
+def test_shift_rate_reads_the_background_bits(name, t, X, past_ends):
+    """The rate is the trapezoid, over the shock's support, of the weight,
+    ubar and shock rows of ``eval_bar``, bit for bit: the shift rate and the
+    ledger read one background."""
+    cfg = nw.parse_config(SMOKE_CFG.with_name(f"{name}.cfg"))
+    grid, x = cfg.grid, cfg.grid.x
+    composite = nw.build_composite(cfg.build_pattern(), cfg.gas)
+    pattern, profile = composite.pattern, composite.profile
+    bar = composite.eval_bar(t, x, X)
+    u = bar["u"] + 1e-3 * np.exp(-(x - 10.0) ** 2 / 50.0)
+    # the nodes of the span [xi_lo, xi_hi] and one more on each side
+    c = pattern.sigma * t + X
+    i0 = max(int(x.searchsorted(c + profile.xi_lo)) - 1, 0)
+    i1 = min(int(x.searchsorted(c + profile.xi_hi, side="right")) + 1, x.size)
+    assert (i0 > 0, i1 < x.size) == past_ends
+    part, shock = slice(i0, i1), bar["shock"]
+    y = bar["a"][part] * (u[part] - bar["u"][part]) * (
+        thermo.dpressure(shock["v"][part], cfg.gas) * shock["vx"][part] / pattern.sigma
+        + shock["ux"][part])
+    total = y.sum() - 0.5 * ((y[0] if i0 == 0 else 0.0) + (y[-1] if i1 == x.size else 0.0))
+    expected = -pattern.M / pattern.delta_S * float(total * grid.dx)
+    assert expected != 0.0
+    for fan_u in (bar["fan"]["u"], composite.rarefaction.eval(t, x, order=0)["u"]):
+        assert _shift_rate(t, X, u, grid, composite, fan_u) == expected
 
 
 def test_shift_disabled_for_degenerate_shock(model14, right_state):
@@ -326,8 +357,8 @@ def test_run_evaluates_one_background_per_record(monkeypatch):
 @pytest.fixture
 def stack_traffic(monkeypatch):
     """The calls that build wave stacks, logged in order: the fan's
-    evaluations and the shock stacks with their orders, the profile's
-    volume, and the residual equation's second and third derivatives."""
+    evaluations, the shock stacks and the profile's volumes with their
+    orders, and the residual equation's second and third derivatives."""
     calls = []
 
     def log(owner, name, entry):
@@ -342,22 +373,22 @@ def stack_traffic(monkeypatch):
     log(RarefactionWave, "eval", lambda self, t, x, order=1: ("fan", order))
     log(CompositeWave, "shock_stack", lambda self, t, x, X, order: ("shock", order))
     log(ShockProfile, "volume", lambda self, xi, order=1: ("volume", order))
-    log(ShockProfile, "volume_sorted", lambda self, *args: "volume_sorted")
     log(shockprofile, "_accel", lambda *args: "_accel")
     log(shockprofile, "_accel_grad", lambda *args: "_accel_grad")
     return calls
 
 
 def test_shift_rate_reads_one_order_one_shock_stack(stack_traffic):
-    """The shift rate reads v and vx of the shock once, on its support, and
-    evaluates no fan and no stack of order 2 or more."""
+    """The shift rate reads the shock's order-1 stack once, on its support,
+    as the background does, and evaluates no fan and no stack of order 2 or
+    more."""
     cfg = nw.parse_config(SMOKE_CFG)
     composite = nw.build_composite(cfg.build_pattern(), cfg.gas)
     state = solver.initial_data(cfg.grid, composite, cfg.perturbation)
     fan_u = composite.rarefaction.eval(state.t, cfg.grid.x, order=0)["u"]
     stack_traffic.clear()
     _shift_rate(state.t, state.X, state.u, cfg.grid, composite, fan_u)
-    assert stack_traffic == ["volume_sorted"]
+    assert stack_traffic == [("shock", 1), ("volume", 1)]
 
 
 def test_background_reads_order_one_stacks(stack_traffic, composite_std):
@@ -482,7 +513,7 @@ def test_a_state_is_its_fields():
         assert np.array_equal(getattr(new, name), getattr(given, name))
 
 
-def test_results_do_not_share_the_scratch():
+def test_results_do_not_share_memory():
     """A state that ``step`` returned stays as it was while later steps
     run, and each ``spatial_rhs`` call without ``out`` returns an array of
     its own."""
@@ -506,7 +537,7 @@ def test_results_do_not_share_the_scratch():
     assert np.array_equal(first, kept) and not np.array_equal(first, second)
 
 
-def test_threads_do_not_share_the_scratch(model14):
+def test_threads_compute_the_serial_rhs(model14):
     """Right-hand sides of different fields on one grid, computed at once in
     several threads, equal the ones computed one at a time."""
     grid = nw.Grid(-20.0, 20.0, 513)
