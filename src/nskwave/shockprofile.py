@@ -319,7 +319,6 @@ class ShockProfile:
     vpp: np.ndarray = field(repr=False)
     v_m: float
     v_plus: float
-    tail_rate: float
     growth_rate: float
     manifold_c2: float
     xi_switch: float
@@ -488,14 +487,7 @@ def solve_profile(pattern: WavePattern, model: GasModel) -> ShockProfile:
         raise MonotonicityError("monotonicity violated: tabulated profile is not strictly increasing")
     vpp = np.asarray(_accel(v, q, pattern, model))
 
-    xi = xi_switch + knots
-    # fitted exponential decay rate of the right tail, on the body
-    gap = v_p - v
-    sel = (gap < 0.01 * delta_S) & (xi > 0.0)
-    tail_rate = (float(-np.polyfit(xi[sel], np.log(gap[sel]), 1)[0])
-                 if np.count_nonzero(sel) >= 8 else float(abs(nu_slow)))
-
-    prof = ShockProfile(xi=xi, v=v, vp=q, vpp=vpp, v_m=v_m, v_plus=v_p, tail_rate=tail_rate,
+    prof = ShockProfile(xi=xi_switch + knots, v=v, vp=q, vpp=vpp, v_m=v_m, v_plus=v_p,
                         growth_rate=float(lam_plus), manifold_c2=float(c2), xi_switch=xi_switch,
                         decay_rate=float(nu_slow), xi_stop=xi_stop, model=model, pattern=pattern,
                         node_c2=float(_manifold_c2(nu_slow, v_p, pattern, model)))

@@ -15,9 +15,9 @@ part f_I is the part of the right-hand side linear in (u, w) at the step's
 frozen v; the explicit part f_E = f - f_I (the pressure and the change of
 the coefficients), the shock shift and the boundary-flux integral of the
 mass audit are evaluated at every stage, so the split is exact.  The step
-bound is acoustic, dt <= cfl 2 dx / lambda_max.  The shift rate
-integrates over the shock's support only, the nodes where its table
-reaches: beyond it the integrand is exactly zero.
+bound is acoustic, dt <= cfl 2 dx / lambda_max.  The shift rate is the
+whole grid's trapezoid of the shock stack and fan row it is handed: each
+stage hands its own, each record its background's.
 
 The module keeps no state between calls: each call allocates its own
 arrays, and ``step`` and ``spatial_rhs`` without ``out`` return new ones.
@@ -214,39 +214,27 @@ def parabolic_dt(state: SimState, grid: Grid, model: GasModel, cfl: float) -> fl
 # -- shift dynamics ----------------------------------------------------------
 
 
-def _shift_rate(t, X, u, grid: Grid, composite: CompositeWave, fan_u):
+def _shift_rate(u, shock, fan_u, composite: CompositeWave, dx):
     """Instantaneous shift rate of the shock location.
 
     Weighted projection of the velocity perturbation onto the shock
     gradient: -M/delta_S times the integral of a psi (uS' + p'(vS) vS' /
     sigma), with the weight a of ``entropy_weight`` and psi = u - ubar;
     identically zero for u = ubar and zero for degenerate shock strength.
-    The shock stack, the weight and ubar are the ones ``eval_bar`` gives
-    the ledger, to the bit.  Beyond the shock's span [xi_lo, xi_hi] vS' is
-    exactly zero, and so is the integrand, so it is evaluated on the nodes
-    of the span only and summed with the trapezoid weights of the whole
-    grid.  ``fan_u`` is the fan's u at t on the grid, sliced here to the
-    support.
+    ``shock`` is the shifted shock's order-1 stack and ``fan_u`` the fan's
+    u on the same nodes, the rows ``eval_bar`` builds the ledger from, so
+    the integrand has the background's bits; the integral is the
+    trapezoid over every node handed in.
     """
-    pattern, profile, x = composite.pattern, composite.profile, grid.x
+    pattern = composite.pattern
     if not pattern.has_shock:
         return 0.0
-    # the nodes with x - sigma t - X in [xi_lo, xi_hi], and one more on each
-    # side against rounding
-    c = pattern.sigma * t + X
-    i0 = max(int(x.searchsorted(c + profile.xi_lo)) - 1, 0)
-    i1 = min(int(x.searchsorted(c + profile.xi_hi, side="right")) + 1, x.size)
-    if i0 >= i1:
-        return 0.0
-    part = slice(i0, i1)
-    ss = composite.shock_stack(t, x[part], X, order=1)
     # psi = u - ubar, with ubar grouped as ``superpose`` groups it
-    psi = u[part] - (ss["u"] + (fan_u[part] - pattern.mid.u))
-    y = entropy_weight(pattern, ss["u"]) * psi * (
-        thermo.dpressure(ss["v"], composite.model) * ss["vx"] / pattern.sigma + ss["ux"])
-    # the trapezoid halves the weight of the grid's end nodes only
-    total = y.sum() - 0.5 * ((y[0] if i0 == 0 else 0.0) + (y[-1] if i1 == x.size else 0.0))
-    return -pattern.M / pattern.delta_S * float(total * grid.dx)
+    psi = u - (shock["u"] + (fan_u - pattern.mid.u))
+    y = entropy_weight(pattern, shock["u"]) * psi * (
+        thermo.dpressure(shock["v"], composite.model) * shock["vx"] / pattern.sigma
+        + shock["ux"])
+    return -pattern.M / pattern.delta_S * float(np.trapezoid(y, dx=dx))
 
 
 # -- the implicit (u, w) block -------------------------------------------------
@@ -474,8 +462,10 @@ def _step_core(state: SimState, grid: Grid, composite: CompositeWave,
     F_j the right-hand side at stage j and G_j its implicit (u, w) part; v_t
     is all implicit, so v's row takes aI_ij F_j.  The new state is
     U + dt sum_j b_j F_j.  With the shift on, one order-0 call evaluates
-    the fan's u at the stage times t + c_i dt; ``xdot0``, the shift rate at
-    the state when the caller has it, stands for the first stage's.
+    the fan's u at the stage times t + c_i dt, and each stage's shift rate
+    reads the order-1 shock stack at its time and shift; ``xdot0``, the
+    shift rate at the state when the caller has it, stands for the first
+    stage's.
     """
     bound = parabolic_dt(state, grid, model, scheme.cfl)
     if dt > bound * (1.0 + 1e-9):
@@ -507,9 +497,10 @@ def _step_core(state: SimState, grid: Grid, composite: CompositeWave,
         if i == 0:
             implicit.at_start(F[0], out=G[0])
         if shift_on:
-            xdot[i] = (xdot0 if i < first else
-                       _shift_rate(times[i], X + dt * (ARK_EXPLICIT[i, :i] @ xdot[:i]),
-                                   rows[1], grid, composite, fan_u[i - first]))
+            X_i = X + dt * (ARK_EXPLICIT[i, :i] @ xdot[:i])
+            xdot[i] = (xdot0 if i < first else _shift_rate(
+                rows[1], composite.shock_stack(times[i], grid.x, X_i, order=1),
+                fan_u[i - first], composite, grid.dx))
         flux[i] = _boundary_flux(rows[1])
 
     new = U.reshape(-1) + (dt * ARK_B) @ F.reshape(6, -1)
@@ -583,9 +574,10 @@ def run(config) -> RunResult:
         the one evaluation of the waves at this time."""
         nonlocal a_min, a_max, ceiling_hit, xdot
         bar = composite.eval_bar(state.t, grid.x, state.X)
-        # the rate the stages integrate, from this record's own fan, whose u
-        # is the order-0 fan's to the bit: the next step's first stage reuses it
-        xdot = (_shift_rate(state.t, state.X, state.u, grid, composite, bar["fan"]["u"])
+        # the rate the stages integrate, from this record's own shock and fan,
+        # whose u is the order-0 fan's to the bit: the next step's first stage
+        # reuses it
+        xdot = (_shift_rate(state.u, bar["shock"], bar["fan"]["u"], composite, grid.dx)
                 if shift_on else 0.0)
         rec = collect_record(grid, state, bar, pattern, model, xdot,
                              mass_defect=mass_defect(state, start, grid))

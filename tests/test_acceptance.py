@@ -145,7 +145,7 @@ def test_criterion_3_profile_suite(profile_sweep):
             failures.append(f"midpoint normalization off by {mid_err:.2e}")
         slope_cap.append(np.max(prof.vp) / delta_S ** 2)
         curvature.append(np.max(np.abs(prof.vpp) / (delta_S * prof.vp)))
-        tail.append(prof.tail_rate / delta_S)
+        tail.append(-prof.decay_rate / delta_S)
         gap = prof.v_plus - prof.v
         sel = (gap > 1e-9) & (gap < 0.01 * delta_S) & (prof.xi > 0)
         slope = np.polyfit(prof.xi[sel], np.log(gap[sel]), 1)[0]

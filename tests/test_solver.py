@@ -18,8 +18,9 @@ SMOKE_CFG = Path(__file__).resolve().parents[1] / "configs" / "smoke.cfg"
 
 
 def shift_rate(state, grid, composite):
+    shock = composite.shock_stack(state.t, grid.x, state.X, order=1)
     fan_u = composite.rarefaction.eval(state.t, grid.x, order=0)["u"]
-    return _shift_rate(state.t, state.X, state.u, grid, composite, fan_u)
+    return _shift_rate(state.u, shock, fan_u, composite, grid.dx)
 
 
 def smoke_every_step(shift=True):
@@ -271,46 +272,22 @@ shift_rate_cases = pytest.mark.parametrize(
 
 @shift_rate_cases
 def test_shift_rate_is_the_full_grid_trapezoid(name, t, X, past_ends):
-    cfg = nw.parse_config(SMOKE_CFG.with_name(f"{name}.cfg"))
-    grid = cfg.grid
-    composite = nw.build_composite(cfg.build_pattern(), cfg.gas)
-    lo, hi = grid.x[[0, -1]] - composite.pattern.sigma * t - X
-    assert (lo < composite.profile.xi_lo, hi > composite.profile.xi_hi) == past_ends
-    u = composite.eval_bar(t, grid.x, X)["u"] + 1e-3 * np.exp(-(grid.x - 10.0) ** 2 / 50.0)
-    fan_u = composite.rarefaction.eval(t, grid.x, order=0)["u"]
-    got = _shift_rate(t, X, u, grid, composite, fan_u)
-    assert got == pytest.approx(full_grid_shift_rate(t, X, u, grid, composite), rel=1e-14)
-    assert got != 0.0
-    # the background's order-1 fan holds the same u
-    fan_u = composite.eval_bar(t, grid.x, X)["fan"]["u"]
-    assert _shift_rate(t, X, u, grid, composite, fan_u) == got
-
-
-@shift_rate_cases
-def test_shift_rate_reads_the_background_bits(name, t, X, past_ends):
-    """The rate is the trapezoid, over the shock's support, of the weight,
-    ubar and shock rows of ``eval_bar``, bit for bit: the shift rate and the
-    ledger read one background."""
+    """The rate is the whole grid's trapezoid of the shock and fan rows it
+    is handed, bit for bit, whether they are the background's (the order-1
+    fan of ``eval_bar``) or a stage's (its own shock stack and the order-0
+    fan): the shift rate and the ledger read one background."""
     cfg = nw.parse_config(SMOKE_CFG.with_name(f"{name}.cfg"))
     grid, x = cfg.grid, cfg.grid.x
     composite = nw.build_composite(cfg.build_pattern(), cfg.gas)
-    pattern, profile = composite.pattern, composite.profile
+    lo, hi = x[[0, -1]] - composite.pattern.sigma * t - X
+    assert (lo < composite.profile.xi_lo, hi > composite.profile.xi_hi) == past_ends
     bar = composite.eval_bar(t, x, X)
     u = bar["u"] + 1e-3 * np.exp(-(x - 10.0) ** 2 / 50.0)
-    # the nodes of the span [xi_lo, xi_hi] and one more on each side
-    c = pattern.sigma * t + X
-    i0 = max(int(x.searchsorted(c + profile.xi_lo)) - 1, 0)
-    i1 = min(int(x.searchsorted(c + profile.xi_hi, side="right")) + 1, x.size)
-    assert (i0 > 0, i1 < x.size) == past_ends
-    part, shock = slice(i0, i1), bar["shock"]
-    y = bar["a"][part] * (u[part] - bar["u"][part]) * (
-        thermo.dpressure(shock["v"][part], cfg.gas) * shock["vx"][part] / pattern.sigma
-        + shock["ux"][part])
-    total = y.sum() - 0.5 * ((y[0] if i0 == 0 else 0.0) + (y[-1] if i1 == x.size else 0.0))
-    expected = -pattern.M / pattern.delta_S * float(total * grid.dx)
+    expected = full_grid_shift_rate(t, X, u, grid, composite)
     assert expected != 0.0
-    for fan_u in (bar["fan"]["u"], composite.rarefaction.eval(t, x, order=0)["u"]):
-        assert _shift_rate(t, X, u, grid, composite, fan_u) == expected
+    for shock in (bar["shock"], composite.shock_stack(t, x, X, order=1)):
+        for fan_u in (bar["fan"]["u"], composite.rarefaction.eval(t, x, order=0)["u"]):
+            assert _shift_rate(u, shock, fan_u, composite, grid.dx) == expected
 
 
 def test_shift_disabled_for_degenerate_shock(model14, right_state):
@@ -378,17 +355,49 @@ def stack_traffic(monkeypatch):
     return calls
 
 
-def test_shift_rate_reads_one_order_one_shock_stack(stack_traffic):
-    """The shift rate reads the shock's order-1 stack once, on its support,
-    as the background does, and evaluates no fan and no stack of order 2 or
-    more."""
+def test_shift_rate_evaluates_no_wave(stack_traffic):
+    """The shift rate is a reduction over the rows it is handed: it
+    evaluates no fan, no shock stack and no profile volume."""
     cfg = nw.parse_config(SMOKE_CFG)
     composite = nw.build_composite(cfg.build_pattern(), cfg.gas)
     state = solver.initial_data(cfg.grid, composite, cfg.perturbation)
-    fan_u = composite.rarefaction.eval(state.t, cfg.grid.x, order=0)["u"]
+    bar = composite.eval_bar(state.t, cfg.grid.x, state.X)
     stack_traffic.clear()
-    _shift_rate(state.t, state.X, state.u, cfg.grid, composite, fan_u)
-    assert stack_traffic == [("shock", 1), ("volume", 1)]
+    assert _shift_rate(state.u, bar["shock"], bar["fan"]["u"], composite, cfg.grid.dx) != 0.0
+    assert stack_traffic == []
+
+
+def test_a_record_evaluates_the_shock_once(monkeypatch):
+    """With a record after every step, every shock stack of a run is one
+    background's (``eval_bar``) or one stage's shift rate: a record's rate
+    reads its background's stack, so each record evaluates the shock once."""
+    within, stacks = [], []
+    real_stack = CompositeWave.shock_stack
+
+    def inside(name, real):
+        def wrapped(*args, **kwargs):
+            within.append(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                within.pop()
+        return wrapped
+
+    def stack(self, t, x, X, order):
+        stacks.append((within[-1] if within else None, order))
+        return real_stack(self, t, x, X, order)
+
+    monkeypatch.setattr(CompositeWave, "shock_stack", stack)
+    monkeypatch.setattr(CompositeWave, "eval_bar", inside("eval_bar", CompositeWave.eval_bar))
+    monkeypatch.setattr(solver, "_step_core", inside("step", solver._step_core))
+    result = nw.run(smoke_every_step())
+    records, steps = len(result.records), result.summary["steps"]
+    assert records == steps + 1 > 2
+    # _check_domain's two calls and initial_data's, then one per record
+    assert stacks.count(("eval_bar", 1)) == 3 + records
+    # every step starts at a record, whose rate stands for its first stage's
+    assert stacks.count(("step", 1)) == 5 * steps
+    assert len(stacks) == 3 + records + 5 * steps
 
 
 def test_background_reads_order_one_stacks(stack_traffic, composite_std):
@@ -414,8 +423,9 @@ def test_record_xdot_is_the_uncached_shift_rate(monkeypatch, shift):
     for rec, (t, X, u, xdot) in zip(result.records, seen):
         assert (rec.t, rec.X) == (t, X)
         # with the shift off the records report the rate that was integrated
-        expected = (_shift_rate(t, X, u, grid, composite,
-                                composite.rarefaction.eval(t, grid.x, order=0)["u"])
+        expected = (_shift_rate(u, composite.shock_stack(t, grid.x, X, order=1),
+                                composite.rarefaction.eval(t, grid.x, order=0)["u"],
+                                composite, grid.dx)
                     if shift else 0.0)
         assert rec.Xdot == xdot == expected
     assert any(rec.Xdot != 0.0 for rec in result.records) == shift
@@ -459,9 +469,9 @@ def test_a_step_at_a_record_reuses_its_shift_rate(monkeypatch, stride):
     calls, starts = [], []
     real_rate, real_step = solver._shift_rate, solver._step_core
 
-    def counting(*args):
-        calls.append(args[0])
-        return real_rate(*args)
+    def counting(u, shock, fan_u, composite, dx):
+        calls.append(dx)
+        return real_rate(u, shock, fan_u, composite, dx)
 
     def stepping(state, *args):
         starts.append(state.t)
@@ -481,14 +491,15 @@ def test_a_step_at_a_record_reuses_its_shift_rate(monkeypatch, stride):
 
 
 def test_a_handed_shift_rate_changes_no_bit():
-    """The rate a record hands the step, from the background's order-1 fan,
-    is the one the step would compute from its own order-0 fan."""
+    """The rate a record hands the step, from the background's shock and
+    order-1 fan, is the one the step would compute from its own shock stack
+    and order-0 fan."""
     cfg = nw.parse_config(SMOKE_CFG)
     grid, scheme = cfg.grid, cfg.scheme
     composite = nw.build_composite(cfg.build_pattern(), cfg.gas)
     state = dataclasses.replace(nw.initial_data(grid, composite, cfg.perturbation), t=3.0)
-    fan_u = composite.eval_bar(state.t, grid.x, state.X)["fan"]["u"]
-    xdot = _shift_rate(state.t, state.X, state.u, grid, composite, fan_u)
+    bar = composite.eval_bar(state.t, grid.x, state.X)
+    xdot = _shift_rate(state.u, bar["shock"], bar["fan"]["u"], composite, grid.dx)
     dt = nw.parabolic_dt(state, grid, cfg.gas, scheme.cfl)
     own, handed = (nw.step(state, grid, composite, cfg.gas, scheme, dt, given)
                    for given in (None, xdot))
