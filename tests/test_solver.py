@@ -270,12 +270,8 @@ shift_rate_cases = pytest.mark.parametrize(
     ids=["inside", "cut-right", "cut-left"])
 
 
-@shift_rate_cases
-def test_shift_rate_is_the_full_grid_trapezoid(name, t, X, past_ends):
-    """The rate is the whole grid's trapezoid of the shock and fan rows it
-    is handed, bit for bit, whether they are the background's (the order-1
-    fan of ``eval_bar``) or a stage's (its own shock stack and the order-0
-    fan): the shift rate and the ledger read one background."""
+def shift_rate_case(name, t, X, past_ends):
+    """The case's grid, composite, background at (t, X) and a perturbed u."""
     cfg = nw.parse_config(SMOKE_CFG.with_name(f"{name}.cfg"))
     grid, x = cfg.grid, cfg.grid.x
     composite = nw.build_composite(cfg.build_pattern(), cfg.gas)
@@ -283,11 +279,35 @@ def test_shift_rate_is_the_full_grid_trapezoid(name, t, X, past_ends):
     assert (lo < composite.profile.xi_lo, hi > composite.profile.xi_hi) == past_ends
     bar = composite.eval_bar(t, x, X)
     u = bar["u"] + 1e-3 * np.exp(-(x - 10.0) ** 2 / 50.0)
+    return grid, composite, bar, u
+
+
+@shift_rate_cases
+def test_shift_rate_is_the_full_grid_trapezoid(name, t, X, past_ends):
+    """A stage's rate, from its own shock stack and order-0 fan, is the
+    whole grid's trapezoid of the profile evaluated afresh, bit for bit."""
+    grid, composite, _, u = shift_rate_case(name, t, X, past_ends)
     expected = full_grid_shift_rate(t, X, u, grid, composite)
     assert expected != 0.0
-    for shock in (bar["shock"], composite.shock_stack(t, x, X, order=1)):
-        for fan_u in (bar["fan"]["u"], composite.rarefaction.eval(t, x, order=0)["u"]):
-            assert _shift_rate(u, shock, fan_u, composite, grid.dx) == expected
+    shock = composite.shock_stack(t, grid.x, X, order=1)
+    fan_u = composite.rarefaction.eval(t, grid.x, order=0)["u"]
+    assert _shift_rate(u, shock, fan_u, composite, grid.dx) == expected
+
+
+@shift_rate_cases
+def test_shift_rate_reads_the_background_bits(name, t, X, past_ends):
+    """The rate is the trapezoid of the weight, ubar and shock rows of
+    ``eval_bar``, bit for bit, with either fan row: the shift rate and the
+    ledger read one background."""
+    grid, composite, bar, u = shift_rate_case(name, t, X, past_ends)
+    pattern, shock = composite.pattern, bar["shock"]
+    y = bar["a"] * (u - bar["u"]) * (
+        thermo.dpressure(shock["v"], composite.model) * shock["vx"] / pattern.sigma
+        + shock["ux"])
+    expected = -pattern.M / pattern.delta_S * float(np.trapezoid(y, dx=grid.dx))
+    assert expected != 0.0
+    for fan_u in (bar["fan"]["u"], composite.rarefaction.eval(t, grid.x, order=0)["u"]):
+        assert _shift_rate(u, shock, fan_u, composite, grid.dx) == expected
 
 
 def test_shift_disabled_for_degenerate_shock(model14, right_state):
