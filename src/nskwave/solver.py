@@ -11,16 +11,20 @@ semi-discrete energy balance.
 
 Time is the additive Runge-Kutta pair ARK4(3)6L[2]SA (Kennedy & Carpenter,
 Appl. Numer. Math. 44 (2003)), fourth order in six stages.  Its implicit
-part f_I is the part of the right-hand side linear in (u, w) at the step's
-frozen v; the explicit part f_E = f - f_I (the pressure and the change of
-the coefficients), the shock shift and the boundary-flux integral of the
-mass audit are evaluated at every stage, so the split is exact.  The step
-bound is acoustic, dt <= cfl 2 dx / lambda_max.  The shift rate is the
-whole grid's trapezoid of the shock stack and fan row it is handed: each
-stage hands its own, each record its background's.
+part f_I is the part of the right-hand side linear in (u, w) at a frozen
+volume v_ref; the explicit part f_E = f - f_I (the pressure and the change
+of the coefficients), the shock shift and the boundary-flux integral of
+the mass audit are evaluated at every stage, so the split is exact for any
+v_ref.  The step bound is acoustic, dt <= cfl 2 dx / lambda_max.  The
+shift rate is the whole grid's trapezoid of the shock stack and fan row it
+is handed: each stage hands its own, each record its background's.
 
-The module keeps no state between calls: each call allocates its own
-arrays, and ``step`` and ``spatial_rhs`` without ``out`` return new ones.
+``run`` holds dt while the bound moves by rounding only, and keeps one
+factor of the implicit block while the volume stays within REFACTOR_DRIFT
+of the v_ref it was built at; a ``step`` that is handed no factor builds
+one at its own volume.  That factor, local to one ``run`` call, is the
+only thing carried from step to step: each call allocates its own arrays,
+and ``step`` and ``spatial_rhs`` without ``out`` return new ones.
 """
 from __future__ import annotations
 
@@ -38,7 +42,7 @@ from .errors import CflError, ConfigError, SolverError, VacuumError, check
 from .fd import first_derivative
 from .rarefaction import RarefactionWave
 from .shockprofile import solve_profile
-from .thermo import GasModel, pressure
+from .thermo import GasModel
 
 log = logging.getLogger(__name__)
 
@@ -48,6 +52,16 @@ VACUUM_FLOOR = 1e-6
 CONSTRAINT_CEILING = 1e-4
 #: largest perturbation amplitude a Perturbation accepts
 AMPLITUDE_CAP = 0.1
+#: relative slack of the acoustic step bound: ``step`` accepts a dt this
+#: far above it, and ``run`` holds its dt while the bound stays this close,
+#: so that the rounding of the smallest volume does not move the step
+STEP_SLACK = 1e-9
+#: largest max |v / v_ref - 1| at which ``run`` keeps a factor of the
+#: implicit block built at the volume v_ref.  f_I is defined at v_ref and
+#: f_E = f - f_I, so the split stays exact and the pair keeps its order
+#: with a stale factor; the drift bounds only the stiffness f_E inherits,
+#: the change (L(v) - L(v_ref)) z of the viscous-capillary block
+REFACTOR_DRIFT = 1e-2
 
 
 @dataclass(frozen=True)
@@ -335,8 +349,9 @@ def _soa(blocks):
 
 
 class _ImplicitStage:
-    """The implicit stages of one step: (I - g L) z = y, with g = ARK_GAMMA dt
-    and L (u, w) = (D0 u, V u + K w, M u) at the step's frozen v.
+    """The implicit stages: (I - g L) z = y, with g = ARK_GAMMA dt and
+    L (u, w) = (D0 u, V u + K w, M u) at the frozen volume v, which is the
+    step's own or, in ``run``, that of an earlier step.
 
     v = y_v + g D0 u and w = y_w + g M u follow from u, which solves
     (I - g V - g^2 K M) u = y_u + g K y_w, of bandwidth 4: in blocks of 4
@@ -348,12 +363,12 @@ class _ImplicitStage:
     """
 
     def __init__(self, v, dx, model: GasModel, g: float):
-        self.v, self.dx, self.model, self.g, self.n = v, dx, model, g, v.size
-        V, self.K, self.M = _implicit_operators(v, dx, model)
+        self.v, self.dx, self.g, self.n = v, dx, g, v.size
+        self.V, self.K, self.M = _implicit_operators(v, dx, model)
         S = _band_product(self.K, self.M)
         for diag in S.values():
             diag *= -g * g
-        for d, diag in V.items():
+        for d, diag in self.V.items():
             S[d] -= g * diag
         S[0] += 1.0
         m = self.m = -(-self.n // 4)
@@ -368,7 +383,7 @@ class _ImplicitStage:
                 Z[:part.size, r, c + 4 if c < 0 else c if c > 3 else c + 8] = part
         for i in range(self.n, 4 * m):
             Z[-1, i % 4, i % 4 + 8] = 1.0
-        del S, V
+        del S
         AC, B = Z[..., :8], Z[..., 8:]
         self.levels = []
         while len(B) > DENSE_BLOCKS:
@@ -394,13 +409,12 @@ class _ImplicitStage:
         dense[k[:-1], :, k[1:], :] = AC[:-1, :, 4:]
         self.last = np.linalg.inv(dense.reshape(4 * len(B), 4 * len(B)))
 
-    def at_start(self, f, out):
-        """out = the (u, w) rows of L z at the step's start, from the
-        right-hand side f there: ``_rhs_arrays`` is affine in (u, w), so they
-        are f's less the pressure term -D0 p(v)."""
-        out[:] = f[1:]
-        p = pressure(self.v, self.model)
-        out[0, 1:-1] += (p[2:] - p[:-2]) * (0.5 / self.dx)
+    def apply(self, z, out):
+        """out = the (u, w) rows of L z, (V u + K w, M u), for the rows
+        (v, u, w) of z; the v row of L z is the right-hand side's."""
+        _, u, w = z
+        np.add(_band_apply(self.V, u), _band_apply(self.K, w), out=out[0])
+        out[1] = _band_apply(self.M, u)
 
     def _solve(self, rhs):
         """The u of (I - g V - g^2 K M) u = rhs."""
@@ -453,25 +467,31 @@ def _boundary_flux(u):
 
 def _step_core(state: SimState, grid: Grid, composite: CompositeWave,
                model: GasModel, scheme: SchemeConfig, dt: float,
-               xdot0: float | None = None) -> SimState:
+               xdot0: float | None = None,
+               implicit: _ImplicitStage | None = None) -> SimState:
     """Advance (v, u, w, X) and the boundary-flux integral by one
     ARK4(3)6L[2]SA step; returns the new state, whose fields are rows of
     one new array.
 
     Stage i is U + dt sum_j (aE_ij F_j + (aI_ij - aE_ij) G_j) + g G_i, with
-    F_j the right-hand side at stage j and G_j its implicit (u, w) part; v_t
-    is all implicit, so v's row takes aI_ij F_j.  The new state is
-    U + dt sum_j b_j F_j.  With the shift on, one order-0 call evaluates
-    the fan's u at the stage times t + c_i dt, and each stage's shift rate
+    F_j the right-hand side at stage j and G_j = L z_j its implicit (u, w)
+    part; v_t is all implicit, so v's row takes aI_ij F_j.  The new state
+    is U + dt sum_j b_j F_j.  L is ``implicit``'s, a factor built at any
+    volume with g = ARK_GAMMA dt; without one the step factors L at the
+    state's own volume.  With the shift on, one order-0 call evaluates the
+    fan's u at the stage times t + c_i dt, and each stage's shift rate
     reads the order-1 shock stack at its time and shift; ``xdot0``, the
     shift rate at the state when the caller has it, stands for the first
     stage's.
     """
     bound = parabolic_dt(state, grid, model, scheme.cfl)
-    if dt > bound * (1.0 + 1e-9):
+    if dt - bound > STEP_SLACK * bound:
         raise CflError(f"dt = {dt:.3e} violates the acoustic bound {bound:.3e}")
+    if implicit is None:
+        implicit = _ImplicitStage(state.v, grid.dx, model, ARK_GAMMA * dt)
+    elif implicit.g != ARK_GAMMA * dt:
+        raise ValueError(f"the factor's g = {implicit.g:.6e} is not ARK_GAMMA dt")
 
-    implicit = _ImplicitStage(state.v, grid.dx, model, ARK_GAMMA * dt)
     shift_on = scheme.shift and composite.pattern.has_shock
     t, X = state.t, state.X
     F, G, stage = np.empty((6, 3, grid.n)), np.empty((6, 2, grid.n)), np.empty((3, grid.n))
@@ -495,7 +515,7 @@ def _step_core(state: SimState, grid: Grid, composite: CompositeWave,
             implicit.solve(stage, out=G[i])
         _rhs_arrays(*rows, grid.dx, model, out=F[i])
         if i == 0:
-            implicit.at_start(F[0], out=G[0])
+            implicit.apply(U, out=G[0])
         if shift_on:
             X_i = X + dt * (ARK_EXPLICIT[i, :i] @ xdot[:i])
             xdot[i] = (xdot0 if i < first else _shift_rate(
@@ -552,6 +572,13 @@ def run(config) -> RunResult:
 
     ``config`` is a RunConfig (see nskwave.config); each record's mass
     audit is ``diagnostics.mass_defect`` against the initial state.
+
+    The first step takes the acoustic bound, and later steps keep that dt
+    while the bound stays within STEP_SLACK of it, so dt does not follow
+    the rounding of the smallest volume; the last step is cut to t_end.
+    The implicit block is factored anew only when there is no factor yet,
+    when ARK_GAMMA dt changes, or when the volume has drifted by more than
+    REFACTOR_DRIFT from the one the factor was built at.
     """
     model, grid, scheme = config.gas, config.grid, config.scheme
     pattern = config.build_pattern()
@@ -599,12 +626,20 @@ def run(config) -> RunResult:
     step_count = 0
     ceiling_hit = False
     xdot = None  # the shift rate at the current state, once a record has it
+    held = implicit = None  # the held step and the factor the steps share
     snapshot(record())
     try:
         while state.t < scheme.t_end - 1e-12:
-            dt = min(parabolic_dt(state, grid, model, scheme.cfl),
-                     scheme.t_end - state.t)
-            state = _step_core(state, grid, composite, model, scheme, dt, xdot)
+            bound = parabolic_dt(state, grid, model, scheme.cfl)
+            if held is None or abs(bound - held) > STEP_SLACK * bound:
+                held = bound
+            dt = min(held, scheme.t_end - state.t)
+            if (implicit is None or implicit.g != ARK_GAMMA * dt
+                    or np.max(np.abs(state.v / implicit.v - 1.0)) > REFACTOR_DRIFT):
+                implicit = None  # freed before its successor is built
+                implicit = _ImplicitStage(state.v, grid.dx, model, ARK_GAMMA * dt)
+            state = _step_core(state, grid, composite, model, scheme, dt, xdot,
+                               implicit=implicit)
             xdot = None
             step_count += 1
             v_min_global = min(v_min_global, float(np.min(state.v)))

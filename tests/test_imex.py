@@ -149,8 +149,8 @@ def test_cyclic_reduction_is_the_dense_solve(n):
 
 def test_split_is_exact_at_a_perturbed_state():
     """f_I = (D0 u, V u + K w, M u), with the banded (u, w) block, plus
-    f_E = (0, -D0 p(v), 0) is ``_rhs_arrays`` to rounding; ``at_start``
-    recovers f_I's (u, w) rows from f."""
+    f_E = (0, -D0 p(v), 0) is ``_rhs_arrays`` to rounding; ``apply``
+    gives f_I's (u, w) rows from the banded block at the same v."""
     cfg = nw.parse_config(CONFIGS / "smoke.cfg")
     composite = nw.build_composite(cfg.build_pattern(), cfg.gas)
     grid, model = cfg.grid, cfg.gas
@@ -170,9 +170,9 @@ def test_split_is_exact_at_a_perturbed_state():
     scale = np.max(np.abs(f), axis=1, keepdims=True)
     assert np.all(np.max(np.abs(f_E + f_I - f), axis=1, keepdims=True) <= 1e-13 * scale)
     assert np.max(np.abs(f_I[1:])) > 1e-3 * np.max(scale)
-    at_start = np.empty((2, grid.n))
-    solver._ImplicitStage(v, grid.dx, model, 0.1).at_start(f, out=at_start)
-    assert np.all(np.max(np.abs(at_start - f_I[1:]), axis=1) <= 1e-13 * scale[1:, 0])
+    applied = np.empty((2, grid.n))
+    solver._ImplicitStage(v, grid.dx, model, 0.1).apply(np.array([v, u, w]), out=applied)
+    assert np.all(np.max(np.abs(applied - f_I[1:]), axis=1) <= 1e-13 * scale[1:, 0])
 
 
 def symbols(v, dx, model, theta):

@@ -466,9 +466,9 @@ def test_run_evaluates_the_fan_once_per_new_stage_time(monkeypatch, shift):
             order0.append(np.broadcast_arrays(t, x))
         return real_eval(self, t, x, order)
 
-    def stepping(state, grid, composite, model, scheme, dt, xdot0=None):
+    def stepping(state, grid, composite, model, scheme, dt, xdot0=None, **kwargs):
         steps.append((state.t, dt, grid.x, xdot0))
-        return real_step(state, grid, composite, model, scheme, dt, xdot0)
+        return real_step(state, grid, composite, model, scheme, dt, xdot0, **kwargs)
 
     monkeypatch.setattr(RarefactionWave, "eval", counting)
     monkeypatch.setattr(solver, "_step_core", stepping)
@@ -493,9 +493,9 @@ def test_a_step_at_a_record_reuses_its_shift_rate(monkeypatch, stride):
         calls.append(dx)
         return real_rate(u, shock, fan_u, composite, dx)
 
-    def stepping(state, *args):
+    def stepping(state, *args, **kwargs):
         starts.append(state.t)
-        return real_step(state, *args)
+        return real_step(state, *args, **kwargs)
 
     monkeypatch.setattr(solver, "_shift_rate", counting)
     monkeypatch.setattr(solver, "_step_core", stepping)
@@ -630,26 +630,90 @@ def test_traveling_wave_preserved(tw_setup, model14):
     assert abs(state.X) < 1e-7
 
 
-def test_temporal_self_convergence(composite_std, model14):
+def self_convergence_order(composite, model, advance):
+    """The temporal order observed from ``advance(state, grid, scheme, dt,
+    T)`` of a perturbed composite at dt0, dt0 / 2 and dt0 / 4, T = 64 dt0."""
     grid = nw.Grid(-50.0, 50.0, 301)
     pert = nw.Perturbation(kind="gaussian", amplitude=5e-3, center=0.0, width=6.0)
     scheme = nw.SchemeConfig(t_end=1.0, cfl=0.5)
-    base = nw.initial_data(grid, composite_std, pert)
-    dt0 = nw.parabolic_dt(base, grid, model14, 0.45)
+    base = nw.initial_data(grid, composite, pert)
+    dt0 = nw.parabolic_dt(base, grid, model, 0.45)
     T = 64.0 * dt0
+    s1, s2, s4 = (advance(nw.initial_data(grid, composite, pert), grid, scheme, dt0 / k, T)
+                  for k in (1, 2, 4))
+    e1 = max(np.max(np.abs(s1.v - s2.v)), np.max(np.abs(s1.u - s2.u)))
+    e2 = max(np.max(np.abs(s2.v - s4.v)), np.max(np.abs(s2.u - s4.u)))
+    return np.log2(e1 / e2)
 
-    def advance(dt):
-        state = nw.initial_data(grid, composite_std, pert)
+
+def test_temporal_self_convergence(composite_std, model14):
+    def advance(state, grid, scheme, dt, T):
         while state.t < T - 1e-12:
             state = nw.step(state, grid, composite_std, model14, scheme,
                             min(dt, T - state.t))
         return state
 
-    s1, s2, s4 = advance(dt0), advance(dt0 / 2), advance(dt0 / 4)
-    e1 = max(np.max(np.abs(s1.v - s2.v)), np.max(np.abs(s1.u - s2.u)))
-    e2 = max(np.max(np.abs(s2.v - s4.v)), np.max(np.abs(s2.u - s4.u)))
-    order = np.log2(e1 / e2)
-    assert order > 3.5
+    assert self_convergence_order(composite_std, model14, advance) > 3.5
+
+
+def test_temporal_self_convergence_with_one_factor(composite_std, model14):
+    """The split f = f_E + f_I is exact for any frozen volume, so steps
+    that all take one factor of the implicit block, built at the initial
+    state, keep the pair's fourth order."""
+    def advance(state, grid, scheme, dt, T):
+        implicit = solver._ImplicitStage(state.v, grid.dx, model14, solver.ARK_GAMMA * dt)
+        for _ in range(round(T / dt)):
+            state = nw.step(state, grid, composite_std, model14, scheme, dt,
+                            implicit=implicit)
+        return state
+
+    assert self_convergence_order(composite_std, model14, advance) > 3.5
+
+
+def test_a_handed_factor_is_the_one_a_step_builds():
+    """A step handed a factor built at its own volume changes no bit, and a
+    factor whose g is not ARK_GAMMA dt is refused."""
+    cfg = nw.parse_config(SMOKE_CFG)
+    grid, scheme, model = cfg.grid, cfg.scheme, cfg.gas
+    composite = nw.build_composite(cfg.build_pattern(), model)
+    state = nw.initial_data(grid, composite, cfg.perturbation)
+    dt = nw.parabolic_dt(state, grid, model, scheme.cfl)
+    implicit = solver._ImplicitStage(state.v, grid.dx, model, solver.ARK_GAMMA * dt)
+    own, handed = (nw.step(state, grid, composite, model, scheme, dt, implicit=given)
+                   for given in (None, implicit))
+    assert (own.X, own.flux) == (handed.X, handed.flux)
+    for name in ("v", "u", "w"):
+        assert np.array_equal(getattr(own, name), getattr(handed, name))
+    with pytest.raises(ValueError, match="ARK_GAMMA dt"):
+        nw.step(state, grid, composite, model, scheme, 0.5 * dt, implicit=implicit)
+
+
+def test_a_run_holds_its_step_and_keeps_its_factor(monkeypatch):
+    """On the smoke config with a record after every step up to t_end = 20,
+    every step but the last, cut to t_end, takes the same dt, and the
+    implicit block is factored anew only when the volume drifts by more
+    than REFACTOR_DRIFT or dt changes: at most 12 times in 43 steps."""
+    dts, builds = [], []
+    real_step = solver._step_core
+
+    class Counting(solver._ImplicitStage):
+        def __init__(self, *args):
+            builds.append(len(dts))
+            super().__init__(*args)
+
+    def stepping(state, grid, composite, model, scheme, dt, *args, **kwargs):
+        dts.append(dt)
+        return real_step(state, grid, composite, model, scheme, dt, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_ImplicitStage", Counting)
+    monkeypatch.setattr(solver, "_step_core", stepping)
+    cfg = smoke_every_step()
+    cfg.scheme = dataclasses.replace(cfg.scheme, t_end=20.0)
+    result = nw.run(cfg)
+    assert len(dts) == result.summary["steps"] == 43
+    assert dts[:-1] == [dts[0]] * 42 and dts[-1] < dts[0]
+    # the first step builds one, and the cut last step needs its own g
+    assert builds[0] == 0 and builds[-1] == 42 and len(builds) <= 12
 
 
 def test_determinism(composite_std, model14):
